@@ -40,7 +40,6 @@ from .families import (
 )
 from .precision import HighPrecReal
 from .quadratic import (
-    BinaryQuadraticForm,
     QuadraticField,
     QuadraticUnit,
     analytic_class_number_oracle,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguityError",
-    "BinaryQuadraticForm",
     "BiquadraticField",
     "CMQuarticError",
     "ConsistencyError",

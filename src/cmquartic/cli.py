@@ -18,7 +18,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import mpmath
 
@@ -42,16 +41,6 @@ _EXPECTED = {
     "cyclic": {"disc": 2**11 * 3**2 * 613**3, "regulator": "8.4973985",
                "class_number": 19400, "members": ((-3, 35), (-6, 35))},
 }
-
-
-@dataclass
-class Config:
-    precision_bits: int = 128
-    prime_budget: int = 200
-    jobs: int = 1
-    format: str = "json"
-    with_class_number: bool = False
-    timings: bool = False
 
 
 def _fact_payload(f: Factorization) -> dict:
@@ -84,7 +73,7 @@ def _invariants_payload(inv: FieldInvariants) -> dict:
 
 
 def _pair_payload(rep: families.PairReport) -> dict:
-    out = {
+    return {
         "kind": rep.kind,
         "t": str(rep.t),
         "p": str(rep.p),
@@ -100,12 +89,11 @@ def _pair_payload(rep: families.PairReport) -> dict:
         "residue_a": None if rep.residue_a is None else _real_payload(rep.residue_a),
         "residue_b": None if rep.residue_b is None else _real_payload(rep.residue_b),
     }
-    return out
 
 
-def _emit_record(command: str, payload: dict, config: Config, started: float) -> None:
+def _emit_record(command: str, payload: dict, timings: bool, started: float) -> None:
     record = {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
-    if config.timings:
+    if timings:
         record["timings"] = {"total_ms": round((time.perf_counter() - started) * 1000, 3)}
     print(json.dumps(record, sort_keys=True, indent=2))
 
@@ -131,13 +119,13 @@ def _pair_csv_row(rep: families.PairReport) -> dict:
     }
 
 
-def cmd_invariants(args, config: Config) -> int:
+def cmd_invariants(args) -> int:
     started = time.perf_counter()
     if args.kind == "biquad":
         if args.a is None or args.b is None:
             raise DomainError("biquad invariants need -a and -b", code="E_PARAM_MISSING")
         K = bq.biquadratic(args.a, args.b)
-        inv = bq.field_invariants(K, config.precision_bits, config.with_class_number)
+        inv = bq.field_invariants(K, args.precision_bits, args.with_class_number)
         payload = {
             "kind": "biquad",
             "label": K.label(),
@@ -148,8 +136,8 @@ def cmd_invariants(args, config: Config) -> int:
     else:
         if args.s is None or args.t is None:
             raise DomainError("cyclic invariants need -s and -t", code="E_PARAM_MISSING")
-        inv = cq.field_invariants(args.s, args.t, config.precision_bits,
-                                  config.with_class_number, config.prime_budget)
+        inv = cq.field_invariants(args.s, args.t, args.precision_bits,
+                                  args.with_class_number, args.prime_budget)
         payload = {
             "kind": "cyclic",
             "label": cq.CyclicQuarticField(args.s, args.t).label(),
@@ -159,7 +147,7 @@ def cmd_invariants(args, config: Config) -> int:
             "maximal_real_subfield": str(cq.maximal_real_subfield(args.s, args.t).radicand),
             "invariants": _invariants_payload(inv),
         }
-    if config.format == "csv":
+    if args.format == "csv":
         inv_payload = payload["invariants"]
         row = {
             "label": payload["label"],
@@ -172,48 +160,46 @@ def cmd_invariants(args, config: Config) -> int:
         }
         _emit_csv([row], tuple(row))
     else:
-        _emit_record("invariants", payload, config, started)
+        _emit_record("invariants", payload, args.timings, started)
     return 0
 
 
-def _build_pair(kind: str, t: int, p: int, config: Config) -> families.PairReport:
-    if kind == "biquad":
-        return families.biquadratic_pair_report(t, p, config.precision_bits,
-                                                config.with_class_number)
-    return families.cyclic_pair_report(t, p, config.precision_bits,
-                                       config.with_class_number, config.prime_budget)
-
-
-def cmd_pair(args, config: Config) -> int:
-    started = time.perf_counter()
-    rep = _build_pair(args.kind, args.t, args.p, config)
-    if config.format == "csv":
-        _emit_csv([_pair_csv_row(rep)], CSV_FAMILY_COLUMNS)
-    else:
-        _emit_record("pair", _pair_payload(rep), config, started)
-    return 0
-
-
-def cmd_family(args, config: Config) -> int:
+def cmd_pair(args) -> int:
     started = time.perf_counter()
     if args.kind == "biquad":
-        reports = families.biquadratic_family(args.t, args.count, config.precision_bits,
-                                              config.with_class_number, config.jobs)
+        rep = families.biquadratic_pair_report(args.t, args.p, args.precision_bits,
+                                               args.with_class_number)
     else:
-        reports = families.cyclic_family(args.t, args.count, config.precision_bits,
-                                         config.with_class_number, config.jobs)
-    if config.format == "csv":
+        rep = families.cyclic_pair_report(args.t, args.p, args.precision_bits,
+                                          args.with_class_number, args.prime_budget)
+    if args.format == "csv":
+        _emit_csv([_pair_csv_row(rep)], CSV_FAMILY_COLUMNS)
+    else:
+        _emit_record("pair", _pair_payload(rep), args.timings, started)
+    return 0
+
+
+def cmd_family(args) -> int:
+    started = time.perf_counter()
+    if args.kind == "biquad":
+        reports = families.biquadratic_family(args.t, args.count, args.precision_bits,
+                                              args.with_class_number, args.jobs)
+    else:
+        reports = families.cyclic_family(args.t, args.count, args.precision_bits,
+                                         args.with_class_number, args.jobs,
+                                         args.prime_budget)
+    if args.format == "csv":
         _emit_csv([_pair_csv_row(r) for r in reports], CSV_FAMILY_COLUMNS)
     else:
         for rep in reports:
-            _emit_record("family", _pair_payload(rep), config, started)
+            _emit_record("family", _pair_payload(rep), args.timings, started)
     return 0
 
 
-def cmd_sieve(args, config: Config) -> int:
+def cmd_sieve(args) -> int:
     started = time.perf_counter()
     rep = families.sieve_t(args.min, args.max, args.mod8)
-    if config.format == "csv":
+    if args.format == "csv":
         _emit_csv([{"t": t} for t in rep.t_values], ("t",))
     else:
         payload = {
@@ -222,19 +208,19 @@ def cmd_sieve(args, config: Config) -> int:
             "t_min": str(rep.t_min),
             "t_max": str(rep.t_max),
         }
-        _emit_record("sieve-t", payload, config, started)
+        _emit_record("sieve-t", payload, args.timings, started)
     return 0
 
 
-def cmd_target_regulator(args, config: Config) -> int:
+def cmd_target_regulator(args) -> int:
     started = time.perf_counter()
-    t, reg = families.regulator_target(args.M, args.mod8, config.precision_bits)
+    t, reg = families.regulator_target(args.M, args.mod8, args.precision_bits)
     payload = {"t": str(t), "regulator": _real_payload(reg), "M": str(args.M)}
-    _emit_record("target-regulator", payload, config, started)
+    _emit_record("target-regulator", payload, args.timings, started)
     return 0
 
 
-def _verify_one(kind: str, label: str, inv: FieldInvariants, expected: dict,
+def _verify_one(label: str, inv: FieldInvariants, expected: dict,
                 rows: list, failures: list) -> None:
     disc_ok = inv.disc.value() == expected["disc"]
     reg_ref = mpmath.mpf(expected["regulator"])
@@ -251,20 +237,20 @@ def _verify_one(kind: str, label: str, inv: FieldInvariants, expected: dict,
             failures.append(f"{label}: {quantity}")
 
 
-def cmd_verify_examples(args, config: Config) -> int:
+def cmd_verify_examples(args) -> int:
     rows: list[tuple] = []
     failures: list[str] = []
 
     exp = _EXPECTED["biquadratic"]
     for a, b in exp["members"]:
         K = bq.biquadratic(a, b)
-        inv = bq.field_invariants(K, config.precision_bits, with_class_number=True)
-        _verify_one("biquad", f"B({a},{b})", inv, exp, rows, failures)
+        inv = bq.field_invariants(K, args.precision_bits, with_class_number=True)
+        _verify_one(f"B({a},{b})", inv, exp, rows, failures)
 
     exp = _EXPECTED["cyclic"]
     for s, t in exp["members"]:
-        inv = cq.field_invariants(s, t, config.precision_bits, True, config.prime_budget)
-        _verify_one("cyclic", f"K({s},{t})", inv, exp, rows, failures)
+        inv = cq.field_invariants(s, t, args.precision_bits, True, args.prime_budget)
+        _verify_one(f"K({s},{t})", inv, exp, rows, failures)
 
     width = (12, 14, 24, 24, 6)
     header = ("field", "quantity", "expected", "computed", "match")
@@ -348,21 +334,12 @@ def _emit_error(code: str, message: str, precondition: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = Config(
-        precision_bits=args.precision_bits,
-        prime_budget=args.prime_budget,
-        jobs=args.jobs,
-        format=args.format,
-        with_class_number=args.with_class_number,
-        timings=args.timings,
-    )
-    if config.precision_bits < 64 or config.jobs < 1:
+    args = build_parser().parse_args(argv)
+    if args.precision_bits < 64 or args.jobs < 1:
         _emit_error("E_CONFIG", "precision_bits >= 64 and jobs >= 1 required", None)
         return 2
     try:
-        return args.func(args, config)
+        return args.func(args)
     except DomainError as exc:
         _emit_error(exc.code, str(exc), exc.precondition)
         return 2

@@ -23,9 +23,9 @@ from .arith import (
     kronecker,
     squarefree_part,
 )
+from .biquadratic import FieldInvariants
 from .dirichlet import (
     DirichletCharacter,
-    GaussianRational,
     bernoulli_B1,
     characters_of_order_dividing_4,
 )
@@ -69,19 +69,13 @@ class CyclicityCertificate:
 
 def defining_polynomial(s: int, t: int) -> tuple[int, int, int, int, int]:
     """Coefficients (1, 0, -2s(t^2+1), 0, s^2 t^2 (t^2+1))."""
-    _require_nonzero(s, t)
+    CyclicQuarticField(s, t)  # rejects s = 0 or t = 0
     m = t * t + 1
     return (1, 0, -2 * s * m, 0, s * s * t * t * m)
 
 
-def _require_nonzero(s: int, t: int) -> None:
-    if s == 0 or t == 0:
-        raise DomainError(f"parameters (s, t) = ({s}, {t}) must be nonzero",
-                          code="E_PARAM_ZERO")
-
-
 def cyclicity_certificate(s: int, t: int) -> CyclicityCertificate:
-    _require_nonzero(s, t)
+    CyclicQuarticField(s, t)  # rejects s = 0 or t = 0
     m = t * t + 1
     a = -2 * s * m
     b = s * s * t * t * m
@@ -150,9 +144,9 @@ def hsw_discriminant(a: int, b: int, c: int) -> Factorization:
     return Factorization.from_exponents(sign, exps)
 
 
-def _discriminant_parameters(s: int, t: int) -> tuple[int, int, int, int, int]:
-    """Validated (s, m, n, x, two_exp) for the discriminant formula."""
-    _require_nonzero(s, t)
+def _discriminant_parameters(s: int, t: int) -> tuple[int, int, int]:
+    """Validated (m, n, x) for the discriminant formula."""
+    CyclicQuarticField(s, t)  # rejects s = 0 or t = 0
     if t % 2 == 0:
         raise DomainError(
             f"t = {t} is even: the radical form violates congruence condition (a)/(b) "
@@ -171,7 +165,7 @@ def _discriminant_parameters(s: int, t: int) -> tuple[int, int, int, int, int]:
         raise DomainError(f"gcd({s_odd}, t^2+1 = {m_full}) > 1",
                           precondition="gcd(s, t^2+1) = 1")
     m, n, x = _split_radical(t)
-    return s, m, n, x, two_exp
+    return m, n, x
 
 
 def discriminant(s: int, t: int) -> Factorization:
@@ -180,13 +174,13 @@ def discriminant(s: int, t: int) -> Factorization:
     Accepts s square-free or 2 * (odd square-free): doubling s does not
     change the discriminant, so all four of K(+-s, t), K(+-2s, t) agree.
     """
-    s_in, m, n, x, _ = _discriminant_parameters(s, t)
+    m, n, x = _discriminant_parameters(s, t)
     # radical form sqrt(a + b sqrt(c)) with a = s x^2 n^2 m, b = s n, c = m
-    return hsw_discriminant(s_in * x * x * n * n * m, s_in * n, m)
+    return hsw_discriminant(s * x * x * n * n * m, s * n, m)
 
 
 def maximal_real_subfield(s: int, t: int) -> QuadraticField:
-    _require_nonzero(s, t)
+    CyclicQuarticField(s, t)  # rejects s = 0 or t = 0
     if s > 0:
         raise DomainError(f"K({s},{t}) is totally real: the maximal real subfield is "
                           "the field itself", precondition="s < 0")
@@ -296,9 +290,7 @@ def class_number(s: int, t: int, prime_budget: int = 200) -> int:
 
 def field_invariants(s: int, t: int, precision_bits: int = 128,
                      with_class_number: bool = False,
-                     prime_budget: int = 200):
-    from .biquadratic import FieldInvariants
-
+                     prime_budget: int = 200) -> FieldInvariants:
     h = class_number(s, t, prime_budget) if with_class_number else None
     return FieldInvariants(
         disc=discriminant(s, t),

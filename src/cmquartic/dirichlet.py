@@ -184,10 +184,6 @@ class DirichletCharacter:
     def group(self) -> UnitGroup:
         return unit_group(self.modulus)
 
-    @property
-    def component_generators(self) -> tuple[CyclicComponent, ...]:
-        return tuple(self.group.components)
-
     def value_exponent(self, a: int) -> int | None:
         """k with chi(a) = i^k, or None when chi(a) = 0."""
         local = self.group.local_exponents(a % self.modulus)

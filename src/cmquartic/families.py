@@ -21,7 +21,7 @@ from . import cyclic_quartic as cq
 from . import quadratic
 from .biquadratic import FieldInvariants
 from .errors import ConsistencyError, DomainError
-from .precision import GUARD_BITS, HighPrecReal, check_precision_bits, hp_from_value, workprec
+from .precision import HighPrecReal, check_precision_bits, hp_from_value, workprec
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,8 @@ def nagell_precondition_check() -> bool:
 
 def regulator_target(M: float, residue: int, precision_bits: int = 128) -> tuple[int, HighPrecReal]:
     """Smallest sieve-admissible t with t > e^M; returns (t, log(t + sqrt(t^2+1)))."""
+    if not math.isfinite(M):
+        raise DomainError(f"M = {M} must be finite", precondition="M finite")
     if M <= 0:
         raise DomainError(f"M = {M} must be positive", precondition="M > 0")
     if residue not in (3, 5):
@@ -115,7 +117,9 @@ def regulator_target(M: float, residue: int, precision_bits: int = 128) -> tuple
     check_precision_bits(precision_bits)
     with workprec(precision_bits):
         bound = mpmath.e**mpmath.mpf(M)
-    t = residue
+        floor = int(mpmath.floor(bound))
+    # start at the last t = residue (mod 8) with t <= floor(e^M), in exact integers
+    t = floor - (floor - residue) % 8
     while t <= bound or not is_squarefree(t * t + 1):
         t += 8
     reg = quadratic.regulator(quadratic.quadratic_field(t * t + 1), precision_bits)
@@ -135,102 +139,74 @@ def _require_admissible_t(t: int) -> None:
             precondition="t^2+1 square-free")
 
 
+#: each family runs over the primes p > t^2+1 with p = 1 (mod this number)
+_PRIME_MODULUS = {"biquadratic": 4, "cyclic": 2}
+
+
+def _pair_report(kind: str, t: int, p: int, precision_bits: int,
+                 with_class_number: bool, prime_budget: int = 200) -> PairReport:
+    """Verified report for the pair of fields of `kind` at -p and -2p."""
+    _require_admissible_t(t)
+    m = t * t + 1
+    modulus = _PRIME_MODULUS[kind]
+    if not is_prime(p) or p <= m or p % modulus != 1:
+        need = (f"an odd prime > {m}" if modulus == 2
+                else f"a prime > {m} with p = 1 (mod {modulus})")
+        raise DomainError(f"p = {p} is inadmissible for t = {t}: need {need}",
+                          code="E_PRIME_INADMISSIBLE")
+    if kind == "biquadratic":
+        Ka, Kb = bq.biquadratic(-p, m), bq.biquadratic(-2 * p, m)
+        inv_a = bq.field_invariants(Ka, precision_bits, with_class_number)
+        inv_b = bq.field_invariants(Kb, precision_bits, with_class_number)
+        distinct = Ka.radicands != Kb.radicands
+    else:
+        Ka, Kb = cq.CyclicQuarticField(-p, t), cq.CyclicQuarticField(-2 * p, t)
+        inv_a = cq.field_invariants(-p, t, precision_bits, with_class_number, prime_budget)
+        inv_b = cq.field_invariants(-2 * p, t, precision_bits, with_class_number, prime_budget)
+        distinct = not cq.same_field(-p, -2 * p, t)
+    residue_a = residue_b = None
+    if with_class_number:
+        residue_a = dedekind_residue(inv_a, precision_bits)
+        residue_b = dedekind_residue(inv_b, precision_bits)
+    return PairReport(
+        kind=kind, t=t, p=p,
+        field_a=Ka.label(), field_b=Kb.label(),
+        distinct=distinct,
+        disc_equal=inv_a.disc == inv_b.disc,
+        disc=inv_a.disc,
+        regulator=inv_a.regulator,
+        reg_equal=inv_a.regulator.value == inv_b.regulator.value,
+        class_a=inv_a.class_number, class_b=inv_b.class_number,
+        residue_a=residue_a, residue_b=residue_b,
+    )
+
+
 def biquadratic_pair_report(t: int, p: int, precision_bits: int = 128,
                             with_class_number: bool = False) -> PairReport:
     """Verified report for the pair (B(-p, t^2+1), B(-2p, t^2+1))."""
-    _require_admissible_t(t)
-    m = t * t + 1
-    if not is_prime(p) or p <= m or p % 4 != 1:
-        raise DomainError(
-            f"p = {p} is inadmissible for t = {t}: need a prime > {m} with p = 1 (mod 4)",
-            code="E_PRIME_INADMISSIBLE")
-    Ka = bq.biquadratic(-p, m)
-    Kb = bq.biquadratic(-2 * p, m)
-    disc_a = bq.discriminant(Ka)
-    disc_b = bq.discriminant(Kb)
-    reg_a = bq.regulator(Ka, precision_bits)
-    reg_b = bq.regulator(Kb, precision_bits)
-    class_a = class_b = residue_a = residue_b = None
-    if with_class_number:
-        class_a = bq.class_number(Ka)
-        class_b = bq.class_number(Kb)
-        residue_a = dedekind_residue(bq.field_invariants(Ka, precision_bits, True), precision_bits)
-        residue_b = dedekind_residue(bq.field_invariants(Kb, precision_bits, True), precision_bits)
-    return PairReport(
-        kind="biquadratic", t=t, p=p,
-        field_a=Ka.label(), field_b=Kb.label(),
-        distinct=Ka.radicands != Kb.radicands,
-        disc_equal=disc_a == disc_b,
-        disc=disc_a,
-        regulator=reg_a,
-        reg_equal=reg_a.value == reg_b.value,
-        class_a=class_a, class_b=class_b,
-        residue_a=residue_a, residue_b=residue_b,
-    )
+    return _pair_report("biquadratic", t, p, precision_bits, with_class_number)
 
 
 def cyclic_pair_report(t: int, p: int, precision_bits: int = 128,
                        with_class_number: bool = False,
                        prime_budget: int = 200) -> PairReport:
     """Verified report for the pair (K(-p, t), K(-2p, t))."""
-    _require_admissible_t(t)
-    m = t * t + 1
-    if not is_prime(p) or p <= m or p == 2:
-        raise DomainError(
-            f"p = {p} is inadmissible for t = {t}: need an odd prime > {m}",
-            code="E_PRIME_INADMISSIBLE")
-    disc_a = cq.discriminant(-p, t)
-    disc_b = cq.discriminant(-2 * p, t)
-    reg_a = cq.regulator(-p, t, precision_bits)
-    reg_b = cq.regulator(-2 * p, t, precision_bits)
-    class_a = class_b = residue_a = residue_b = None
-    if with_class_number:
-        class_a = cq.class_number(-p, t, prime_budget)
-        class_b = cq.class_number(-2 * p, t, prime_budget)
-        residue_a = dedekind_residue(
-            cq.field_invariants(-p, t, precision_bits, True, prime_budget), precision_bits)
-        residue_b = dedekind_residue(
-            cq.field_invariants(-2 * p, t, precision_bits, True, prime_budget), precision_bits)
-    return PairReport(
-        kind="cyclic", t=t, p=p,
-        field_a=cq.CyclicQuarticField(-p, t).label(),
-        field_b=cq.CyclicQuarticField(-2 * p, t).label(),
-        distinct=not cq.same_field(-p, -2 * p, t),
-        disc_equal=disc_a == disc_b,
-        disc=disc_a,
-        regulator=reg_a,
-        reg_equal=reg_a.value == reg_b.value,
-        class_a=class_a, class_b=class_b,
-        residue_a=residue_a, residue_b=residue_b,
-    )
-
-
-def _family_primes(kind: str, t: int, count: int) -> list[int]:
-    m = t * t + 1
-    if kind == "biquadratic":
-        return primes_in_progression(m + 1, 4, 1, count)
-    return primes_in_progression(m + 1, 2, 1, count)
-
-
-def _pair_report(kind: str, t: int, p: int, precision_bits: int,
-                 with_class_number: bool) -> PairReport:
-    if kind == "biquadratic":
-        return biquadratic_pair_report(t, p, precision_bits, with_class_number)
-    return cyclic_pair_report(t, p, precision_bits, with_class_number)
+    return _pair_report("cyclic", t, p, precision_bits, with_class_number, prime_budget)
 
 
 def _family_reports(kind: str, t: int, count: int, precision_bits: int,
-                    with_class_number: bool, jobs: int) -> list[PairReport]:
+                    with_class_number: bool, jobs: int,
+                    prime_budget: int = 200) -> list[PairReport]:
     _require_admissible_t(t)
     if count < 0:
         raise DomainError(f"count {count} must be nonnegative")
-    primes = _family_primes(kind, t, count)
+    primes = primes_in_progression(t * t + 2, _PRIME_MODULUS[kind], 1, count)
+    args = (precision_bits, with_class_number, prime_budget)
     if jobs > 1 and len(primes) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_pair_report, kind, t, p, precision_bits,
-                                   with_class_number) for p in primes]
+            futures = [pool.submit(_pair_report, kind, t, p, *args) for p in primes]
             return [f.result() for f in futures]
-    return [_pair_report(kind, t, p, precision_bits, with_class_number) for p in primes]
+    return [_pair_report(kind, t, p, *args) for p in primes]
 
 
 def biquadratic_family(t: int, count: int, precision_bits: int = 128,
@@ -240,19 +216,21 @@ def biquadratic_family(t: int, count: int, precision_bits: int = 128,
 
 
 def cyclic_family(t: int, count: int, precision_bits: int = 128,
-                  with_class_number: bool = False, jobs: int = 1) -> list[PairReport]:
+                  with_class_number: bool = False, jobs: int = 1,
+                  prime_budget: int = 200) -> list[PairReport]:
     """First `count` pairs (K(-p, t), K(-2p, t)) over odd primes p > t^2+1."""
-    return _family_reports("cyclic", t, count, precision_bits, with_class_number, jobs)
+    return _family_reports("cyclic", t, count, precision_bits, with_class_number, jobs,
+                           prime_budget)
 
 
 def same_regulator_family(kind: str, t: int, count: int,
                           precision_bits: int = 128) -> FamilyReport:
     """`count` pairwise-distinct fields sharing the single regulator 2*log(t + sqrt(t^2+1))."""
     _require_admissible_t(t)
-    if kind not in ("biquadratic", "cyclic"):
+    if kind not in _PRIME_MODULUS:
         raise DomainError(f"unknown family kind {kind!r}")
-    primes = _family_primes(kind, t, count)
     m = t * t + 1
+    primes = primes_in_progression(m + 1, _PRIME_MODULUS[kind], 1, count)
     reg = quadratic.regulator(quadratic.quadratic_field(m), precision_bits).scaled(2, 1)
     labels: list[str] = []
     if kind == "biquadratic":

@@ -41,22 +41,6 @@ class QuadraticUnit:
     radicand: int
     norm: int
 
-    def embed(self) -> mpf:
-        return (self.x + self.y * mpmath.sqrt(self.radicand)) / self.denom
-
-
-@dataclass(frozen=True)
-class BinaryQuadraticForm:
-    a: int
-    b: int
-    c: int
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_primitive(self) -> bool:
-        return math.gcd(math.gcd(self.a, self.b), self.c) == 1
-
 
 def quadratic_field(m: int) -> QuadraticField:
     """Field of sqrt(m); the radicand is normalized to its square-free part."""

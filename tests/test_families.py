@@ -85,8 +85,27 @@ def test_regulator_target_exceeds_M():
             assert reg.value > M
             assert t % 8 == residue
             assert t > math.exp(M)
-    with pytest.raises(DomainError):
-        regulator_target(-1, 5)
+    for M in (-1, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            regulator_target(M, 5)
+
+
+def test_regulator_target_is_the_first_admissible_t_above_e_to_the_M():
+    for M in (0.5, 2.5, 5.0, 7.5, 11.0):
+        floor = math.floor(mpmath.e ** mpmath.mpf(M))
+        for residue in (3, 5):
+            first = sieve_t(floor + 1, floor + 400, residue).t_values[0]
+            assert regulator_target(M, residue)[0] == first
+
+
+def test_regulator_target_large_M_starts_at_e_to_the_M():
+    t, reg = regulator_target(30, 5)
+    assert t == 10686474581525
+    with mpmath.workprec(128):
+        bound = mpmath.e ** 30
+    assert t > bound and reg.value > 30
+    skipped = range(math.floor(bound) + 1, t)
+    assert all(not is_squarefree(u * u + 1) for u in skipped if u % 8 == 5)
 
 
 def test_biquadratic_pair_examples():
@@ -218,3 +237,33 @@ def test_residues_agree_for_example_pairs():
     # equal h for this pair as well: residues then agree to working precision
     if rep.class_a == rep.class_b:
         assert rep.residue_a.agrees_with(rep.residue_b, 120)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cyclic_pair_computes_each_class_number_once(monkeypatch):
+    from cmquartic import cyclic_quartic as cq
+
+    calls = _count_calls(monkeypatch, cq, "bernoulli_B1")
+    rep = cyclic_pair_report(5, 29, with_class_number=True)
+    assert len(calls) == 2
+    assert (rep.class_a, rep.class_b) == (360, 1352)
+
+
+def test_biquadratic_pair_computes_each_class_number_once(monkeypatch):
+    from cmquartic import biquadratic as bq
+
+    calls = _count_calls(monkeypatch, bq, "class_number")
+    rep = biquadratic_pair_report(5, 29, with_class_number=True)
+    assert len(calls) == 2
+    assert rep.residue_a is not None and rep.residue_b is not None
