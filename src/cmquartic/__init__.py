@@ -17,7 +17,8 @@ from .arith import (
     primes_in_progression,
     squarefree_part,
 )
-from .biquadratic import BiquadraticField, FieldInvariants, paper_pair
+from .biquadratic import BiquadraticField, paper_pair
+from .cmfield import FieldInvariants
 from .cyclic_quartic import CyclicQuarticField, defining_polynomial, same_field
 from .dirichlet import DirichletCharacter, GaussianRational, bernoulli_B1
 from .errors import (

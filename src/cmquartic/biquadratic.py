@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import Factorization, factor, squarefree_part
+from .cmfield import FieldInvariants, cm_regulator, hasse_index, resolved_q
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from . import quadratic
@@ -21,25 +23,19 @@ from .quadratic import QuadraticField, quadratic_field
 
 @dataclass(frozen=True)
 class BiquadraticField:
-    """Canonical set of the three quadratic subfield radicands, sorted."""
+    """Canonical set of the three quadratic subfield radicands, sorted.
+
+    `disc`, `kplus` and `hasse_q` are computed once, on first use.
+    """
 
     radicands: tuple[int, int, int]
 
     def label(self) -> str:
         return f"B({self.radicands[0]},{self.radicands[1]},{self.radicands[2]})"
 
-
-@dataclass(frozen=True)
-class FieldInvariants:
-    """Comparison payload of a quartic field: everything the residue formula needs."""
-
-    disc: Factorization
-    regulator: HighPrecReal
-    hasse_q: int | None  # None = unresolved
-    roots_of_unity: int
-    class_number: int | None
-    r1: int
-    r2: int
+    disc = cached_property(lambda self: discriminant(self))
+    kplus = cached_property(lambda self: maximal_real_subfield(self))
+    hasse_q = cached_property(lambda self: hasse_Q(self))
 
 
 def biquadratic(a: int, b: int) -> BiquadraticField:
@@ -70,12 +66,8 @@ def discriminant(K: BiquadraticField) -> Factorization:
     return result
 
 
-def _positive_radicands(K: BiquadraticField) -> list[int]:
-    return [r for r in K.radicands if r > 0]
-
-
 def maximal_real_subfield(K: BiquadraticField) -> QuadraticField:
-    pos = _positive_radicands(K)
+    pos = [r for r in K.radicands if r > 0]
     if len(pos) != 1:
         raise DomainError(f"{K.label()} is totally real: no CM structure",
                           precondition="imaginary biquadratic")
@@ -84,27 +76,22 @@ def maximal_real_subfield(K: BiquadraticField) -> QuadraticField:
 
 def hasse_Q(K: BiquadraticField) -> int | None:
     """1 when disc(K)/disc(K+)^2 does not divide 2^4; otherwise None (unresolved)."""
-    kp = maximal_real_subfield(K)
-    ratio, rem = divmod(discriminant(K).value(), kp.fund_disc**2)
-    if rem:
-        raise ConsistencyError(f"disc(K+)^2 does not divide disc(K) for {K.label()}")
-    return 1 if 16 % ratio else None
+    return hasse_index(K)
+
+
+def _q(K: BiquadraticField, Q_override: int | None) -> int:
+    q = Q_override if Q_override is not None else K.hasse_q
+    return resolved_q(K, q, "; pass Q_override")
 
 
 def regulator(K: BiquadraticField, precision_bits: int = 128,
               Q_override: int | None = None) -> HighPrecReal:
     """2 * reg(K+) / Q, the quartic CM regulator identity."""
-    q = Q_override if Q_override is not None else hasse_Q(K)
-    if q is None:
-        raise DomainError(f"Hasse index of {K.label()} is unresolved; pass Q_override",
-                          code="E_Q_UNRESOLVED")
-    kp = maximal_real_subfield(K)
-    return quadratic.regulator(kp, precision_bits).scaled(2, q)
+    return cm_regulator(K, _q(K, Q_override), precision_bits)
 
 
 def roots_of_unity_order(K: BiquadraticField) -> int:
-    if len(_positive_radicands(K)) != 1:
-        raise DomainError(f"{K.label()} is totally real", precondition="imaginary biquadratic")
+    K.kplus  # rejects a totally real field
     rads = set(K.radicands)
     if rads == {-1, 2, -2}:
         return 8
@@ -127,14 +114,10 @@ def class_number(K: BiquadraticField, Q_override: int | None = None) -> int:
     W' is generated by the roots of unity of the two imaginary quadratic
     subfields, so [W(K) : W'] = w / lcm(w2, w3).
     """
-    Q = Q_override if Q_override is not None else hasse_Q(K)
-    if Q is None:
-        raise DomainError(f"Hasse index of {K.label()} is unresolved; pass Q_override",
-                          code="E_Q_UNRESOLVED")
+    Q = _q(K, Q_override)
     if Q not in (1, 2):
         raise DomainError(f"Q_override must be 1 or 2, got {Q}")
-    kp = maximal_real_subfield(K)
-    h_real = quadratic.class_number_real(kp.fund_disc)
+    h_real = quadratic.class_number_real(K.kplus.fund_disc)
     imag_discs = [quadratic_field(r).fund_disc for r in K.radicands if r < 0]
     h_imag = [quadratic.class_number_imaginary(d) for d in imag_discs]
     w = roots_of_unity_order(K)
@@ -172,14 +155,12 @@ def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:
 def field_invariants(K: BiquadraticField, precision_bits: int = 128,
                      with_class_number: bool = False,
                      Q_override: int | None = None) -> FieldInvariants:
-    q = Q_override if Q_override is not None else hasse_Q(K)
+    q = Q_override if Q_override is not None else K.hasse_q
     h = class_number(K, Q_override=q) if with_class_number else None
     return FieldInvariants(
-        disc=discriminant(K),
+        disc=K.disc,
         regulator=regulator(K, precision_bits, Q_override=q),
         hasse_q=q,
         roots_of_unity=roots_of_unity_order(K),
         class_number=h,
-        r1=0,
-        r2=2,
     )

@@ -25,7 +25,7 @@ from . import biquadratic as bq
 from . import cyclic_quartic as cq
 from . import families
 from .arith import Factorization
-from .biquadratic import FieldInvariants
+from .cmfield import FieldInvariants
 from .errors import AmbiguityError, ConsistencyError, DomainError, PrecisionError
 from .precision import HighPrecReal
 
@@ -34,13 +34,17 @@ SCHEMA_VERSION = "cmq/1"
 CSV_FAMILY_COLUMNS = ("p", "disc_factored", "regulator", "distinct", "disc_equal",
                       "reg_equal", "h_a", "h_b")
 
-# paper-reported target values for verify-examples
-_EXPECTED = {
-    "biquadratic": {"disc": 2**8 * 3**2 * 5**2 * 7**2, "regulator": "3.6368929",
-                    "class_number": 32, "members": ((-21, 10), (-42, 10))},
-    "cyclic": {"disc": 2**11 * 3**2 * 613**3, "regulator": "8.4973985",
-               "class_number": 19400, "members": ((-3, 35), (-6, 35))},
-}
+# paper-reported target values for verify-examples, and each member's invariants
+_EXPECTED = (
+    {"disc": 2**8 * 3**2 * 5**2 * 7**2, "regulator": "3.6368929", "class_number": 32,
+     "label": "B({},{})", "members": ((-21, 10), (-42, 10)),
+     "invariants": lambda a, b, args: bq.field_invariants(
+         bq.biquadratic(a, b), args.precision_bits, True)},
+    {"disc": 2**11 * 3**2 * 613**3, "regulator": "8.4973985", "class_number": 19400,
+     "label": "K({},{})", "members": ((-3, 35), (-6, 35)),
+     "invariants": lambda s, t, args: cq.field_invariants(
+         cq.CyclicQuarticField(s, t), args.precision_bits, True, args.prime_budget)},
+)
 
 
 def _fact_payload(f: Factorization) -> dict:
@@ -126,27 +130,21 @@ def cmd_invariants(args) -> int:
             raise DomainError("biquad invariants need -a and -b", code="E_PARAM_MISSING")
         K = bq.biquadratic(args.a, args.b)
         inv = bq.field_invariants(K, args.precision_bits, args.with_class_number)
-        payload = {
-            "kind": "biquad",
-            "label": K.label(),
-            "radicands": [str(r) for r in K.radicands],
-            "maximal_real_subfield": str(bq.maximal_real_subfield(K).radicand),
-            "invariants": _invariants_payload(inv),
-        }
+        payload = {"kind": "biquad", "radicands": [str(r) for r in K.radicands]}
     else:
         if args.s is None or args.t is None:
             raise DomainError("cyclic invariants need -s and -t", code="E_PARAM_MISSING")
-        inv = cq.field_invariants(args.s, args.t, args.precision_bits,
-                                  args.with_class_number, args.prime_budget)
+        K = cq.CyclicQuarticField(args.s, args.t)
+        inv = cq.field_invariants(K, args.precision_bits, args.with_class_number,
+                                  args.prime_budget)
         payload = {
             "kind": "cyclic",
-            "label": cq.CyclicQuarticField(args.s, args.t).label(),
             "s": str(args.s),
             "t": str(args.t),
             "defining_polynomial": [str(c) for c in cq.defining_polynomial(args.s, args.t)],
-            "maximal_real_subfield": str(cq.maximal_real_subfield(args.s, args.t).radicand),
-            "invariants": _invariants_payload(inv),
         }
+    payload.update(label=K.label(), maximal_real_subfield=str(K.kplus.radicand),
+                   invariants=_invariants_payload(inv))
     if args.format == "csv":
         inv_payload = payload["invariants"]
         row = {
@@ -240,17 +238,10 @@ def _verify_one(label: str, inv: FieldInvariants, expected: dict,
 def cmd_verify_examples(args) -> int:
     rows: list[tuple] = []
     failures: list[str] = []
-
-    exp = _EXPECTED["biquadratic"]
-    for a, b in exp["members"]:
-        K = bq.biquadratic(a, b)
-        inv = bq.field_invariants(K, args.precision_bits, with_class_number=True)
-        _verify_one(f"B({a},{b})", inv, exp, rows, failures)
-
-    exp = _EXPECTED["cyclic"]
-    for s, t in exp["members"]:
-        inv = cq.field_invariants(s, t, args.precision_bits, True, args.prime_budget)
-        _verify_one(f"K({s},{t})", inv, exp, rows, failures)
+    for exp in _EXPECTED:
+        for x, y in exp["members"]:
+            _verify_one(exp["label"].format(x, y), exp["invariants"](x, y, args), exp,
+                        rows, failures)
 
     width = (12, 14, 24, 24, 6)
     header = ("field", "quantity", "expected", "computed", "match")
@@ -348,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ConsistencyError as exc:
         _emit_error(exc.code, str(exc), None)
+        return 3
+    except Exception as exc:  # an uncaught fault is internal, never exit 1 (mismatch)
+        _emit_error("E_INTERNAL", f"{type(exc).__name__}: {exc}", None)
         return 3
 
 

@@ -14,16 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .arith import (
-    Factorization,
-    count_roots_mod_p,
-    factor,
-    is_prime,
-    kronecker,
-    squarefree_part,
-)
-from .biquadratic import FieldInvariants
+from .arith import Factorization, count_roots_mod_p, factor, is_prime, squarefree_part
+from .cmfield import FieldInvariants, cm_regulator, hasse_index, resolved_q
 from .dirichlet import (
     DirichletCharacter,
     bernoulli_B1,
@@ -37,7 +31,10 @@ from .quadratic import QuadraticField, quadratic_field
 
 @dataclass(frozen=True)
 class CyclicQuarticField:
-    """Parameter pair (s, t); the field is generated by sqrt(s(t^2+1) + s*sqrt(t^2+1))."""
+    """Parameter pair (s, t); the field is generated by sqrt(s(t^2+1) + s*sqrt(t^2+1)).
+
+    `disc`, `kplus` and `hasse_q` are computed once, on first use.
+    """
 
     s: int
     t: int
@@ -49,6 +46,10 @@ class CyclicQuarticField:
 
     def label(self) -> str:
         return f"K({self.s},{self.t})"
+
+    disc = cached_property(lambda self: discriminant(self))
+    kplus = cached_property(lambda self: maximal_real_subfield(self))
+    hasse_q = cached_property(lambda self: hasse_Q(self))
 
 
 @dataclass(frozen=True)
@@ -105,13 +106,6 @@ def two_adic_distinctness(t: int) -> bool:
     return squarefree_part(t * t + 1).value != 2
 
 
-def _split_radical(t: int) -> tuple[int, int, int]:
-    """t^2+1 = x^4 n^2 m with m, n square-free: returns (m, n, x)."""
-    m, y = squarefree_part(t * t + 1)
-    n, x = squarefree_part(y)
-    return m, n, x
-
-
 def hsw_discriminant(a: int, b: int, c: int) -> Factorization:
     """Discriminant 2^8 gcd(a,b)^2 c^3 / gcd(a,b,c)^2 of Q(sqrt(a + b sqrt(c))).
 
@@ -144,9 +138,13 @@ def hsw_discriminant(a: int, b: int, c: int) -> Factorization:
     return Factorization.from_exponents(sign, exps)
 
 
-def _discriminant_parameters(s: int, t: int) -> tuple[int, int, int]:
-    """Validated (m, n, x) for the discriminant formula."""
-    CyclicQuarticField(s, t)  # rejects s = 0 or t = 0
+def discriminant(K: CyclicQuarticField) -> Factorization:
+    """Field discriminant 2^8 s0^2 n^2 m^3 / gcd(m, n)^2, via the radical form.
+
+    Accepts s square-free or 2 * (odd square-free): doubling s does not
+    change the discriminant, so all four of K(+-s, t), K(+-2s, t) agree.
+    """
+    s, t = K.s, K.t
     if t % 2 == 0:
         raise DomainError(
             f"t = {t} is even: the radical form violates congruence condition (a)/(b) "
@@ -164,62 +162,42 @@ def _discriminant_parameters(s: int, t: int) -> tuple[int, int, int]:
     if math.gcd(abs(s_odd), m_full) != 1:
         raise DomainError(f"gcd({s_odd}, t^2+1 = {m_full}) > 1",
                           precondition="gcd(s, t^2+1) = 1")
-    m, n, x = _split_radical(t)
-    return m, n, x
-
-
-def discriminant(s: int, t: int) -> Factorization:
-    """Field discriminant 2^8 s0^2 n^2 m^3 / gcd(m, n)^2, via the radical form.
-
-    Accepts s square-free or 2 * (odd square-free): doubling s does not
-    change the discriminant, so all four of K(+-s, t), K(+-2s, t) agree.
-    """
-    m, n, x = _discriminant_parameters(s, t)
+    # t^2+1 = x^4 n^2 m with m, n square-free
+    m, y = squarefree_part(m_full)
+    n, x = squarefree_part(y)
     # radical form sqrt(a + b sqrt(c)) with a = s x^2 n^2 m, b = s n, c = m
     return hsw_discriminant(s * x * x * n * n * m, s * n, m)
 
 
-def maximal_real_subfield(s: int, t: int) -> QuadraticField:
-    CyclicQuarticField(s, t)  # rejects s = 0 or t = 0
-    if s > 0:
-        raise DomainError(f"K({s},{t}) is totally real: the maximal real subfield is "
+def maximal_real_subfield(K: CyclicQuarticField) -> QuadraticField:
+    if K.s > 0:
+        raise DomainError(f"{K.label()} is totally real: the maximal real subfield is "
                           "the field itself", precondition="s < 0")
-    return quadratic_field(squarefree_part(t * t + 1).value)
+    return quadratic_field(squarefree_part(K.t * K.t + 1).value)
 
 
-def hasse_Q(s: int, t: int) -> int | None:
+def hasse_Q(K: CyclicQuarticField) -> int | None:
     """1 when disc(K)/disc(K+)^2 does not divide 16; None when unresolved."""
-    disc = discriminant(s, t)
-    kp = maximal_real_subfield(s, t)
-    ratio, rem = divmod(disc.value(), kp.fund_disc**2)
-    if rem:
-        raise ConsistencyError(f"disc(K+)^2 does not divide disc(K) for K({s},{t})")
-    return 1 if 16 % ratio else None
+    return hasse_index(K)
 
 
-def regulator(s: int, t: int, precision_bits: int = 128) -> HighPrecReal:
+def regulator(K: CyclicQuarticField, precision_bits: int = 128) -> HighPrecReal:
     """2 * reg(K+) / Q for the imaginary members of the family."""
-    q = hasse_Q(s, t)
-    if q is None:
-        raise DomainError(f"Hasse index of K({s},{t}) is unresolved",
-                          code="E_Q_UNRESOLVED")
-    kp = maximal_real_subfield(s, t)
-    return quadratic.regulator(kp, precision_bits).scaled(2, q)
+    return cm_regulator(K, resolved_q(K, K.hasse_q), precision_bits)
 
 
-def _conductor_of_quartic_character(s: int, t: int) -> int:
-    disc_val = discriminant(s, t).value()
-    dplus = maximal_real_subfield(s, t).fund_disc
-    ratio, rem = divmod(disc_val, dplus)
+def _conductor_of_quartic_character(K: CyclicQuarticField) -> int:
+    ratio, rem = divmod(K.disc.value(), K.kplus.fund_disc)
     if rem:
-        raise ConsistencyError(f"disc(K+) does not divide disc(K) for K({s},{t})")
+        raise ConsistencyError(f"disc(K+) does not divide disc(K) for {K.label()}")
     f = math.isqrt(ratio)
     if f * f != ratio:
-        raise ConsistencyError(f"disc(K)/disc(K+) is not a square for K({s},{t})")
+        raise ConsistencyError(f"disc(K)/disc(K+) is not a square for {K.label()}")
     return f
 
 
-def associated_quartic_character(s: int, t: int, prime_budget: int = 200) -> DirichletCharacter:
+def associated_quartic_character(K: CyclicQuarticField,
+                                 prime_budget: int = 200) -> DirichletCharacter:
     """The order-4 character cutting out K(s,t), up to complex conjugation.
 
     Candidates are the odd primitive order-4 characters modulo
@@ -229,8 +207,9 @@ def associated_quartic_character(s: int, t: int, prime_budget: int = 200) -> Dir
     Both conjugates yield identical downstream values, so the one with
     the lexicographically smaller exponent vector is returned.
     """
-    fchi = _conductor_of_quartic_character(s, t)
-    dplus = maximal_real_subfield(s, t).fund_disc
+    s, t = K.s, K.t
+    fchi = _conductor_of_quartic_character(K)
+    dplus = K.kplus.fund_disc
     cands = [chi for chi in characters_of_order_dividing_4(fchi)
              if chi.order == 4 and chi.is_odd()
              and chi.squares_to_kronecker(dplus)
@@ -247,7 +226,7 @@ def associated_quartic_character(s: int, t: int, prime_budget: int = 200) -> Dir
     pair = {c.exponents for c in cands}
     if len(cands) != 2 or cands[0].conjugate().exponents not in pair:
         raise AmbiguityError(
-            f"character selection for K({s},{t}) left {len(cands)} candidates; "
+            f"character selection for {K.label()} left {len(cands)} candidates; "
             f"increase prime_budget (currently {prime_budget})")
     return min(cands, key=lambda c: c.exponents)
 
@@ -271,33 +250,26 @@ def relative_class_number(chi: DirichletCharacter, Q: int, w: int) -> int:
     return int(h)
 
 
-def class_number(s: int, t: int, prime_budget: int = 200) -> int:
+def class_number(K: CyclicQuarticField, prime_budget: int = 200) -> int:
     """h(K) = h^- * h(K+); exact throughout.
 
     On the supported domain t is odd, so the quadratic subfield radicand
     is even: the field contains no 5th, 8th or 12th roots of unity and
     w = 2 is forced.
     """
-    chi = associated_quartic_character(s, t, prime_budget)
-    q = hasse_Q(s, t)
-    if q is None:
-        raise DomainError(f"Hasse index of K({s},{t}) is unresolved",
-                          code="E_Q_UNRESOLVED")
-    h_minus = relative_class_number(chi, q, 2)
-    kp = maximal_real_subfield(s, t)
-    return h_minus * quadratic.class_number_real(kp.fund_disc)
+    chi = associated_quartic_character(K, prime_budget)
+    h_minus = relative_class_number(chi, resolved_q(K, K.hasse_q), 2)
+    return h_minus * quadratic.class_number_real(K.kplus.fund_disc)
 
 
-def field_invariants(s: int, t: int, precision_bits: int = 128,
+def field_invariants(K: CyclicQuarticField, precision_bits: int = 128,
                      with_class_number: bool = False,
                      prime_budget: int = 200) -> FieldInvariants:
-    h = class_number(s, t, prime_budget) if with_class_number else None
+    h = class_number(K, prime_budget) if with_class_number else None
     return FieldInvariants(
-        disc=discriminant(s, t),
-        regulator=regulator(s, t, precision_bits),
-        hasse_q=hasse_Q(s, t),
+        disc=K.disc,
+        regulator=regulator(K, precision_bits),
+        hasse_q=K.hasse_q,
         roots_of_unity=2,
         class_number=h,
-        r1=0,
-        r2=2,
     )

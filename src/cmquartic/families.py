@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -19,7 +20,7 @@ from .arith import Factorization, is_prime, is_squarefree, primes_in_progression
 from . import biquadratic as bq
 from . import cyclic_quartic as cq
 from . import quadratic
-from .biquadratic import FieldInvariants
+from .cmfield import FieldInvariants
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal, check_precision_bits, hp_from_value, workprec
 
@@ -139,8 +140,23 @@ def _require_admissible_t(t: int) -> None:
             precondition="t^2+1 square-free")
 
 
-#: each family runs over the primes p > t^2+1 with p = 1 (mod this number)
-_PRIME_MODULUS = {"biquadratic": 4, "cyclic": 2}
+class _Kind(NamedTuple):
+    """A family kind; its functions look the field modules up at call time."""
+
+    modulus: int  # p runs over the primes > t^2+1 with p = 1 (mod modulus)
+    member: Callable  # (a, t) -> the field at a = -p or -2p
+    same: Callable  # (Ka, Kb) -> True when both members are one field
+    invariants: Callable  # (K, precision_bits, with_class_number, prime_budget)
+
+
+_KINDS = {
+    "biquadratic": _Kind(4, lambda a, t: bq.biquadratic(a, t * t + 1),
+                         lambda Ka, Kb: Ka == Kb,
+                         lambda K, bits, h, budget: bq.field_invariants(K, bits, h)),
+    "cyclic": _Kind(2, lambda a, t: cq.CyclicQuarticField(a, t),
+                    lambda Ka, Kb: cq.same_field(Ka.s, Kb.s, Ka.t),
+                    lambda K, bits, h, budget: cq.field_invariants(K, bits, h, budget)),
+}
 
 
 def _pair_report(kind: str, t: int, p: int, precision_bits: int,
@@ -148,34 +164,34 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
     """Verified report for the pair of fields of `kind` at -p and -2p."""
     _require_admissible_t(t)
     m = t * t + 1
-    modulus = _PRIME_MODULUS[kind]
+    modulus, member, same, invariants = _KINDS[kind]
     if not is_prime(p) or p <= m or p % modulus != 1:
         need = (f"an odd prime > {m}" if modulus == 2
                 else f"a prime > {m} with p = 1 (mod {modulus})")
         raise DomainError(f"p = {p} is inadmissible for t = {t}: need {need}",
                           code="E_PRIME_INADMISSIBLE")
-    if kind == "biquadratic":
-        Ka, Kb = bq.biquadratic(-p, m), bq.biquadratic(-2 * p, m)
-        inv_a = bq.field_invariants(Ka, precision_bits, with_class_number)
-        inv_b = bq.field_invariants(Kb, precision_bits, with_class_number)
-        distinct = Ka.radicands != Kb.radicands
-    else:
-        Ka, Kb = cq.CyclicQuarticField(-p, t), cq.CyclicQuarticField(-2 * p, t)
-        inv_a = cq.field_invariants(-p, t, precision_bits, with_class_number, prime_budget)
-        inv_b = cq.field_invariants(-2 * p, t, precision_bits, with_class_number, prime_budget)
-        distinct = not cq.same_field(-p, -2 * p, t)
+    Ka, Kb = member(-p, t), member(-2 * p, t)
+    inv_a = invariants(Ka, precision_bits, with_class_number, prime_budget)
+    inv_b = invariants(Kb, precision_bits, with_class_number, prime_budget)
     residue_a = residue_b = None
     if with_class_number:
         residue_a = dedekind_residue(inv_a, precision_bits)
         residue_b = dedekind_residue(inv_b, precision_bits)
+    # independent of the PQa route: t^2+1 = 2 (mod 8) is square-free, so
+    # t + sqrt(t^2+1) is the fundamental unit of K+ and reg(K) = 2 log of it / Q
+    with workprec(precision_bits):
+        unit_log = mpmath.log(t + mpmath.sqrt(m))
+        reg_equal = inv_a.hasse_q == inv_b.hasse_q and all(
+            abs(inv.regulator.value - 2 * unit_log / inv.hasse_q) <= inv.regulator.error_bound
+            for inv in (inv_a, inv_b))
     return PairReport(
         kind=kind, t=t, p=p,
         field_a=Ka.label(), field_b=Kb.label(),
-        distinct=distinct,
+        distinct=not same(Ka, Kb),
         disc_equal=inv_a.disc == inv_b.disc,
         disc=inv_a.disc,
         regulator=inv_a.regulator,
-        reg_equal=inv_a.regulator.value == inv_b.regulator.value,
+        reg_equal=reg_equal,
         class_a=inv_a.class_number, class_b=inv_b.class_number,
         residue_a=residue_a, residue_b=residue_b,
     )
@@ -200,7 +216,7 @@ def _family_reports(kind: str, t: int, count: int, precision_bits: int,
     _require_admissible_t(t)
     if count < 0:
         raise DomainError(f"count {count} must be nonnegative")
-    primes = primes_in_progression(t * t + 2, _PRIME_MODULUS[kind], 1, count)
+    primes = primes_in_progression(t * t + 2, _KINDS[kind].modulus, 1, count)
     args = (precision_bits, with_class_number, prime_budget)
     if jobs > 1 and len(primes) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -227,32 +243,22 @@ def same_regulator_family(kind: str, t: int, count: int,
                           precision_bits: int = 128) -> FamilyReport:
     """`count` pairwise-distinct fields sharing the single regulator 2*log(t + sqrt(t^2+1))."""
     _require_admissible_t(t)
-    if kind not in _PRIME_MODULUS:
+    if kind not in _KINDS:
         raise DomainError(f"unknown family kind {kind!r}")
     m = t * t + 1
-    primes = primes_in_progression(m + 1, _PRIME_MODULUS[kind], 1, count)
+    family = _KINDS[kind]
+    primes = primes_in_progression(m + 1, family.modulus, 1, count)
     reg = quadratic.regulator(quadratic.quadratic_field(m), precision_bits).scaled(2, 1)
     labels: list[str] = []
-    if kind == "biquadratic":
-        seen_sets = set()
-        for p in primes:
-            K = bq.biquadratic(-p, m)
-            if K.radicands in seen_sets:
-                raise ConsistencyError(f"duplicate field in family at p = {p}")
-            seen_sets.add(K.radicands)
-            if bq.hasse_Q(K) != 1:
-                raise ConsistencyError(f"unexpected unresolved Hasse index at p = {p}")
-            labels.append(K.label())
-    else:
-        seen_discs = set()
-        for p in primes:
-            d = cq.discriminant(-p, t).value()
-            if d in seen_discs:
-                raise ConsistencyError(f"duplicate discriminant in family at p = {p}")
-            seen_discs.add(d)
-            if cq.hasse_Q(-p, t) != 1:
-                raise ConsistencyError(f"unexpected unresolved Hasse index at p = {p}")
-            labels.append(cq.CyclicQuarticField(-p, t).label())
+    seen_discs = set()
+    for p in primes:
+        K = family.member(-p, t)
+        if K.disc in seen_discs:
+            raise ConsistencyError(f"duplicate discriminant in family at p = {p}")
+        seen_discs.add(K.disc)
+        if K.hasse_q != 1:
+            raise ConsistencyError(f"unexpected unresolved Hasse index at p = {p}")
+        labels.append(K.label())
     return FamilyReport(kind=kind, t=t, fields=tuple(labels),
                         primes=tuple(primes), regulator=reg)
 

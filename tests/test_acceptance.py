@@ -113,7 +113,7 @@ def test_criterion_5_same_regulator_families():
         assert len(set(fam.fields)) == 10
         fam = same_regulator_family("cyclic", 3, 10)
         assert len(set(fam.fields)) == 10
-        discs = [cyclic_discriminant(-p, 3).value() for p in fam.primes]
+        discs = [cyclic_discriminant(cq.CyclicQuarticField(-p, 3)).value() for p in fam.primes]
         assert len(set(discs)) == 10
 
 
@@ -158,8 +158,8 @@ def test_criterion_9_residue_cross_check():
         res_a = dedekind_residue(inv_a, 128)
         res_b = dedekind_residue(inv_b, 128)
         assert res_a.agrees_with(res_b, 30)
-        inv_a = cq.field_invariants(-3, 35, 128, with_class_number=True)
-        inv_b = cq.field_invariants(-6, 35, 128, with_class_number=True)
+        inv_a = cq.field_invariants(cq.CyclicQuarticField(-3, 35), 128, with_class_number=True)
+        inv_b = cq.field_invariants(cq.CyclicQuarticField(-6, 35), 128, with_class_number=True)
         res_a = dedekind_residue(inv_a, 128)
         res_b = dedekind_residue(inv_b, 128)
         assert res_a.agrees_with(res_b, 30)

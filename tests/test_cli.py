@@ -192,3 +192,18 @@ def test_verify_examples_detects_injected_fault(capsys, monkeypatch):
     assert code == 1
     assert "MISMATCH" in out
     assert "class_number" in out
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    # exit 1 means a verification mismatch; any other fault must exit 3
+    from cmquartic import families
+
+    def broken(*args):
+        return 1 // 0
+
+    monkeypatch.setattr(families, "sieve_t", broken)
+    code, out = run_cli(capsys, "sieve-t", "--min", "1", "--max", "20", "--mod8", "5")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == "E_INTERNAL"
+    assert error["message"].startswith("ZeroDivisionError")

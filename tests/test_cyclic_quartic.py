@@ -85,24 +85,24 @@ def test_two_adic_distinctness():
 
 
 def test_discriminant_examples():
-    d = discriminant(-3, 35)
+    d = discriminant(CyclicQuarticField(-3, 35))
     assert d.factors == ((2, 11), (3, 2), (613, 3))
-    assert discriminant(-6, 35) == d
-    assert discriminant(1, 3).value() == 2**11 * 5**3
-    assert discriminant(2, 3) == discriminant(1, 3)
+    assert discriminant(CyclicQuarticField(-6, 35)) == d
+    assert discriminant(CyclicQuarticField(1, 3)).value() == 2**11 * 5**3
+    assert discriminant(CyclicQuarticField(2, 3)) == discriminant(CyclicQuarticField(1, 3))
 
 
 def test_discriminant_degenerate_parameters():
     with pytest.raises(DomainError):
-        discriminant(-3, 4)  # t even
+        discriminant(CyclicQuarticField(-3, 4))  # t even
     with pytest.raises(DomainError):
-        discriminant(5, 3)  # gcd(5, 10) > 1
+        discriminant(CyclicQuarticField(5, 3))  # gcd(5, 10) > 1
     with pytest.raises(DomainError):
-        discriminant(9, 5)  # s not square-free
+        discriminant(CyclicQuarticField(9, 5))  # s not square-free
     with pytest.raises(DomainError):
-        discriminant(12, 5)  # 4 | s
+        discriminant(CyclicQuarticField(12, 5))  # 4 | s
     with pytest.raises(DomainError):
-        discriminant(0, 3)
+        discriminant(CyclicQuarticField(0, 3))
 
 
 def test_discriminant_pairing_sweep():
@@ -111,10 +111,10 @@ def test_discriminant_pairing_sweep():
         for s in range(1, 30):
             if not is_squarefree(s) or s % 2 == 0 or math.gcd(s, m) != 1:
                 continue
-            d = discriminant(s, t)
-            assert discriminant(2 * s, t) == d
-            assert discriminant(-s, t) == d
-            assert discriminant(-2 * s, t) == d
+            d = discriminant(CyclicQuarticField(s, t))
+            assert discriminant(CyclicQuarticField(2 * s, t)) == d
+            assert discriminant(CyclicQuarticField(-s, t)) == d
+            assert discriminant(CyclicQuarticField(-2 * s, t)) == d
             assert d.exponent(2) == 11
             for p, _ in factor(s).factors:
                 if p != 2:
@@ -132,10 +132,10 @@ def test_discriminant_shared_across_sign_and_doubling_at_primes():
     for t in (3, 5):
         m = t * t + 1
         for p in primes_in_progression(m + 1, 2, 1, 20):
-            d = discriminant(p, t)
-            assert discriminant(2 * p, t) == d
-            assert discriminant(-p, t) == d
-            assert discriminant(-2 * p, t) == d
+            d = discriminant(CyclicQuarticField(p, t))
+            assert discriminant(CyclicQuarticField(2 * p, t)) == d
+            assert discriminant(CyclicQuarticField(-p, t)) == d
+            assert discriminant(CyclicQuarticField(-2 * p, t)) == d
             assert d.exponent(p) == 2
 
 
@@ -143,7 +143,7 @@ def test_relative_class_number_against_digamma_L_values():
     # independent analytic route: L(1, chi) through digamma values,
     # h- = Q * w * f * |L|^2 / (4 pi^2), compared to the exact Bernoulli route
     for s, t in ((-11, 3), (-22, 3)):
-        chi = associated_quartic_character(s, t)
+        chi = associated_quartic_character(CyclicQuarticField(s, t))
         f = chi.modulus
         with mpmath.workprec(90):
             re = mpmath.mpf(0)
@@ -185,52 +185,52 @@ def test_hsw_discriminant_rejects_bad_congruences():
 
 
 def test_maximal_real_subfield():
-    assert maximal_real_subfield(-3, 35).radicand == 1226
-    assert maximal_real_subfield(-21, 3).radicand == 10
+    assert maximal_real_subfield(CyclicQuarticField(-3, 35)).radicand == 1226
+    assert maximal_real_subfield(CyclicQuarticField(-21, 3)).radicand == 10
     with pytest.raises(DomainError):
-        maximal_real_subfield(4, 3)
+        maximal_real_subfield(CyclicQuarticField(4, 3))
 
 
 def test_hasse_Q():
-    assert hasse_Q(-3, 35) == 1
-    assert hasse_Q(-6, 35) == 1
-    assert hasse_Q(-1, 3) == 1
+    assert hasse_Q(CyclicQuarticField(-3, 35)) == 1
+    assert hasse_Q(CyclicQuarticField(-6, 35)) == 1
+    assert hasse_Q(CyclicQuarticField(-1, 3)) == 1
     # the ratio 2^4 s^2 n^2 m / gcd^2 is at least 32, so Q is always resolved
     for s, t in ((-1, 5), (-7, 3), (-11, 13), (-2, 5)):
-        assert hasse_Q(s, t) == 1
+        assert hasse_Q(CyclicQuarticField(s, t)) == 1
 
 
 def test_regulator_values():
-    reg = regulator(-3, 35)
+    reg = regulator(CyclicQuarticField(-3, 35))
     with mpmath.workprec(150):
         ref = 2 * mpmath.log(35 + mpmath.sqrt(1226))
         assert abs(reg.value - ref) < mpmath.mpf(2) ** -120
         assert abs(reg.value - mpmath.mpf("8.4973985")) < mpmath.mpf("1e-6")
-    assert regulator(-6, 35).value == reg.value
-    reg5 = regulator(-5, 5)
+    assert regulator(CyclicQuarticField(-6, 35)).value == reg.value
+    reg5 = regulator(CyclicQuarticField(-5, 5))
     with mpmath.workprec(150):
         assert abs(reg5.value - 2 * mpmath.log(5 + mpmath.sqrt(26))) < mpmath.mpf(2) ** -120
     with pytest.raises(DomainError):
-        regulator(3, 35)  # totally real
+        regulator(CyclicQuarticField(3, 35))  # totally real
 
 
 def test_associated_character_conductor():
-    chi = associated_quartic_character(-3, 35)
+    chi = associated_quartic_character(CyclicQuarticField(-3, 35))
     assert chi.modulus == 29424  # 2^4 * 3 * 613
     assert chi.order == 4
     assert chi.is_odd()
     assert chi.conductor() == 29424
-    chi2 = associated_quartic_character(-1, 3)
+    chi2 = associated_quartic_character(CyclicQuarticField(-1, 3))
     assert chi2.modulus == 80
     with pytest.raises(DomainError):
-        associated_quartic_character(-2, 2)  # t even
+        associated_quartic_character(CyclicQuarticField(-2, 2))  # t even
 
 
 def test_character_soundness_against_root_counts():
     for s, t in ((-3, 35), (-6, 35), (-1, 3)):
-        chi = associated_quartic_character(s, t)
+        chi = associated_quartic_character(CyclicQuarticField(s, t))
         m = t * t + 1
-        dplus = maximal_real_subfield(s, t).fund_disc
+        dplus = maximal_real_subfield(CyclicQuarticField(s, t)).fund_disc
         excluded = 2 * abs(s) * abs(t) * m * chi.modulus
         tested = 0
         p = 2
@@ -259,28 +259,28 @@ def test_relative_class_number_cyclotomic():
 
 
 def test_class_number_example_pair():
-    assert class_number(-3, 35) == 19400
-    assert class_number(-6, 35) == 19400
+    assert class_number(CyclicQuarticField(-3, 35)) == 19400
+    assert class_number(CyclicQuarticField(-6, 35)) == 19400
     assert 19400 == 2**3 * 5**2 * 97
     # h = h_minus * h(K+): the real subfield contributes exactly h(4904) = 10
     assert class_number_real(4904) == 10
-    chi = associated_quartic_character(-3, 35)
+    chi = associated_quartic_character(CyclicQuarticField(-3, 35))
     assert relative_class_number(chi, 1, 2) == 1940
 
 
 def test_class_number_small_member():
-    h = class_number(-1, 3)
+    h = class_number(CyclicQuarticField(-1, 3))
     assert h > 0
     assert h % class_number_real(40) == 0  # divisible by h(Q(sqrt(10))) = 2
 
 
 def test_field_invariants_payload():
-    inv = field_invariants(-3, 35, with_class_number=True)
+    inv = field_invariants(CyclicQuarticField(-3, 35), with_class_number=True)
     assert inv.class_number == 19400
     assert inv.hasse_q == 1
     assert inv.roots_of_unity == 2
     assert (inv.r1, inv.r2) == (0, 2)
-    inv0 = field_invariants(-3, 35)
+    inv0 = field_invariants(CyclicQuarticField(-3, 35))
     assert inv0.class_number is None
 
 

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 from cmquartic.arith import factor, is_squarefree
-from cmquartic.biquadratic import FieldInvariants
+from cmquartic.cmfield import FieldInvariants
 from cmquartic.errors import DomainError
 from cmquartic.families import (
     FamilyReport,
@@ -186,9 +186,9 @@ def test_same_regulator_family():
 
 def test_cyclic_family_discriminants_grow():
     rep = same_regulator_family("cyclic", 3, 6)
-    from cmquartic.cyclic_quartic import discriminant
+    from cmquartic.cyclic_quartic import CyclicQuarticField, discriminant
 
-    values = [discriminant(-p, 3).value() for p in rep.primes]
+    values = [discriminant(CyclicQuarticField(-p, 3)).value() for p in rep.primes]
     assert values == sorted(values)
     assert len(set(values)) == len(values)
 
@@ -267,3 +267,29 @@ def test_biquadratic_pair_computes_each_class_number_once(monkeypatch):
     rep = biquadratic_pair_report(5, 29, with_class_number=True)
     assert len(calls) == 2
     assert rep.residue_a is not None and rep.residue_b is not None
+
+
+def test_pair_runs_each_field_stage_once_per_field(monkeypatch):
+    # disc(K), K+ and Q are built once per field and read from the field object
+    from cmquartic import biquadratic as bq
+    from cmquartic import cyclic_quartic as cq
+
+    for module, pair_report in ((cq, cyclic_pair_report), (bq, biquadratic_pair_report)):
+        stages = ("discriminant", "maximal_real_subfield", "hasse_Q")
+        calls = {stage: _count_calls(monkeypatch, module, stage) for stage in stages}
+        pair_report(5, 29, with_class_number=True)
+        assert {stage: len(c) for stage, c in calls.items()} == dict.fromkeys(stages, 2), \
+            module.__name__
+
+
+def test_reg_equal_fails_when_the_shipped_regulator_is_wrong(monkeypatch):
+    # both members inherit the same wrong K+ regulator, so only the closed form
+    # 2 log(t + sqrt(t^2+1)) / Q can tell
+    from cmquartic import quadratic
+
+    real = quadratic.regulator
+    monkeypatch.setattr(quadratic, "regulator",
+                        lambda field, precision_bits=128: real(field, precision_bits).scaled(3, 2))
+    for rep in (biquadratic_pair_report(5, 29), cyclic_pair_report(5, 29)):
+        assert rep.reg_equal is False, rep.kind
+        assert not rep.all_flags_true()
