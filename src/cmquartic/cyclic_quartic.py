@@ -211,9 +211,8 @@ def associated_quartic_character(K: CyclicQuarticField,
     fchi = _conductor_of_quartic_character(K)
     dplus = K.kplus.fund_disc
     cands = [chi for chi in characters_of_order_dividing_4(fchi)
-             if chi.order == 4 and chi.is_odd()
-             and chi.squares_to_kronecker(dplus)
-             and chi.conductor() == fchi]
+             if chi.order == 4 and chi.squares_to_kronecker(dplus)
+             and chi.is_odd() and chi.conductor() == fchi]
     m = t * t + 1
     excluded = 2 * abs(s) * abs(t) * m * fchi
     for p in range(3, prime_budget + 1, 2):

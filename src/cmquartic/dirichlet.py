@@ -5,6 +5,11 @@ deterministic generators (smallest primitive roots; -1 and 5 for the
 2-power part).  A character is stored as one quarter-turn exponent per
 component, so every value is a power of i and all downstream sums stay
 in Q(i) exactly.
+
+B1 sums never visit residues one by one in Python: a character's
+exponents for a < f/2 are one `bytes` table, built from the small
+per-prime-power tables by repetition (CRT periodicity) and big-integer
+addition, and each class sum is read off with `bytes.count`.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .arith import factor
+from .arith import factor, kronecker
 from .errors import ConsistencyError, DomainError
 
 
@@ -80,11 +85,21 @@ class UnitGroup:
         self.components: list[CyclicComponent] = []
         # per prime power: dict residue -> tuple of local exponents
         self._local_logs: list[tuple[int, dict[int, tuple[int, ...]]]] = []
-        for p, e in factor(modulus).factors if modulus > 1 else ():
+        # per prime power: (p^e, number of components, code table), where
+        # code[r] packs the local exponents of r mod 4, two bits per
+        # component, and is _NONUNIT_CODE when p divides r
+        self._local_codes: list[tuple[int, int, bytes]] = []
+        self._square_parities: dict[int, tuple[int, ...] | None] = {}
+        self.factors = factor(modulus).factors if modulus > 1 else ()
+        for p, e in self.factors:
             pe = p**e
             comps, logs = self._build_local(p, e, pe)
             self.components.extend(comps)
             self._local_logs.append((pe, logs))
+            codes = bytearray([_NONUNIT_CODE]) * pe
+            for r, xs in logs.items():
+                codes[r] = sum((x % 4) << 2 * j for j, x in enumerate(xs))
+            self._local_codes.append((pe, len(comps), bytes(codes)))
 
     @staticmethod
     def _build_local(p: int, e: int, pe: int):
@@ -123,20 +138,33 @@ class UnitGroup:
             out.extend(logs[a % pe])
         return tuple(out)
 
-    def component_lift(self, index: int) -> int:
-        """Element congruent to the generator of component `index`, 1 elsewhere."""
-        comp = self.components[index]
-        # find which prime power the component lives in
-        residues = []
-        for pe, _ in self._local_logs:
-            residues.append(1)
-        pos = 0
-        for i, (pe, _) in enumerate(self._local_logs):
-            ncomp = sum(1 for c in self.components if c.modulus == pe)
-            if pos <= index < pos + ncomp:
-                residues[i] = comp.generator % pe
-            pos += ncomp
+    def local_lift(self, i: int, r: int) -> int:
+        """Element congruent to r modulo the i-th prime power and to 1 modulo the others."""
+        residues = [1] * len(self._local_logs)
+        residues[i] = r
         return _crt([pe for pe, _ in self._local_logs], residues)
+
+    @cached_property
+    def component_lifts(self) -> tuple[int, ...]:
+        """Per component: its generator modulo its prime power, 1 modulo the others.
+
+        The j-th lift has the j-th unit vector as its exponent vector.
+        """
+        index = {pe: i for i, (pe, _) in enumerate(self._local_logs)}
+        return tuple(self.local_lift(index[c.modulus], c.generator) for c in self.components)
+
+    def square_parities(self, D: int) -> tuple[int, ...] | None:
+        """Exponent parities q_j mod 2 of every chi with chi^2 = (D|.), or None if none.
+
+        chi^2 takes the value (-1)^q_j at the j-th component lift, so it is
+        the quadratic character (D|.) exactly when each q_j has the parity
+        that (D|lift_j) = +-1 asks for; (D|lift_j) = 0 admits no chi.
+        """
+        if D not in self._square_parities:
+            signs = [kronecker(D, g) for g in self.component_lifts]
+            self._square_parities[D] = (None if 0 in signs
+                                        else tuple(int(k < 0) for k in signs))
+        return self._square_parities[D]
 
     def quarter_exponent_choices(self) -> list[tuple[int, ...]]:
         """All admissible quarter-turn vectors: q_j * order_j = 0 (mod 4)."""
@@ -152,6 +180,21 @@ class UnitGroup:
         for pool in pools:
             out = [v + (q,) for v in out for q in pool]
         return out
+
+
+#: exponent-table byte of a residue that shares a factor with the modulus
+NONUNIT = 28
+#: code-table byte of a non-unit; codes of units are below 4**2
+_NONUNIT_CODE = 255
+#: most tables in one big-integer addition: a byte sum is at most
+#: 9 * 28 = 252, so it never carries into the next byte, and a sum of 28 or
+#: more can only come from a non-unit, since units add at most 9 * 3
+_FOLD = 9
+_REDUCE = bytes(x % 4 if x < NONUNIT else NONUNIT for x in range(256))
+
+
+def _reduce(acc: int, n: int) -> bytes:
+    return acc.to_bytes(n, "little").translate(_REDUCE)
 
 
 def _crt(moduli: list[int], residues: list[int]) -> int:
@@ -210,36 +253,55 @@ class DirichletCharacter:
         return DirichletCharacter(self.modulus, tuple(-q % 4 for q in self.exponents))
 
     def conductor(self) -> int:
-        """Smallest f' | modulus through which the character factors."""
-        f = self.modulus
-        divs = sorted(_divisors(f))
-        for fp in divs:
-            if all(self.value_exponent(a) == 0
-                   for a in range(1 + fp, f, fp)
-                   if math.gcd(a, f) == 1):
-                return fp
-        return f
+        """Smallest f' | modulus through which the character factors.
+
+        Prime by prime, with p^e exactly dividing the modulus: once chi is
+        trivial on the units = 1 mod p^j at p (and = 1 at the other
+        primes), it factors through p^(j-1) there when it is also trivial
+        on 1 + p^(j-1) for j > 1, which generates the units = 1 mod
+        p^(j-1) over those = 1 mod p^j, or on the component generators
+        for j = 1.
+        """
+        grp = self.group
+        cond = 1
+        for i, (p, e) in enumerate(grp.factors):
+            j = e
+            while j > 0:
+                gens = ([1 + p**(j - 1)] if j > 1 else
+                        [c.generator for c in grp.components if c.modulus == p**e])
+                if any(self.value_exponent(grp.local_lift(i, g)) for g in gens):
+                    break
+                j -= 1
+            cond *= p**j
+        return cond
 
     def squares_to_kronecker(self, D: int) -> bool:
         """chi^2 equals the quadratic character (D|.) on (Z/modulus)^*."""
-        from .arith import kronecker
+        parities = self.group.square_parities(D)
+        return parities is not None and all(
+            q % 2 == b for q, b in zip(self.exponents, parities))
 
-        grp = self.group
-        for idx in range(len(grp.components)):
-            g = grp.component_lift(idx)
-            k = self.value_exponent(g)
-            val = I_POWERS[(2 * k) % 4]
-            target = kronecker(D, g)
-            if val.im != 0 or val.re != target:
-                return False
-        return True
+    def exponent_table(self, length: int | None = None) -> bytes:
+        """Byte a is k with chi(a) = i^k, or NONUNIT when chi(a) = 0, for 0 <= a < length.
 
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factor(n).factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
+        `length` defaults to the modulus.  The table is the byte-wise sum
+        of each prime power's local table repeated with period p^e (CRT),
+        taken as one big-integer addition of up to _FOLD tables at a time;
+        `_REDUCE` then maps each byte sum to k mod 4 or back to NONUNIT.
+        """
+        n = self.modulus if length is None else length
+        acc, terms, j = 0, 0, 0
+        for pe, ncomp, codes in self.group._local_codes:
+            qs = self.exponents[j:j + ncomp]
+            j += ncomp
+            values = bytes(sum(q * (c >> 2 * i & 3) for i, q in enumerate(qs)) % 4
+                           for c in range(4**ncomp))
+            local = codes.translate(values.ljust(256, bytes([NONUNIT])))
+            if terms == _FOLD:
+                acc, terms = int.from_bytes(_reduce(acc, n), "little"), 1
+            acc += int.from_bytes(memoryview(local * -(-n // pe))[:n], "little")
+            terms += 1
+        return _reduce(acc, n)
 
 
 def characters_of_order_dividing_4(modulus: int) -> list[DirichletCharacter]:
@@ -252,6 +314,8 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
 
     Defined here only for odd characters; for even nontrivial characters
     the sum vanishes and the caller is told so instead of receiving 0.
+    An odd chi has chi(f - a) = -chi(a), so the sum is the half sum
+    sum_{a<f/2} (2a - f) chi(a), read from the exponent table of a < f/2.
     """
     if chi.order == 1:
         raise DomainError("B1 of the trivial character is not supported",
@@ -260,10 +324,29 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
         raise DomainError("B1 vanishes for even nontrivial characters",
                           precondition="chi odd")
     f = chi.modulus
-    sums = [0, 0, 0, 0]
-    for a in range(1, f):
-        k = chi.value_exponent(a)
-        if k is not None:
-            sums[k] += a
-    return GaussianRational(Fraction(sums[0] - sums[2], f),
-                            Fraction(sums[1] - sums[3], f))
+    counts, sums = _class_sums(chi.exponent_table((f + 1) // 2))
+    half = [2 * s - f * c for s, c in zip(sums, counts)]
+    return GaussianRational(Fraction(half[0] - half[2], f),
+                            Fraction(half[1] - half[3], f))
+
+
+def _class_sums(table: bytes) -> tuple[list[int], list[int]]:
+    """(counts, sums): how many a have table[a] == k, and their sum, for k = 0..3.
+
+    The table is read as a grid w = isqrt(len) bytes wide, a = row + col
+    with row a multiple of w: each row and each strided column is
+    counted by `bytes.count`, so no residue is touched by Python code.
+    """
+    n = len(table)
+    w = max(1, math.isqrt(n))
+    counts, sums = [0, 0, 0, 0], [0, 0, 0, 0]
+    for row in range(0, n, w):
+        for k in range(4):
+            c = table.count(k, row, row + w)
+            counts[k] += c
+            sums[k] += row * c
+    for col in range(1, w):
+        column = table[col::w]
+        for k in range(4):
+            sums[k] += col * column.count(k)
+    return counts, sums

@@ -173,3 +173,13 @@ def test_criterion_10_negative_controls():
             hsw_discriminant(1, 1, 1)
         with pytest.raises(DomainError):
             hsw_discriminant(3, 5, 7)
+
+
+def test_criterion_11_large_cyclic_pair_class_numbers(capsys):
+    with criterion(11, "cyclic pair t=35, p=1229 (f = 12,054,032): h 2917160 and 3813800", 10.0):
+        code = cli.main(["pair", "cyclic", "--t", "35", "--p", "1229", "--with-class-number"])
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert code == 0
+        assert (payload["field_a"], payload["field_b"]) == ("K(-1229,35)", "K(-2458,35)")
+        assert (payload["class_a"], payload["class_b"]) == ("2917160", "3813800")
+        assert payload["distinct"] and payload["disc_equal"] and payload["reg_equal"]

@@ -1,9 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from cmquartic import dirichlet
+from cmquartic.arith import kronecker
 from cmquartic.dirichlet import (
+    NONUNIT,
     DirichletCharacter,
     GaussianRational,
     I_POWERS,
@@ -12,6 +16,37 @@ from cmquartic.dirichlet import (
     unit_group,
 )
 from cmquartic.errors import DomainError
+
+
+def reference_B1(chi: DirichletCharacter) -> GaussianRational:
+    """B_{1,chi} = (1/f) sum_{a<f} a chi(a), one value_exponent call per residue."""
+    f = chi.modulus
+    sums = [0, 0, 0, 0]
+    for a in range(1, f):
+        k = chi.value_exponent(a)
+        if k is not None:
+            sums[k] += a
+    return GaussianRational(Fraction(sums[0] - sums[2], f), Fraction(sums[1] - sums[3], f))
+
+
+def reference_conductor(chi: DirichletCharacter) -> int:
+    """Smallest divisor d of the modulus with chi(a) = 1 for every unit a = 1 mod d."""
+    f = chi.modulus
+    for d in (d for d in range(1, f + 1) if f % d == 0):
+        if all(chi.value_exponent(a) == 0
+               for a in range(1 + d, f, d) if math.gcd(a, f) == 1):
+            return d
+
+
+def odd_nontrivial(f: int) -> list[DirichletCharacter]:
+    return [chi for chi in characters_of_order_dividing_4(f)
+            if chi.order > 1 and chi.is_odd()]
+
+
+#: 2-power parts 2 to 32, odd prime squares and cubes, three odd primes, and
+#: the family conductors 8p(t^2+1) for (t, p) = (3, 13), (5, 29)
+B1_MODULI = (3, 4, 5, 8, 16, 32, 30, 60, 120, 240, 480, 195, 390, 819,
+             1800, 1029, 1040, 6032)
 
 
 def test_gaussian_rational_arithmetic():
@@ -131,3 +166,83 @@ def test_character_order_and_conjugate():
                 va, vc = chi.value_exponent(a), conj.value_exponent(a)
                 if va is not None:
                     assert vc == (-va) % 4
+
+
+def test_bernoulli_table_matches_per_term_sum():
+    checked = 0
+    for f in B1_MODULI:
+        for chi in odd_nontrivial(f):
+            assert bernoulli_B1(chi) == reference_B1(chi), (f, chi.exponents)
+            checked += 1
+    assert checked == 292
+
+
+def test_exponent_table_is_value_exponent():
+    for f in (5, 16, 480, 1800, 6032):
+        for chi in characters_of_order_dividing_4(f)[::5]:
+            table = chi.exponent_table()
+            assert len(table) == f
+            for a in range(f):
+                k = chi.value_exponent(a)
+                assert table[a] == (NONUNIT if k is None else k), (f, chi.exponents, a)
+            assert chi.exponent_table(f // 3) == table[:f // 3]
+
+
+def test_exponent_table_folds_in_stages(monkeypatch):
+    # 2 * 9 * 5 * 7 * 11 * 13: six prime-power tables, folded 1, 2 and 3 at a time
+    f = 90090
+    chars = [chi for chi in characters_of_order_dividing_4(f) if chi.order == 4][::97]
+    whole = [chi.exponent_table() for chi in chars]
+    for fold in (1, 2, 3):
+        monkeypatch.setattr(dirichlet, "_FOLD", fold)
+        assert [chi.exponent_table() for chi in chars] == whole
+    # with a non-unit byte of 100 a third table would carry: only folding keeps it exact
+    monkeypatch.setattr(dirichlet, "NONUNIT", 100)
+    monkeypatch.setattr(dirichlet, "_REDUCE",
+                        bytes(x % 4 if x < 100 else 100 for x in range(256)))
+    monkeypatch.setattr(dirichlet, "_FOLD", 2)
+    for chi, table in zip(chars, whole):
+        assert chi.exponent_table() == table.replace(bytes([NONUNIT]), bytes([100]))
+        for a in range(0, f, 7):
+            k = chi.value_exponent(a)
+            assert table[a] == (NONUNIT if k is None else k)
+
+
+def test_bernoulli_eight_prime_powers():
+    # 2*3*5*7*11*13*17*19: eight prime-power tables in one big-integer addition
+    f = 9699690
+    chi = DirichletCharacter(f, (0, 1, 0, 0, 0, 2, 0))  # quartic at 5, quadratic at 17
+    assert chi.is_odd() and chi.conductor() == 85
+    table = chi.exponent_table()
+    rng = random.Random(20261018)
+    for a in (rng.randrange(f) for _ in range(10_000)):
+        k = chi.value_exponent(a)
+        assert table[a] == (NONUNIT if k is None else k), a
+    # B1 of an induced character: B1(chi*) * prod over the other p | f of (1 - chi*(p))
+    primitive = DirichletCharacter(85, (1, 2))
+    expected = reference_B1(primitive)
+    for p in (2, 3, 7, 11, 13, 19):
+        assert primitive(p) != I_POWERS[0]
+        expected = expected * (I_POWERS[0] + I_POWERS[2] * primitive(p))
+    assert bernoulli_B1(chi) == expected
+
+
+def test_conductor_matches_divisor_scan():
+    # 2-power parts up to 2^7, 7^3 and 11^2 among the larger moduli
+    for f in (*range(1, 130), 240, 320, 384, 968, 1029, 1800, 4320):
+        for chi in characters_of_order_dividing_4(f):
+            assert chi.conductor() == reference_conductor(chi), (f, chi.exponents)
+
+
+def test_component_lifts_and_square_parities():
+    for f in (5, 16, 240, 1040, 6032):
+        grp = unit_group(f)
+        n = len(grp.components)
+        for j, g in enumerate(grp.component_lifts):
+            assert grp.local_exponents(g) == tuple(int(i == j) for i in range(n))
+        for D in (5, 8, -4, 13, 104, 40):
+            for chi in characters_of_order_dividing_4(f):
+                # chi^2 = (D|.) at every component lift, value by value
+                expected = all(I_POWERS[2 * chi.value_exponent(g) % 4].re == kronecker(D, g)
+                               for g in grp.component_lifts)
+                assert chi.squares_to_kronecker(D) == expected, (f, D, chi.exponents)

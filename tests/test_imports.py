@@ -1,6 +1,10 @@
-"""Every name a package module imports is used (standard library `ast` only)."""
+"""Every name a package module imports is used (standard library `ast` only),
+and the CLI never loads numpy or sympy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +34,22 @@ def test_checker_reports_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+#: run in a fresh interpreter: the CLI import plus one cyclic class number
+_HEAVY_IMPORT_PROBE = """
+import sys
+import cmquartic.cli
+from cmquartic.cyclic_quartic import CyclicQuarticField, class_number
+assert class_number(CyclicQuarticField(-29, 5)) > 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "sympy")))
+"""
+
+
+def test_cli_and_class_number_load_neither_numpy_nor_sympy():
+    # either would add its import time and memory to every command
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _HEAVY_IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
