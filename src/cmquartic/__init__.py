@@ -22,7 +22,6 @@ from .cmfield import FieldInvariants
 from .cyclic_quartic import CyclicQuarticField, defining_polynomial, same_field
 from .dirichlet import DirichletCharacter, GaussianRational, bernoulli_B1
 from .errors import (
-    AmbiguityError,
     CMQuarticError,
     ConsistencyError,
     DomainError,
@@ -54,7 +53,6 @@ from .quadratic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguityError",
     "BiquadraticField",
     "CMQuarticError",
     "ConsistencyError",

@@ -219,6 +219,10 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+#: count_roots_mod_p evaluates modulo primes below this cap only
+ROOT_COUNT_CAP = 10**6
+
+
 def count_roots_mod_p(s: int, t: int, p: int) -> int:
     """Roots of X^4 - 2s(t^2+1)X^2 + s^2 t^2 (t^2+1) modulo an odd prime p.
 
@@ -227,7 +231,7 @@ def count_roots_mod_p(s: int, t: int, p: int) -> int:
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise DomainError(f"p = {p} is not an odd prime", precondition="p odd prime")
-    if p >= 10**6:
+    if p >= ROOT_COUNT_CAP:
         raise DomainError(f"p = {p} exceeds the 10^6 evaluation cap")
     m = t * t + 1
     c2 = (-2 * s * m) % p

@@ -26,7 +26,7 @@ from . import cyclic_quartic as cq
 from . import families
 from .arith import Factorization
 from .cmfield import FieldInvariants
-from .errors import AmbiguityError, ConsistencyError, DomainError, PrecisionError
+from .errors import ConsistencyError, DomainError, PrecisionError
 from .precision import HighPrecReal
 
 SCHEMA_VERSION = "cmq/1"
@@ -43,7 +43,7 @@ _EXPECTED = (
     {"disc": 2**11 * 3**2 * 613**3, "regulator": "8.4973985", "class_number": 19400,
      "label": "K({},{})", "members": ((-3, 35), (-6, 35)),
      "invariants": lambda s, t, args: cq.field_invariants(
-         cq.CyclicQuarticField(s, t), args.precision_bits, True, args.prime_budget)},
+         cq.CyclicQuarticField(s, t), args.precision_bits, True)},
 )
 
 
@@ -135,8 +135,7 @@ def cmd_invariants(args) -> int:
         if args.s is None or args.t is None:
             raise DomainError("cyclic invariants need -s and -t", code="E_PARAM_MISSING")
         K = cq.CyclicQuarticField(args.s, args.t)
-        inv = cq.field_invariants(K, args.precision_bits, args.with_class_number,
-                                  args.prime_budget)
+        inv = cq.field_invariants(K, args.precision_bits, args.with_class_number)
         payload = {
             "kind": "cyclic",
             "s": str(args.s),
@@ -169,7 +168,7 @@ def cmd_pair(args) -> int:
                                                args.with_class_number)
     else:
         rep = families.cyclic_pair_report(args.t, args.p, args.precision_bits,
-                                          args.with_class_number, args.prime_budget)
+                                          args.with_class_number)
     if args.format == "csv":
         _emit_csv([_pair_csv_row(rep)], CSV_FAMILY_COLUMNS)
     else:
@@ -184,8 +183,7 @@ def cmd_family(args) -> int:
                                               args.with_class_number, args.jobs)
     else:
         reports = families.cyclic_family(args.t, args.count, args.precision_bits,
-                                         args.with_class_number, args.jobs,
-                                         args.prime_budget)
+                                         args.with_class_number, args.jobs)
     if args.format == "csv":
         _emit_csv([_pair_csv_row(r) for r in reports], CSV_FAMILY_COLUMNS)
     else:
@@ -260,7 +258,6 @@ def cmd_verify_examples(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--precision-bits", type=int, default=128)
-    shared.add_argument("--prime-budget", type=int, default=200)
     shared.add_argument("--jobs", type=int, default=1)
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     shared.add_argument("--with-class-number", action="store_true")
@@ -334,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         _emit_error(exc.code, str(exc), exc.precondition)
         return 2
-    except (AmbiguityError, PrecisionError) as exc:
+    except PrecisionError as exc:
         _emit_error(exc.code, str(exc), None)
         return 2
     except ConsistencyError as exc:

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import Factorization, count_roots_mod_p, factor, is_prime, squarefree_part
+from .arith import (ROOT_COUNT_CAP, Factorization, count_roots_mod_p, factor, is_prime,
+                    squarefree_part)
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, resolved_q
 from .dirichlet import (
     DirichletCharacter,
     bernoulli_B1,
     characters_of_order_dividing_4,
 )
-from .errors import AmbiguityError, ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from . import quadratic
 from .quadratic import QuadraticField, quadratic_field
@@ -196,16 +197,23 @@ def _conductor_of_quartic_character(K: CyclicQuarticField) -> int:
     return f
 
 
-def associated_quartic_character(K: CyclicQuarticField,
-                                 prime_budget: int = 200) -> DirichletCharacter:
+#: every odd prime up to this bound is checked against the root counts,
+#: also once the candidates are down to one conjugate pair
+CHECK_BOUND = 200
+
+
+def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     """The order-4 character cutting out K(s,t), up to complex conjugation.
 
     Candidates are the odd primitive order-4 characters modulo
     f = sqrt(disc(K)/disc(K+)) whose square is the quadratic character of
     disc(K+); the survivors are filtered by comparing chi(p) = 1 against
-    full root counts of the defining polynomial modulo test primes.
-    Both conjugates yield identical downstream values, so the one with
-    the lexicographically smaller exponent vector is returned.
+    full root counts of the defining polynomial modulo the odd primes in
+    ascending order.  Every prime up to CHECK_BOUND is tested; past it,
+    only while more than one conjugate pair is left.  The candidates are
+    closed under conjugation, so two survivors are chi and its conjugate;
+    both yield identical downstream values, and the one with the
+    lexicographically smaller exponent vector is returned.
     """
     s, t = K.s, K.t
     fchi = _conductor_of_quartic_character(K)
@@ -213,20 +221,17 @@ def associated_quartic_character(K: CyclicQuarticField,
     cands = [chi for chi in characters_of_order_dividing_4(fchi)
              if chi.order == 4 and chi.squares_to_kronecker(dplus)
              and chi.is_odd() and chi.conductor() == fchi]
-    m = t * t + 1
-    excluded = 2 * abs(s) * abs(t) * m * fchi
-    for p in range(3, prime_budget + 1, 2):
-        if excluded % p == 0 or not is_prime(p):
-            continue
-        splits = count_roots_mod_p(s, t, p) == 4
-        cands = [chi for chi in cands if (chi.value_exponent(p) == 0) == splits]
-        if len(cands) < 2:
-            break
-    pair = {c.exponents for c in cands}
-    if len(cands) != 2 or cands[0].conjugate().exponents not in pair:
-        raise AmbiguityError(
-            f"character selection for {K.label()} left {len(cands)} candidates; "
-            f"increase prime_budget (currently {prime_budget})")
+    excluded = 2 * abs(s) * abs(t) * (t * t + 1) * fchi
+    p = 3
+    while cands and (p <= CHECK_BOUND or len(cands) > 2) and p < ROOT_COUNT_CAP:
+        if excluded % p and is_prime(p):
+            splits = count_roots_mod_p(s, t, p) == 4
+            cands = [chi for chi in cands if (chi.value_exponent(p) == 0) == splits]
+        p += 2
+    if len(cands) != 2:
+        raise ConsistencyError(
+            f"character selection for {K.label()} left {len(cands)} candidates "
+            f"after the odd primes below {p}")
     return min(cands, key=lambda c: c.exponents)
 
 
@@ -249,22 +254,21 @@ def relative_class_number(chi: DirichletCharacter, Q: int, w: int) -> int:
     return int(h)
 
 
-def class_number(K: CyclicQuarticField, prime_budget: int = 200) -> int:
+def class_number(K: CyclicQuarticField) -> int:
     """h(K) = h^- * h(K+); exact throughout.
 
     On the supported domain t is odd, so the quadratic subfield radicand
     is even: the field contains no 5th, 8th or 12th roots of unity and
     w = 2 is forced.
     """
-    chi = associated_quartic_character(K, prime_budget)
+    chi = associated_quartic_character(K)
     h_minus = relative_class_number(chi, resolved_q(K, K.hasse_q), 2)
     return h_minus * quadratic.class_number_real(K.kplus.fund_disc)
 
 
 def field_invariants(K: CyclicQuarticField, precision_bits: int = 128,
-                     with_class_number: bool = False,
-                     prime_budget: int = 200) -> FieldInvariants:
-    h = class_number(K, prime_budget) if with_class_number else None
+                     with_class_number: bool = False) -> FieldInvariants:
+    h = class_number(K) if with_class_number else None
     return FieldInvariants(
         disc=K.disc,
         regulator=regulator(K, precision_bits),

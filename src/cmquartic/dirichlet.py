@@ -68,81 +68,58 @@ def _primitive_root(p: int) -> int:
 class CyclicComponent:
     """One cyclic factor of (Z/f)^*: generator of the given order inside Z/p^e."""
 
-    prime: int
-    exp: int
     modulus: int  # p^e
     generator: int
     order: int
 
 
 class UnitGroup:
-    """(Z/f)^* as a product of cyclic components, with full discrete-log tables."""
+    """(Z/f)^* as a product of cyclic components, with one code table per prime power."""
 
     def __init__(self, modulus: int):
         if modulus < 1:
             raise DomainError(f"modulus {modulus} must be positive")
         self.modulus = modulus
         self.components: list[CyclicComponent] = []
-        # per prime power: dict residue -> tuple of local exponents
-        self._local_logs: list[tuple[int, dict[int, tuple[int, ...]]]] = []
-        # per prime power: (p^e, number of components, code table), where
-        # code[r] packs the local exponents of r mod 4, two bits per
-        # component, and is _NONUNIT_CODE when p divides r
-        self._local_codes: list[tuple[int, int, bytes]] = []
+        # per prime power: (p^e, its components, code table), where code[r]
+        # packs the discrete logs of r mod 4, two bits per component, and
+        # is _NONUNIT_CODE when p divides r
+        self._local: list[tuple[int, tuple[CyclicComponent, ...], bytes]] = []
         self._square_parities: dict[int, tuple[int, ...] | None] = {}
         self.factors = factor(modulus).factors if modulus > 1 else ()
         for p, e in self.factors:
             pe = p**e
-            comps, logs = self._build_local(p, e, pe)
+            comps, codes = self._build_local(p, e, pe)
             self.components.extend(comps)
-            self._local_logs.append((pe, logs))
-            codes = bytearray([_NONUNIT_CODE]) * pe
-            for r, xs in logs.items():
-                codes[r] = sum((x % 4) << 2 * j for j, x in enumerate(xs))
-            self._local_codes.append((pe, len(comps), bytes(codes)))
+            self._local.append((pe, comps, bytes(codes)))
 
     @staticmethod
     def _build_local(p: int, e: int, pe: int):
-        if p == 2:
+        """Components of (Z/p^e)^* and its code table, by stepping each generator."""
+        codes = bytearray([_NONUNIT_CODE]) * pe
+        if p == 2 and e <= 2:
+            codes[1] = 0
             if e == 1:
-                return [], {1: ()}
-            if e == 2:
-                return ([CyclicComponent(2, 2, 4, 3, 2)], {1: (0,), 3: (1,)})
+                return (), codes
+            codes[3] = 1
+            return (CyclicComponent(4, 3, 2),), codes
+        if p == 2:
             half = pe >> 2  # order of 5 mod 2^e
-            comps = [CyclicComponent(2, e, pe, pe - 1, 2),
-                     CyclicComponent(2, e, pe, 5, half)]
-            logs: dict[int, tuple[int, ...]] = {}
             v = 1
             for beta in range(half):
-                logs[v] = (0, beta)
-                logs[pe - v] = (1, beta)
+                codes[v] = (beta & 3) << 2
+                codes[pe - v] = (beta & 3) << 2 | 1
                 v = v * 5 % pe
-            return comps, logs
+            return (CyclicComponent(pe, pe - 1, 2), CyclicComponent(pe, 5, half)), codes
         g = _primitive_root(p)
         if e > 1 and pow(g, p - 1, p * p) == 1:
             g += p  # lift to a generator mod p^e
         order = pe // p * (p - 1)
-        logs = {}
         v = 1
         for k in range(order):
-            logs[v] = (k,)
+            codes[v] = k & 3
             v = v * g % pe
-        return [CyclicComponent(p, e, pe, g, order)], logs
-
-    def local_exponents(self, a: int) -> tuple[int, ...] | None:
-        """Exponent vector of a against all components, or None when gcd(a, f) > 1."""
-        if math.gcd(a, self.modulus) != 1:
-            return None
-        out: list[int] = []
-        for pe, logs in self._local_logs:
-            out.extend(logs[a % pe])
-        return tuple(out)
-
-    def local_lift(self, i: int, r: int) -> int:
-        """Element congruent to r modulo the i-th prime power and to 1 modulo the others."""
-        residues = [1] * len(self._local_logs)
-        residues[i] = r
-        return _crt([pe for pe, _ in self._local_logs], residues)
+        return (CyclicComponent(pe, g, order),), codes
 
     @cached_property
     def component_lifts(self) -> tuple[int, ...]:
@@ -150,8 +127,10 @@ class UnitGroup:
 
         The j-th lift has the j-th unit vector as its exponent vector.
         """
-        index = {pe: i for i, (pe, _) in enumerate(self._local_logs)}
-        return tuple(self.local_lift(index[c.modulus], c.generator) for c in self.components)
+        f = self.modulus
+        # (f/pe) * ((f/pe)^-1 mod pe) is 1 mod pe and 0 mod the other prime powers
+        return tuple((1 + (c.generator - 1) * (f // pe) * pow(f // pe, -1, pe)) % f
+                     for pe, comps, _ in self._local for c in comps)
 
     def square_parities(self, D: int) -> tuple[int, ...] | None:
         """Exponent parities q_j mod 2 of every chi with chi^2 = (D|.), or None if none.
@@ -197,19 +176,21 @@ def _reduce(acc: int, n: int) -> bytes:
     return acc.to_bytes(n, "little").translate(_REDUCE)
 
 
-def _crt(moduli: list[int], residues: list[int]) -> int:
-    # moduli are pairwise coprime prime powers
-    x, m = 0, 1
-    for mi, ri in zip(moduli, residues):
-        t = (ri - x) * pow(m, -1, mi) % mi
-        x += m * t
-        m *= mi
-    return x % m
-
-
 @lru_cache(maxsize=None)
 def unit_group(modulus: int) -> UnitGroup:
     return UnitGroup(modulus)
+
+
+@lru_cache(maxsize=None)
+def _code_values(qs: tuple[int, ...]) -> bytes:
+    """values[code] = sum of q_i * x_i mod 4, x_i the i-th two-bit field of the code.
+
+    A prime power has at most two components, so there are at most 21 keys.
+    """
+    values = b"\0"
+    for q in qs:
+        values = bytes((v + q * x) % 4 for x in range(4) for v in values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -227,12 +208,29 @@ class DirichletCharacter:
     def group(self) -> UnitGroup:
         return unit_group(self.modulus)
 
+    @cached_property
+    def _decode(self) -> list[tuple[int, tuple[CyclicComponent, ...], bytes, bytes]]:
+        """Per prime power: (p^e, its components, its code table, values).
+
+        values[code] is the k with chi = i^k at that prime power on the
+        residues of that code; value_exponent, conductor and
+        exponent_table all read chi through these maps.
+        """
+        out, j = [], 0
+        for pe, comps, codes in self.group._local:
+            out.append((pe, comps, codes, _code_values(self.exponents[j:j + len(comps)])))
+            j += len(comps)
+        return out
+
     def value_exponent(self, a: int) -> int | None:
         """k with chi(a) = i^k, or None when chi(a) = 0."""
-        local = self.group.local_exponents(a % self.modulus)
-        if local is None:
-            return None
-        return sum(q * x for q, x in zip(self.exponents, local)) % 4
+        k = 0
+        for pe, _, codes, values in self._decode:
+            code = codes[a % pe]
+            if code == _NONUNIT_CODE:
+                return None
+            k += values[code]
+        return k % 4
 
     def __call__(self, a: int) -> GaussianRational:
         k = self.value_exponent(a)
@@ -262,14 +260,13 @@ class DirichletCharacter:
         p^(j-1) over those = 1 mod p^j, or on the component generators
         for j = 1.
         """
-        grp = self.group
         cond = 1
-        for i, (p, e) in enumerate(grp.factors):
+        for (p, e), (_, comps, codes, values) in zip(self.group.factors, self._decode):
             j = e
             while j > 0:
-                gens = ([1 + p**(j - 1)] if j > 1 else
-                        [c.generator for c in grp.components if c.modulus == p**e])
-                if any(self.value_exponent(grp.local_lift(i, g)) for g in gens):
+                gens = [1 + p**(j - 1)] if j > 1 else [c.generator for c in comps]
+                # chi at the lift of g (g mod p^e, 1 elsewhere) is its local value at g
+                if any(values[codes[g]] for g in gens):
                     break
                 j -= 1
             cond *= p**j
@@ -290,12 +287,8 @@ class DirichletCharacter:
         `_REDUCE` then maps each byte sum to k mod 4 or back to NONUNIT.
         """
         n = self.modulus if length is None else length
-        acc, terms, j = 0, 0, 0
-        for pe, ncomp, codes in self.group._local_codes:
-            qs = self.exponents[j:j + ncomp]
-            j += ncomp
-            values = bytes(sum(q * (c >> 2 * i & 3) for i, q in enumerate(qs)) % 4
-                           for c in range(4**ncomp))
+        acc, terms = 0, 0
+        for pe, _, codes, values in self._decode:
             local = codes.translate(values.ljust(256, bytes([NONUNIT])))
             if terms == _FOLD:
                 acc, terms = int.from_bytes(_reduce(acc, n), "little"), 1

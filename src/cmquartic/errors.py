@@ -1,7 +1,10 @@
 """Exception hierarchy shared by every module.
 
-Exit-code contract of the CLI: DomainError family -> 2,
-ConsistencyError -> 3, verification mismatch -> 1.
+Exit-code contract of the CLI: DomainError family and PrecisionError
+-> 2, ConsistencyError and any unexpected exception -> 3, verification
+mismatch -> 1.  No search takes a budget: a search that fails to settle
+its answer (such as the character selection of a cyclic quartic field)
+is a ConsistencyError.
 """
 
 from __future__ import annotations
@@ -24,12 +27,6 @@ class PrecisionError(CMQuarticError, ArithmeticError):
     """A floating-point result could not be rounded safely."""
 
     code = "E_PRECISION"
-
-
-class AmbiguityError(CMQuarticError):
-    """A search did not narrow down to a unique answer (raise the budget)."""
-
-    code = "E_AMBIGUOUS"
 
 
 class ConsistencyError(CMQuarticError, AssertionError):

@@ -146,21 +146,21 @@ class _Kind(NamedTuple):
     modulus: int  # p runs over the primes > t^2+1 with p = 1 (mod modulus)
     member: Callable  # (a, t) -> the field at a = -p or -2p
     same: Callable  # (Ka, Kb) -> True when both members are one field
-    invariants: Callable  # (K, precision_bits, with_class_number, prime_budget)
+    invariants: Callable  # (K, precision_bits, with_class_number)
 
 
 _KINDS = {
     "biquadratic": _Kind(4, lambda a, t: bq.biquadratic(a, t * t + 1),
                          lambda Ka, Kb: Ka == Kb,
-                         lambda K, bits, h, budget: bq.field_invariants(K, bits, h)),
+                         lambda K, bits, h: bq.field_invariants(K, bits, h)),
     "cyclic": _Kind(2, lambda a, t: cq.CyclicQuarticField(a, t),
                     lambda Ka, Kb: cq.same_field(Ka.s, Kb.s, Ka.t),
-                    lambda K, bits, h, budget: cq.field_invariants(K, bits, h, budget)),
+                    lambda K, bits, h: cq.field_invariants(K, bits, h)),
 }
 
 
 def _pair_report(kind: str, t: int, p: int, precision_bits: int,
-                 with_class_number: bool, prime_budget: int = 200) -> PairReport:
+                 with_class_number: bool) -> PairReport:
     """Verified report for the pair of fields of `kind` at -p and -2p."""
     _require_admissible_t(t)
     m = t * t + 1
@@ -171,8 +171,8 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
         raise DomainError(f"p = {p} is inadmissible for t = {t}: need {need}",
                           code="E_PRIME_INADMISSIBLE")
     Ka, Kb = member(-p, t), member(-2 * p, t)
-    inv_a = invariants(Ka, precision_bits, with_class_number, prime_budget)
-    inv_b = invariants(Kb, precision_bits, with_class_number, prime_budget)
+    inv_a = invariants(Ka, precision_bits, with_class_number)
+    inv_b = invariants(Kb, precision_bits, with_class_number)
     residue_a = residue_b = None
     if with_class_number:
         residue_a = dedekind_residue(inv_a, precision_bits)
@@ -204,20 +204,18 @@ def biquadratic_pair_report(t: int, p: int, precision_bits: int = 128,
 
 
 def cyclic_pair_report(t: int, p: int, precision_bits: int = 128,
-                       with_class_number: bool = False,
-                       prime_budget: int = 200) -> PairReport:
+                       with_class_number: bool = False) -> PairReport:
     """Verified report for the pair (K(-p, t), K(-2p, t))."""
-    return _pair_report("cyclic", t, p, precision_bits, with_class_number, prime_budget)
+    return _pair_report("cyclic", t, p, precision_bits, with_class_number)
 
 
 def _family_reports(kind: str, t: int, count: int, precision_bits: int,
-                    with_class_number: bool, jobs: int,
-                    prime_budget: int = 200) -> list[PairReport]:
+                    with_class_number: bool, jobs: int) -> list[PairReport]:
     _require_admissible_t(t)
     if count < 0:
         raise DomainError(f"count {count} must be nonnegative")
     primes = primes_in_progression(t * t + 2, _KINDS[kind].modulus, 1, count)
-    args = (precision_bits, with_class_number, prime_budget)
+    args = (precision_bits, with_class_number)
     if jobs > 1 and len(primes) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_pair_report, kind, t, p, *args) for p in primes]
@@ -232,11 +230,9 @@ def biquadratic_family(t: int, count: int, precision_bits: int = 128,
 
 
 def cyclic_family(t: int, count: int, precision_bits: int = 128,
-                  with_class_number: bool = False, jobs: int = 1,
-                  prime_budget: int = 200) -> list[PairReport]:
+                  with_class_number: bool = False, jobs: int = 1) -> list[PairReport]:
     """First `count` pairs (K(-p, t), K(-2p, t)) over odd primes p > t^2+1."""
-    return _family_reports("cyclic", t, count, precision_bits, with_class_number, jobs,
-                           prime_budget)
+    return _family_reports("cyclic", t, count, precision_bits, with_class_number, jobs)
 
 
 def same_regulator_family(kind: str, t: int, count: int,

@@ -140,14 +140,6 @@ def test_determinism_byte_identical(capsys):
     assert fam1 == fam2
 
 
-def test_prime_budget_reaches_pair_and_family(capsys):
-    for argv in (("pair", "cyclic", "--t", "5", "--p", "29"),
-                 ("family", "cyclic", "--t", "5", "--count", "1")):
-        code, out = run_cli(capsys, *argv, "--with-class-number", "--prime-budget", "3")
-        assert code == 2
-        assert json.loads(out)["error"]["code"] == "E_AMBIGUOUS"
-
-
 def test_target_regulator_rejects_non_finite_M(capsys):
     for M in ("nan", "inf"):
         code, out = run_cli(capsys, "target-regulator", "--M", M)

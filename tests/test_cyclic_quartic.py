@@ -1,10 +1,14 @@
+import json
 import math
 
 import mpmath
 import pytest
 
+from cmquartic import cli, families
+from cmquartic import cyclic_quartic as cq
 from cmquartic.arith import count_roots_mod_p, factor, is_prime, is_squarefree, kronecker
 from cmquartic.cyclic_quartic import (
+    CHECK_BOUND,
     CyclicQuarticField,
     associated_quartic_character,
     class_number,
@@ -246,6 +250,53 @@ def test_character_soundness_against_root_counts():
                 assert nroots in (0, 2), (s, t, p)
             # chi^2 is the quadratic character of the real subfield
             assert kronecker(dplus, p) == (1 if k in (0, 2) else -1), (s, t, p)
+
+
+def test_wrong_split_after_the_pair_is_settled_is_an_internal_error(monkeypatch, capsys):
+    # K(-3,35) is down to one conjugate pair well before 197; a root count
+    # that contradicts it there leaves no candidate
+    def wrong_at_197(s, t, p):
+        n = count_roots_mod_p(s, t, p)
+        return (0 if n == 4 else 4) if p == 197 else n
+
+    monkeypatch.setattr(cq, "count_roots_mod_p", wrong_at_197)
+    code = cli.main(["invariants", "cyclic", "-s", "-3", "-t", "35", "--with-class-number"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 3
+    assert error["code"] == "E_INTERNAL"
+    assert "K(-3,35) left 0 candidates" in error["message"]
+
+
+def test_selection_runs_past_a_low_check_bound(monkeypatch):
+    # with the bound at 3 the loop goes on only while two pairs are left
+    tested = []
+
+    def counting(s, t, p):
+        tested.append(p)
+        return count_roots_mod_p(s, t, p)
+
+    monkeypatch.setattr(cq, "count_roots_mod_p", counting)
+    monkeypatch.setattr(cq, "CHECK_BOUND", 3)
+    rep = families.cyclic_pair_report(5, 29, with_class_number=True)
+    assert (rep.class_a, rep.class_b) == (360, 1352)
+    assert 3 < max(tested) < 200
+
+
+@pytest.mark.parametrize("s, t, checked", [(-817, 157, 257), (-367, 19, 256), (-3, 35, 256)])
+def test_character_splitting_above_the_check_bound(s, t, checked):
+    # chi(p) = 1 exactly when the defining polynomial splits into linear
+    # factors mod p, for primes the selection never tested
+    sympy = pytest.importorskip("sympy")
+    chi = associated_quartic_character(CyclicQuarticField(s, t))
+    x = sympy.Symbol("x")
+    poly = sum(c * x**(4 - i) for i, c in enumerate(defining_polynomial(s, t)))
+    excluded = 2 * abs(s * t) * (t * t + 1) * chi.modulus
+    primes = [p for p in sympy.primerange(CHECK_BOUND + 1, 2000) if excluded % p]
+    for p in primes:
+        _, factors = sympy.Poly(poly, x, modulus=p).factor_list()
+        linear = sum(e for f, e in factors if f.degree() == 1)
+        assert (chi.value_exponent(p) == 0) == (linear == 4), (s, t, p)
+    assert len(primes) == checked
 
 
 def test_relative_class_number_cyclotomic():

@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -18,12 +20,39 @@ from cmquartic.dirichlet import (
 from cmquartic.errors import DomainError
 
 
+@lru_cache(maxsize=None)
+def stepped_logs(f: int) -> dict[int, tuple[int, ...]]:
+    """Exponent vector of every unit mod f, found by stepping each component generator.
+
+    Each generator is lifted to f by search (itself modulo its prime
+    power, 1 modulo the rest of f) and multiplied through its order over
+    the elements reached so far; nothing here reads the code tables.
+    """
+    logs = {1 % f: ()}
+    for c in unit_group(f).components:
+        rest = f // c.modulus
+        lift = next(x for x in range(c.generator, f, c.modulus) if x % rest == 1 % rest)
+        stepped = {}
+        for a, xs in logs.items():
+            for k in range(c.order):
+                stepped[a] = xs + (k,)
+                a = a * lift % f
+        logs = stepped
+    return logs
+
+
+def reference_exponent(chi: DirichletCharacter, a: int) -> int | None:
+    """k with chi(a) = i^k from the stepped logs, or None when gcd(a, f) > 1."""
+    xs = stepped_logs(chi.modulus).get(a % chi.modulus)
+    return None if xs is None else sum(q * x for q, x in zip(chi.exponents, xs)) % 4
+
+
 def reference_B1(chi: DirichletCharacter) -> GaussianRational:
-    """B_{1,chi} = (1/f) sum_{a<f} a chi(a), one value_exponent call per residue."""
+    """B_{1,chi} = (1/f) sum_{a<f} a chi(a), one stepped log per residue."""
     f = chi.modulus
     sums = [0, 0, 0, 0]
     for a in range(1, f):
-        k = chi.value_exponent(a)
+        k = reference_exponent(chi, a)
         if k is not None:
             sums[k] += a
     return GaussianRational(Fraction(sums[0] - sums[2], f), Fraction(sums[1] - sums[3], f))
@@ -33,7 +62,7 @@ def reference_conductor(chi: DirichletCharacter) -> int:
     """Smallest divisor d of the modulus with chi(a) = 1 for every unit a = 1 mod d."""
     f = chi.modulus
     for d in (d for d in range(1, f + 1) if f % d == 0):
-        if all(chi.value_exponent(a) == 0
+        if all(reference_exponent(chi, a) == 0
                for a in range(1 + d, f, d) if math.gcd(a, f) == 1):
             return d
 
@@ -79,22 +108,25 @@ def test_unit_group_structure():
 
 
 def test_discrete_logs_reproduce_elements():
-    for f in (5, 8, 15, 16, 21, 24, 80, 240):
-        grp = unit_group(f)
-        for a in range(1, f):
-            if math.gcd(a, f) != 1:
-                assert grp.local_exponents(a) is None
-                continue
-            exps = grp.local_exponents(a)
-            # rebuild a component-wise inside each prime power
-            idx = 0
-            for pe, _ in grp._local_logs:
-                comps = [c for c in grp.components if c.modulus == pe]
-                val = 1
-                for c in comps:
-                    val = val * pow(c.generator, exps[idx], pe) % pe
-                    idx += 1
-                assert val == a % pe, (f, a)
+    # the stepped logs reach every unit once; chi read from the code tables
+    # agrees with them on every residue, for every character
+    for f in (1, 2, 4, 5, 8, 9, 15, 16, 21, 24, 27, 80, 240, 1029):
+        units = [a for a in range(f) if math.gcd(a, f) == 1]
+        assert sorted(stepped_logs(f)) == units, f
+        for chi in characters_of_order_dividing_4(f):
+            for a in range(f):
+                assert chi.value_exponent(a) == reference_exponent(chi, a), (f, chi.exponents, a)
+
+
+def test_unit_group_keeps_one_byte_per_residue():
+    tracemalloc.start()
+    try:
+        grp = dirichlet.UnitGroup(2 * 100003)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(c.modulus, c.order) for c in grp.components] == [(100003, 100002)]
+    assert peak < 2_000_000, peak
 
 
 def test_character_values_multiplicative():
@@ -239,7 +271,7 @@ def test_component_lifts_and_square_parities():
         grp = unit_group(f)
         n = len(grp.components)
         for j, g in enumerate(grp.component_lifts):
-            assert grp.local_exponents(g) == tuple(int(i == j) for i in range(n))
+            assert stepped_logs(f)[g] == tuple(int(i == j) for i in range(n))
         for D in (5, 8, -4, 13, 104, 40):
             for chi in characters_of_order_dividing_4(f):
                 # chi^2 = (D|.) at every component lift, value by value
