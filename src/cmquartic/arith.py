@@ -88,6 +88,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True  # no prime factor <= 37, so none at all
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
@@ -227,7 +229,8 @@ def count_roots_mod_p(s: int, t: int, p: int) -> int:
     """Roots of X^4 - 2s(t^2+1)X^2 + s^2 t^2 (t^2+1) modulo an odd prime p.
 
     Counted without multiplicity by direct evaluation; p is capped at 10^6
-    because only small auxiliary primes are ever needed.
+    because only small auxiliary primes are ever needed.  The polynomial
+    is even, so x and -x are evaluated once, for 0 <= x <= (p-1)/2.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise DomainError(f"p = {p} is not an odd prime", precondition="p odd prime")
@@ -236,11 +239,11 @@ def count_roots_mod_p(s: int, t: int, p: int) -> int:
     m = t * t + 1
     c2 = (-2 * s * m) % p
     c0 = (s * s * t * t * m) % p
-    count = 0
-    for x in range(p):
+    count = int(c0 == 0)
+    for x in range(1, (p + 1) // 2):
         x2 = x * x % p
         if (x2 * (x2 + c2) + c0) % p == 0:
-            count += 1
+            count += 2
     return count
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .arith import (ROOT_COUNT_CAP, Factorization, count_roots_mod_p, factor, is_prime,
                     squarefree_part)
@@ -202,6 +202,19 @@ def _conductor_of_quartic_character(K: CyclicQuarticField) -> int:
 CHECK_BOUND = 200
 
 
+@lru_cache(maxsize=None)
+def _odd_primes_to(bound: int) -> tuple[int, ...]:
+    return tuple(p for p in range(3, bound + 1, 2) if is_prime(p))
+
+
+def _check_primes():
+    """The odd primes below ROOT_COUNT_CAP in ascending order, those up to CHECK_BOUND cached."""
+    yield from _odd_primes_to(CHECK_BOUND)
+    for p in range((CHECK_BOUND + 1) | 1, ROOT_COUNT_CAP, 2):
+        if is_prime(p):
+            yield p
+
+
 def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     """The order-4 character cutting out K(s,t), up to complex conjugation.
 
@@ -217,17 +230,15 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     """
     s, t = K.s, K.t
     fchi = _conductor_of_quartic_character(K)
-    dplus = K.kplus.fund_disc
-    cands = [chi for chi in characters_of_order_dividing_4(fchi)
-             if chi.order == 4 and chi.squares_to_kronecker(dplus)
-             and chi.is_odd() and chi.conductor() == fchi]
+    cands = [chi for chi in characters_of_order_dividing_4(fchi, K.kplus.fund_disc)
+             if chi.order == 4 and chi.is_odd() and chi.conductor() == fchi]
     excluded = 2 * abs(s) * abs(t) * (t * t + 1) * fchi
-    p = 3
-    while cands and (p <= CHECK_BOUND or len(cands) > 2) and p < ROOT_COUNT_CAP:
-        if excluded % p and is_prime(p):
+    for p in _check_primes():
+        if not cands or (p > CHECK_BOUND and len(cands) <= 2):
+            break
+        if excluded % p:
             splits = count_roots_mod_p(s, t, p) == 4
             cands = [chi for chi in cands if (chi.value_exponent(p) == 0) == splits]
-        p += 2
     if len(cands) != 2:
         raise ConsistencyError(
             f"character selection for {K.label()} left {len(cands)} candidates "

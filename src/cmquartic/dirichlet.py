@@ -6,14 +6,18 @@ deterministic generators (smallest primitive roots; -1 and 5 for the
 component, so every value is a power of i and all downstream sums stay
 in Q(i) exactly.
 
-B1 sums never visit residues one by one in Python: a character's
-exponents for a < f/2 are one `bytes` table, built from the small
-per-prime-power tables by repetition (CRT periodicity) and big-integer
-addition, and each class sum is read off with `bytes.count`.
+B1 sums never visit residues one by one in Python.  The modulus f is
+split by CRT into coprime parts m * n, chi into psi (mod m) times lambda
+(mod n), and each part's exponents are one small `bytes` table, built
+from the per-prime-power code tables by repetition (CRT periodicity) and
+big-integer addition.  The Python loop runs over the units of the
+smaller part m; the prefix class counts of lambda between consecutive
+points are read with `bytes.count`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,22 +149,6 @@ class UnitGroup:
                                         else tuple(int(k < 0) for k in signs))
         return self._square_parities[D]
 
-    def quarter_exponent_choices(self) -> list[tuple[int, ...]]:
-        """All admissible quarter-turn vectors: q_j * order_j = 0 (mod 4)."""
-        pools: list[tuple[int, ...]] = []
-        for comp in self.components:
-            if comp.order % 4 == 0:
-                pools.append((0, 1, 2, 3))
-            elif comp.order % 2 == 0:
-                pools.append((0, 2))
-            else:
-                pools.append((0,))
-        out: list[tuple[int, ...]] = [()]
-        for pool in pools:
-            out = [v + (q,) for v in out for q in pool]
-        return out
-
-
 #: exponent-table byte of a residue that shares a factor with the modulus
 NONUNIT = 28
 #: code-table byte of a non-unit; codes of units are below 4**2
@@ -272,34 +260,50 @@ class DirichletCharacter:
             cond *= p**j
         return cond
 
-    def squares_to_kronecker(self, D: int) -> bool:
-        """chi^2 equals the quadratic character (D|.) on (Z/modulus)^*."""
-        parities = self.group.square_parities(D)
-        return parities is not None and all(
-            q % 2 == b for q, b in zip(self.exponents, parities))
-
-    def exponent_table(self, length: int | None = None) -> bytes:
-        """Byte a is k with chi(a) = i^k, or NONUNIT when chi(a) = 0, for 0 <= a < length.
-
-        `length` defaults to the modulus.  The table is the byte-wise sum
-        of each prime power's local table repeated with period p^e (CRT),
-        taken as one big-integer addition of up to _FOLD tables at a time;
-        `_REDUCE` then maps each byte sum to k mod 4 or back to NONUNIT.
-        """
-        n = self.modulus if length is None else length
-        acc, terms = 0, 0
-        for pe, _, codes, values in self._decode:
-            local = codes.translate(values.ljust(256, bytes([NONUNIT])))
-            if terms == _FOLD:
-                acc, terms = int.from_bytes(_reduce(acc, n), "little"), 1
-            acc += int.from_bytes(memoryview(local * -(-n // pe))[:n], "little")
-            terms += 1
-        return _reduce(acc, n)
+    def exponent_table(self) -> bytes:
+        """Byte a is k with chi(a) = i^k, or NONUNIT when chi(a) = 0, for 0 <= a < modulus."""
+        return _exponent_table(self._decode)
 
 
-def characters_of_order_dividing_4(modulus: int) -> list[DirichletCharacter]:
+def _exponent_table(parts) -> bytes:
+    """Exponent table of chi on some of its prime powers, over 0 <= a < their product n.
+
+    The table is the byte-wise sum of each prime power's local table
+    repeated with period p^e (CRT), taken as one big-integer addition of
+    up to _FOLD tables at a time; `_REDUCE` then maps each byte sum to
+    k mod 4 or back to NONUNIT.  With no prime powers, n = 1 and the one
+    residue 0 is a unit.
+    """
+    n = math.prod(pe for pe, *_ in parts)
+    acc, terms = 0, 0
+    for pe, _, codes, values in parts:
+        local = codes.translate(values.ljust(256, bytes([NONUNIT])))
+        if terms == _FOLD:
+            acc, terms = int.from_bytes(_reduce(acc, n), "little"), 1
+        acc += int.from_bytes(local * (n // pe), "little")
+        terms += 1
+    return _reduce(acc, n)
+
+
+def characters_of_order_dividing_4(modulus: int,
+                                   D: int | None = None) -> list[DirichletCharacter]:
+    """All characters with chi^4 = 1, or with D only those with chi^2 = (D|.).
+
+    A quarter-turn exponent q_j is admissible when q_j * order_j = 0
+    (mod 4); with D, its parity is also fixed by `square_parities(D)`, so
+    at most 2 of the 4 choices remain per component.  Exponent vectors
+    come in lexicographic order.
+    """
     grp = unit_group(modulus)
-    return [DirichletCharacter(modulus, exps) for exps in grp.quarter_exponent_choices()]
+    parities = None if D is None else grp.square_parities(D)
+    if D is not None and parities is None:
+        return []
+    vectors: list[tuple[int, ...]] = [()]
+    for j, comp in enumerate(grp.components):
+        step = 1 if comp.order % 4 == 0 else 2 if comp.order % 2 == 0 else 4
+        pool = [q for q in range(0, 4, step) if parities is None or q % 2 == parities[j]]
+        vectors = [v + (q,) for v in vectors for q in pool]
+    return [DirichletCharacter(modulus, v) for v in vectors]
 
 
 def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
@@ -307,8 +311,17 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
 
     Defined here only for odd characters; for even nontrivial characters
     the sum vanishes and the caller is told so instead of receiving 0.
-    An odd chi has chi(f - a) = -chi(a), so the sum is the half sum
-    sum_{a<f/2} (2a - f) chi(a), read from the exponent table of a < f/2.
+
+    With f = m * n, m and n coprime, chi = psi * lambda for psi mod m and
+    lambda mod n.  Write a = x + m*y with x < m, y < n, and let
+    c_x = x * m^-1 mod n, P(c) = sum_{u<c} lambda(u), S0 = sum_{u<n} lambda(u).
+    Since lambda(x + m*y) = lambda(m) * lambda(y + c_x),
+
+        f * B1(chi) = lambda(m) * sum_x psi(x) * (m*n*P(c_x) + S0*(x - m*c_x) + m*n*B1(lambda)),
+
+    and the last term drops because psi is chosen nontrivial, so that
+    sum_x psi(x) = 0.  S0 is 0 unless lambda is trivial.  No split (n = 1)
+    leaves sum_x psi(x) * x.
     """
     if chi.order == 1:
         raise DomainError("B1 of the trivial character is not supported",
@@ -316,30 +329,57 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     if not chi.is_odd():
         raise DomainError("B1 vanishes for even nontrivial characters",
                           precondition="chi odd")
-    f = chi.modulus
-    counts, sums = _class_sums(chi.exponent_table((f + 1) // 2))
-    half = [2 * s - f * c for s, c in zip(sums, counts)]
-    return GaussianRational(Fraction(half[0] - half[2], f),
-                            Fraction(half[1] - half[3], f))
+    side = _loop_side(chi._decode)
+    psi = _exponent_table(side)
+    lam = _exponent_table([part for part in chi._decode if part not in side])
+    m, n = len(psi), len(lam)
+    mbar = pow(m, -1, n)
+    # points (c_x, k) with psi(x) = i^k, sorted by c_x; shift[k] sums x - m*c_x
+    points, shift = [], [0, 0, 0, 0]
+    for x, k in enumerate(psi):
+        if k < 4:
+            c = x * mbar % n
+            points.append(c << 2 | k)
+            shift[k] += x - m * c
+    points.sort()
+    # n_j counts the u < c with lambda(u) = i^j, so P(c) = n0 - n2 + i*(n1 - n3);
+    # re[k] + i*im[k] sums P(c_x) over the x with psi(x) = i^k
+    re, im, prev = [0, 0, 0, 0], [0, 0, 0, 0], 0
+    n0 = n1 = n2 = n3 = 0
+    for point in points:
+        c, k = point >> 2, point & 3
+        n0 += lam.count(0, prev, c)
+        n1 += lam.count(1, prev, c)
+        n2 += lam.count(2, prev, c)
+        n3 += lam.count(3, prev, c)
+        re[k] += n0 - n2
+        im[k] += n1 - n3
+        prev = c
+    # sum_x psi(x) P(c_x) = sum_k i^k (re[k] + i*im[k]), by powers of i
+    total = [re[k] + im[k - 1] for k in range(4)]
+    s0 = _gaussian([lam.count(j) for j in range(4)])
+    return I_POWERS[lam[m % n]] * (_gaussian(total) + s0 * _gaussian(shift, chi.modulus))
 
 
-def _class_sums(table: bytes) -> tuple[list[int], list[int]]:
-    """(counts, sums): how many a have table[a] == k, and their sum, for k = 0..3.
+def _gaussian(classes: list[int], denominator: int = 1) -> GaussianRational:
+    """sum_k classes[k] * i^k / denominator."""
+    return GaussianRational(Fraction(classes[0] - classes[2], denominator),
+                            Fraction(classes[1] - classes[3], denominator))
 
-    The table is read as a grid w = isqrt(len) bytes wide, a = row + col
-    with row a multiple of w: each row and each strided column is
-    counted by `bytes.count`, so no residue is touched by Python code.
+
+def _loop_side(parts):
+    """The prime powers of m in the split f = m * n that bernoulli_B1 loops over.
+
+    psi must be nontrivial on m.  Among such sides the split nearest
+    sqrt(f), the least max(m, n), is taken, and of its two sides the
+    smaller m, so the Python loop runs over the smaller side.
     """
-    n = len(table)
-    w = max(1, math.isqrt(n))
-    counts, sums = [0, 0, 0, 0], [0, 0, 0, 0]
-    for row in range(0, n, w):
-        for k in range(4):
-            c = table.count(k, row, row + w)
-            counts[k] += c
-            sums[k] += row * c
-    for col in range(1, w):
-        column = table[col::w]
-        for k in range(4):
-            sums[k] += col * column.count(k)
-    return counts, sums
+    f = math.prod(pe for pe, *_ in parts)
+
+    def size(side) -> tuple[int, int]:
+        m = math.prod(pe for pe, *_ in side)
+        return max(m, f // m), m
+
+    return min((side for r in range(1, len(parts) + 1)
+                for side in itertools.combinations(parts, r)
+                if any(any(values) for *_, values in side)), key=size)

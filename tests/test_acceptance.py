@@ -5,8 +5,13 @@ enforces the stated tolerances and runtime budgets exactly.
 """
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -183,3 +188,32 @@ def test_criterion_11_large_cyclic_pair_class_numbers(capsys):
         assert (payload["field_a"], payload["field_b"]) == ("K(-1229,35)", "K(-2458,35)")
         assert (payload["class_a"], payload["class_b"]) == ("2917160", "3813800")
         assert payload["distinct"] and payload["disc_equal"] and payload["reg_equal"]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("t, p, golden, seconds, megabytes", [
+    (101, 10303, "pair_cyclic_t101_p10303_h_json", 5.0, 100),
+    (5, 1000003, "pair_cyclic_p1000003_h_json", 3.0, 150),
+], ids=["t101_p10303", "t5_p1000003"])
+def test_criterion_12_large_conductor_pairs_in_bounded_time_and_memory(t, p, golden, seconds,
+                                                                      megabytes):
+    # one fresh process per pair, so its peak resident set is its own
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = ["pair", "cyclic", "--t", str(t), "--p", str(p), "--with-class-number"]
+    f = 8 * p * (t * t + 1)
+    with criterion(12, f"cyclic pair t={t}, p={p} (f = {f:,}) as golden, "
+                       f"under {megabytes} MB peak RSS", seconds), \
+            tempfile.TemporaryFile() as out:
+        proc = subprocess.Popen([sys.executable, "-m", "cmquartic.cli", *argv],
+                                stdout=out, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        assert proc.returncode == 0
+        assert out.read().decode() == (GOLDEN / f"{golden}.stdout").read_text()
+        peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+        assert peak_mb < megabytes, f"peak RSS {peak_mb:.1f} MB"

@@ -24,7 +24,7 @@ from cmquartic.cyclic_quartic import (
     same_field,
     two_adic_distinctness,
 )
-from cmquartic.dirichlet import DirichletCharacter
+from cmquartic.dirichlet import DirichletCharacter, characters_of_order_dividing_4, unit_group
 from cmquartic.errors import DomainError
 from cmquartic.quadratic import class_number_real
 
@@ -297,6 +297,27 @@ def test_character_splitting_above_the_check_bound(s, t, checked):
         linear = sum(e for f, e in factors if f.degree() == 1)
         assert (chi.value_exponent(p) == 0) == (linear == 4), (s, t, p)
     assert len(primes) == checked
+
+
+def test_parity_first_candidates_match_the_full_filter_on_the_benchmark_pool():
+    # the cyclic-pairs benchmark pool: K(-p, t) and K(-2p, t) for the first
+    # 20 (t = 5) and 12 (t = 11, 13) odd primes p > t^2+1; the full filter
+    # keeps, of all 4^k characters, those whose exponent parities square to
+    # the quadratic character of K+
+    fields = 0
+    for t, count in ((5, 20), (11, 12), (13, 12)):
+        primes = [p for p in range(t * t + 2, 10**4) if p % 2 and is_prime(p)][:count]
+        for s in (sign * p for p in primes for sign in (-1, -2)):
+            K = CyclicQuarticField(s, t)
+            fchi = cq._conductor_of_quartic_character(K)
+            D = K.kplus.fund_disc
+            parities = unit_group(fchi).square_parities(D)
+            full = [chi for chi in characters_of_order_dividing_4(fchi)
+                    if parities is not None
+                    and all(q % 2 == b for q, b in zip(chi.exponents, parities))]
+            assert characters_of_order_dividing_4(fchi, D) == full, K.label()
+            fields += 1
+    assert fields == 88
 
 
 def test_relative_class_number_cyclotomic():

@@ -58,6 +58,44 @@ def reference_B1(chi: DirichletCharacter) -> GaussianRational:
     return GaussianRational(Fraction(sums[0] - sums[2], f), Fraction(sums[1] - sums[3], f))
 
 
+def _class_sums(table: bytes) -> tuple[list[int], list[int]]:
+    """(counts, sums): how many a have table[a] == k, and their sum, for k = 0..3.
+
+    The table is read as a grid w = isqrt(len) bytes wide, a = row + col
+    with row a multiple of w: each row and each strided column is
+    counted by `bytes.count`.
+    """
+    n = len(table)
+    w = max(1, math.isqrt(n))
+    counts, sums = [0, 0, 0, 0], [0, 0, 0, 0]
+    for row in range(0, n, w):
+        for k in range(4):
+            c = table.count(k, row, row + w)
+            counts[k] += c
+            sums[k] += row * c
+    for col in range(1, w):
+        column = table[col::w]
+        for k in range(4):
+            sums[k] += col * column.count(k)
+    return counts, sums
+
+
+def grid_B1(chi: DirichletCharacter) -> GaussianRational:
+    """O(f) oracle: the half sum sum_{a<f/2} (2a - f) chi(a) of an odd chi, read off
+    the exponent table of a < f/2 on a grid."""
+    f = chi.modulus
+    counts, sums = _class_sums(chi.exponent_table()[:(f + 1) // 2])
+    half = [2 * s - f * c for s, c in zip(sums, counts)]
+    return GaussianRational(Fraction(half[0] - half[2], f), Fraction(half[1] - half[3], f))
+
+
+def squares_to_kronecker(chi: DirichletCharacter, D: int) -> bool:
+    """chi^2 equals the quadratic character (D|.) on (Z/modulus)^*, by exponent parities."""
+    parities = chi.group.square_parities(D)
+    return parities is not None and all(
+        q % 2 == b for q, b in zip(chi.exponents, parities))
+
+
 def reference_conductor(chi: DirichletCharacter) -> int:
     """Smallest divisor d of the modulus with chi(a) = 1 for every unit a = 1 mod d."""
     f = chi.modulus
@@ -184,8 +222,8 @@ def test_conductor_of_induced_character():
 def test_squares_to_kronecker():
     # chi mod 5 of order 4 squares to the Legendre symbol mod 5 = kronecker(5, .)
     chi = DirichletCharacter(5, (1,))
-    assert chi.squares_to_kronecker(5)
-    assert not chi.squares_to_kronecker(40)
+    assert squares_to_kronecker(chi, 5)
+    assert not squares_to_kronecker(chi, 40)
 
 
 def test_character_order_and_conjugate():
@@ -201,10 +239,11 @@ def test_character_order_and_conjugate():
 
 
 def test_bernoulli_table_matches_per_term_sum():
+    # imprimitive characters, and splits with a trivial lambda, included
     checked = 0
     for f in B1_MODULI:
         for chi in odd_nontrivial(f):
-            assert bernoulli_B1(chi) == reference_B1(chi), (f, chi.exponents)
+            assert bernoulli_B1(chi) == reference_B1(chi) == grid_B1(chi), (f, chi.exponents)
             checked += 1
     assert checked == 292
 
@@ -217,7 +256,6 @@ def test_exponent_table_is_value_exponent():
             for a in range(f):
                 k = chi.value_exponent(a)
                 assert table[a] == (NONUNIT if k is None else k), (f, chi.exponents, a)
-            assert chi.exponent_table(f // 3) == table[:f // 3]
 
 
 def test_exponent_table_folds_in_stages(monkeypatch):
@@ -256,7 +294,7 @@ def test_bernoulli_eight_prime_powers():
     for p in (2, 3, 7, 11, 13, 19):
         assert primitive(p) != I_POWERS[0]
         expected = expected * (I_POWERS[0] + I_POWERS[2] * primitive(p))
-    assert bernoulli_B1(chi) == expected
+    assert bernoulli_B1(chi) == expected == grid_B1(chi)
 
 
 def test_conductor_matches_divisor_scan():
@@ -277,4 +315,41 @@ def test_component_lifts_and_square_parities():
                 # chi^2 = (D|.) at every component lift, value by value
                 expected = all(I_POWERS[2 * chi.value_exponent(g) % 4].re == kronecker(D, g)
                                for g in grp.component_lifts)
-                assert chi.squares_to_kronecker(D) == expected, (f, D, chi.exponents)
+                assert squares_to_kronecker(chi, D) == expected, (f, D, chi.exponents)
+            # the parity-first enumeration keeps exactly these characters, in order
+            assert characters_of_order_dividing_4(f, D) == [
+                chi for chi in characters_of_order_dividing_4(f) if squares_to_kronecker(chi, D)]
+
+
+#: prime powers the random moduli are built from, by prime
+_PRIME_POWERS = {2: (2, 4, 8, 16, 32), 3: (3, 9, 27), 5: (5, 25), 7: (7, 49),
+                 11: (11,), 13: (13,), 17: (17,), 29: (29,), 37: (37,)}
+
+
+def test_split_B1_matches_reference_on_random_moduli():
+    # random composite moduli and random odd characters on them, many of
+    # them imprimitive or trivial at some prime power, so that psi or lambda
+    # of the split can be trivial
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    trivial_parts = []
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        primes = data.draw(st.lists(st.sampled_from(sorted(_PRIME_POWERS)),
+                                    min_size=2, max_size=4, unique=True))
+        f = math.prod(data.draw(st.sampled_from(_PRIME_POWERS[p])) for p in primes)
+        hypothesis.assume(f <= 20_000)
+        exps = tuple(data.draw(st.sampled_from((0, 1, 2, 3) if c.order % 4 == 0 else (0, 2)))
+                     for c in unit_group(f).components)
+        chi = DirichletCharacter(f, exps)
+        hypothesis.assume(chi.order > 1 and chi.is_odd())
+        try:
+            assert bernoulli_B1(chi) == reference_B1(chi) == grid_B1(chi), (f, exps)
+        finally:
+            stepped_logs.cache_clear()
+        trivial_parts.append(not all(any(values) for *_, values in chi._decode))
+
+    check()
+    assert any(trivial_parts) and not all(trivial_parts)
