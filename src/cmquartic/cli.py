@@ -1,10 +1,13 @@
 """Command-line surface.
 
 Subcommands: invariants, pair, family, sieve-t, target-regulator,
-verify-examples.  JSON output is canonical (sorted keys, big integers as
-decimal strings) and byte-identical across runs with the same flags;
-stage timings are only attached when explicitly requested, since they
-would break that determinism.
+verify-examples.  Each accepts only the flags it acts on.  A command
+returns its records (the library's `PairReport`s, `SieveReport` and
+`FieldInvariants`) with their CSV rows; `main` writes them.  One
+serializer, `_data`, turns every record into canonical JSON data (sorted
+keys, big integers as decimal strings), so output is byte-identical
+across runs with the same flags; stage timings are only attached when
+explicitly requested, since they would break that determinism.
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error,
 3 internal consistency error.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import dataclasses
 import json
 import sys
 import time
@@ -25,7 +28,6 @@ from . import biquadratic as bq
 from . import cyclic_quartic as cq
 from . import families
 from .arith import Factorization
-from .cmfield import FieldInvariants
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .precision import HighPrecReal
 
@@ -34,212 +36,110 @@ SCHEMA_VERSION = "cmq/1"
 CSV_FAMILY_COLUMNS = ("p", "disc_factored", "regulator", "distinct", "disc_equal",
                       "reg_equal", "h_a", "h_b")
 
-# paper-reported target values for verify-examples, and each member's invariants
+# paper-reported target values for verify-examples, and each pair's members
 _EXPECTED = (
-    {"disc": 2**8 * 3**2 * 5**2 * 7**2, "regulator": "3.6368929", "class_number": 32,
-     "label": "B({},{})", "members": ((-21, 10), (-42, 10)),
-     "invariants": lambda a, b, args: bq.field_invariants(
-         bq.biquadratic(a, b), args.precision_bits, True)},
-    {"disc": 2**11 * 3**2 * 613**3, "regulator": "8.4973985", "class_number": 19400,
-     "label": "K({},{})", "members": ((-3, 35), (-6, 35)),
-     "invariants": lambda s, t, args: cq.field_invariants(
-         cq.CyclicQuarticField(s, t), args.precision_bits, True)},
+    {"kind": "biquad", "label": "B({},{})", "members": ((-21, 10), (-42, 10)),
+     "disc": 2**8 * 3**2 * 5**2 * 7**2, "regulator": "3.6368929", "class_number": 32},
+    {"kind": "cyclic", "label": "K({},{})", "members": ((-3, 35), (-6, 35)),
+     "disc": 2**11 * 3**2 * 613**3, "regulator": "8.4973985", "class_number": 19400},
 )
 
 
-def _fact_payload(f: Factorization) -> dict:
-    return {
-        "sign": str(f.sign),
-        "factors": [[str(p), str(e)] for p, e in f.factors],
-        "value": str(f.value()),
-        "pretty": str(f),
-    }
+def _data(x):
+    """Canonical JSON data of a record; a type without a cmq/1 form is a TypeError."""
+    if isinstance(x, Factorization):
+        return {"sign": str(x.sign), "factors": _data(x.factors),
+                "value": str(x.value()), "pretty": str(x)}
+    if isinstance(x, HighPrecReal):
+        return {"value": x.to_decimal(), "error_bound": mpmath.nstr(x.error_bound, 3),
+                "precision_bits": x.precision_bits}
+    if dataclasses.is_dataclass(x):
+        return {f.name: _data(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {key: _data(value) for key, value in x.items()}
+    if isinstance(x, (bool, str)) or x is None:
+        return x
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, tuple):
+        return [_data(item) for item in x]
+    raise TypeError(f"{type(x).__name__} has no cmq/1 form")
 
 
-def _real_payload(r: HighPrecReal) -> dict:
-    return {
-        "value": r.to_decimal(),
-        "error_bound": mpmath.nstr(r.error_bound, 3),
-        "precision_bits": r.precision_bits,
-    }
+def _field(kind: str, x: int, y: int, precision_bits: int, with_class_number: bool):
+    """B(x, y) or K(x, y), with its FieldInvariants."""
+    if kind == "biquad":
+        K = bq.biquadratic(x, y)
+        return K, bq.field_invariants(K, precision_bits, with_class_number)
+    K = cq.CyclicQuarticField(x, y)
+    return K, cq.field_invariants(K, precision_bits, with_class_number)
 
 
-def _invariants_payload(inv: FieldInvariants) -> dict:
-    return {
-        "disc": _fact_payload(inv.disc),
-        "regulator": _real_payload(inv.regulator),
-        "hasse_q": "unresolved" if inv.hasse_q is None else str(inv.hasse_q),
-        "roots_of_unity": str(inv.roots_of_unity),
-        "class_number": None if inv.class_number is None else str(inv.class_number),
-        "r1": str(inv.r1),
-        "r2": str(inv.r2),
-    }
+def cmd_invariants(args):
+    K, inv = _field(args.kind, args.x, args.y, args.precision_bits, args.with_class_number)
+    record = {"kind": args.kind, **dataclasses.asdict(K)}
+    if args.kind == "cyclic":
+        record["defining_polynomial"] = cq.defining_polynomial(K.s, K.t)
+    record = _data({**record, "label": K.label(), "maximal_real_subfield": K.kplus.radicand,
+                    "invariants": inv})
+    inv = record["invariants"]
+    row = {"label": record["label"], "disc_factored": inv["disc"]["pretty"],
+           "disc_value": inv["disc"]["value"], "regulator": inv["regulator"]["value"],
+           "hasse_q": inv["hasse_q"], "roots_of_unity": inv["roots_of_unity"],
+           "class_number": inv["class_number"]}
+    return [record], [row], tuple(row)
 
 
-def _pair_payload(rep: families.PairReport) -> dict:
-    return {
-        "kind": rep.kind,
-        "t": str(rep.t),
-        "p": str(rep.p),
-        "field_a": rep.field_a,
-        "field_b": rep.field_b,
-        "distinct": rep.distinct,
-        "disc_equal": rep.disc_equal,
-        "disc": _fact_payload(rep.disc),
-        "regulator": _real_payload(rep.regulator),
-        "reg_equal": rep.reg_equal,
-        "class_a": None if rep.class_a is None else str(rep.class_a),
-        "class_b": None if rep.class_b is None else str(rep.class_b),
-        "residue_a": None if rep.residue_a is None else _real_payload(rep.residue_a),
-        "residue_b": None if rep.residue_b is None else _real_payload(rep.residue_b),
-    }
+def _pairs(reports):
+    records = [_data(rep) for rep in reports]
+    rows = [{"p": r["p"], "disc_factored": r["disc"]["pretty"],
+             "regulator": r["regulator"]["value"],
+             **{flag: json.dumps(r[flag]) for flag in ("distinct", "disc_equal", "reg_equal")},
+             "h_a": r["class_a"], "h_b": r["class_b"]} for r in records]
+    return records, rows, CSV_FAMILY_COLUMNS
 
 
-def _emit_record(command: str, payload: dict, timings: bool, started: float) -> None:
-    record = {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
-    if timings:
-        record["timings"] = {"total_ms": round((time.perf_counter() - started) * 1000, 3)}
-    print(json.dumps(record, sort_keys=True, indent=2))
+# the cyclic functions are read off `families` at call time, so that a
+# wrapper installed there (as the benchmark's tracer does) sees the call
+def cmd_pair(args):
+    report = (families.biquadratic_pair_report if args.kind == "biquad"
+              else families.cyclic_pair_report)
+    return _pairs([report(args.t, args.p, args.precision_bits, args.with_class_number)])
 
 
-def _emit_csv(rows: list[dict], columns: tuple[str, ...]) -> None:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def cmd_family(args):
+    family = families.biquadratic_family if args.kind == "biquad" else families.cyclic_family
+    return _pairs(family(args.t, args.count, args.precision_bits, args.with_class_number,
+                         args.jobs))
 
 
-def _pair_csv_row(rep: families.PairReport) -> dict:
-    return {
-        "p": rep.p,
-        "disc_factored": str(rep.disc),
-        "regulator": rep.regulator.to_decimal(),
-        "distinct": str(rep.distinct).lower(),
-        "disc_equal": str(rep.disc_equal).lower(),
-        "reg_equal": str(rep.reg_equal).lower(),
-        "h_a": "" if rep.class_a is None else rep.class_a,
-        "h_b": "" if rep.class_b is None else rep.class_b,
-    }
-
-
-def cmd_invariants(args) -> int:
-    started = time.perf_counter()
-    if args.kind == "biquad":
-        if args.a is None or args.b is None:
-            raise DomainError("biquad invariants need -a and -b", code="E_PARAM_MISSING")
-        K = bq.biquadratic(args.a, args.b)
-        inv = bq.field_invariants(K, args.precision_bits, args.with_class_number)
-        payload = {"kind": "biquad", "radicands": [str(r) for r in K.radicands]}
-    else:
-        if args.s is None or args.t is None:
-            raise DomainError("cyclic invariants need -s and -t", code="E_PARAM_MISSING")
-        K = cq.CyclicQuarticField(args.s, args.t)
-        inv = cq.field_invariants(K, args.precision_bits, args.with_class_number)
-        payload = {
-            "kind": "cyclic",
-            "s": str(args.s),
-            "t": str(args.t),
-            "defining_polynomial": [str(c) for c in cq.defining_polynomial(args.s, args.t)],
-        }
-    payload.update(label=K.label(), maximal_real_subfield=str(K.kplus.radicand),
-                   invariants=_invariants_payload(inv))
-    if args.format == "csv":
-        inv_payload = payload["invariants"]
-        row = {
-            "label": payload["label"],
-            "disc_factored": inv_payload["disc"]["pretty"],
-            "disc_value": inv_payload["disc"]["value"],
-            "regulator": inv_payload["regulator"]["value"],
-            "hasse_q": inv_payload["hasse_q"],
-            "roots_of_unity": inv_payload["roots_of_unity"],
-            "class_number": inv_payload["class_number"] or "",
-        }
-        _emit_csv([row], tuple(row))
-    else:
-        _emit_record("invariants", payload, args.timings, started)
-    return 0
-
-
-def cmd_pair(args) -> int:
-    started = time.perf_counter()
-    if args.kind == "biquad":
-        rep = families.biquadratic_pair_report(args.t, args.p, args.precision_bits,
-                                               args.with_class_number)
-    else:
-        rep = families.cyclic_pair_report(args.t, args.p, args.precision_bits,
-                                          args.with_class_number)
-    if args.format == "csv":
-        _emit_csv([_pair_csv_row(rep)], CSV_FAMILY_COLUMNS)
-    else:
-        _emit_record("pair", _pair_payload(rep), args.timings, started)
-    return 0
-
-
-def cmd_family(args) -> int:
-    started = time.perf_counter()
-    if args.kind == "biquad":
-        reports = families.biquadratic_family(args.t, args.count, args.precision_bits,
-                                              args.with_class_number, args.jobs)
-    else:
-        reports = families.cyclic_family(args.t, args.count, args.precision_bits,
-                                         args.with_class_number, args.jobs)
-    if args.format == "csv":
-        _emit_csv([_pair_csv_row(r) for r in reports], CSV_FAMILY_COLUMNS)
-    else:
-        for rep in reports:
-            _emit_record("family", _pair_payload(rep), args.timings, started)
-    return 0
-
-
-def cmd_sieve(args) -> int:
-    started = time.perf_counter()
+def cmd_sieve(args):
     rep = families.sieve_t(args.min, args.max, args.mod8)
-    if args.format == "csv":
-        _emit_csv([{"t": t} for t in rep.t_values], ("t",))
-    else:
-        payload = {
-            "t_values": [str(t) for t in rep.t_values],
-            "residue_class": str(rep.residue_class),
-            "t_min": str(rep.t_min),
-            "t_max": str(rep.t_max),
-        }
-        _emit_record("sieve-t", payload, args.timings, started)
-    return 0
+    return [_data(rep)], [{"t": t} for t in rep.t_values], ("t",)
 
 
-def cmd_target_regulator(args) -> int:
-    started = time.perf_counter()
+def cmd_target_regulator(args):
     t, reg = families.regulator_target(args.M, args.mod8, args.precision_bits)
-    payload = {"t": str(t), "regulator": _real_payload(reg), "M": str(args.M)}
-    _emit_record("target-regulator", payload, args.timings, started)
-    return 0
-
-
-def _verify_one(label: str, inv: FieldInvariants, expected: dict,
-                rows: list, failures: list) -> None:
-    disc_ok = inv.disc.value() == expected["disc"]
-    reg_ref = mpmath.mpf(expected["regulator"])
-    reg_ok = abs(inv.regulator.value - reg_ref) <= mpmath.mpf("1e-6")
-    h_ok = inv.class_number == expected["class_number"]
-    rows.append((label, "discriminant", str(expected["disc"]), str(inv.disc.value()), disc_ok))
-    rows.append((label, "regulator", expected["regulator"],
-                 mpmath.nstr(inv.regulator.value, 12), reg_ok))
-    rows.append((label, "class_number", str(expected["class_number"]),
-                 str(inv.class_number), h_ok))
-    for quantity, ok in (("discriminant", disc_ok), ("regulator", reg_ok),
-                         ("class_number", h_ok)):
-        if not ok:
-            failures.append(f"{label}: {quantity}")
+    return [_data({"t": t, "regulator": reg, "M": str(args.M)})], [], ()
 
 
 def cmd_verify_examples(args) -> int:
+    """Prints the diff table itself; returns the exit code, 1 on any mismatch."""
     rows: list[tuple] = []
-    failures: list[str] = []
     for exp in _EXPECTED:
+        reg_ref = mpmath.mpf(exp["regulator"])
         for x, y in exp["members"]:
-            _verify_one(exp["label"].format(x, y), exp["invariants"](x, y, args), exp,
-                        rows, failures)
+            _, inv = _field(exp["kind"], x, y, args.precision_bits, True)
+            label = exp["label"].format(x, y)
+            disc = inv.disc.value()
+            rows += [
+                (label, "discriminant", str(exp["disc"]), str(disc), disc == exp["disc"]),
+                (label, "regulator", exp["regulator"], mpmath.nstr(inv.regulator.value, 12),
+                 abs(inv.regulator.value - reg_ref) <= mpmath.mpf("1e-6")),
+                (label, "class_number", str(exp["class_number"]), str(inv.class_number),
+                 inv.class_number == exp["class_number"]),
+            ]
+    failures = [f"{label}: {quantity}" for label, quantity, *_, ok in rows if not ok]
 
     width = (12, 14, 24, 24, 6)
     header = ("field", "quantity", "expected", "computed", "match")
@@ -255,60 +155,66 @@ def cmd_verify_examples(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--precision-bits", type=int, default=128)
-    shared.add_argument("--jobs", type=int, default=1)
-    shared.add_argument("--format", choices=("json", "csv"), default="json")
-    shared.add_argument("--with-class-number", action="store_true")
-    shared.add_argument("--timings", action="store_true",
-                        help="attach wall-clock timings (breaks byte-determinism)")
+_FLAGS = {
+    "--precision-bits": {"type": int, "default": 128},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--with-class-number": {"action": "store_true"},
+    "--timings": {"action": "store_true",
+                  "help": "attach wall-clock timings (breaks byte-determinism)"},
+    "--jobs": {"type": int, "default": 1},
+}
+_RECORD_FLAGS = ("--precision-bits", "--format", "--with-class-number", "--timings")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmquartic",
         description="Invariants and equal-invariant families of quartic CM-fields.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_inv = sub.add_parser("invariants", parents=[shared],
-                           help="discriminant, regulator, unit index and class number")
-    p_inv.add_argument("kind", choices=("biquad", "cyclic"))
-    p_inv.add_argument("-a", type=int)
-    p_inv.add_argument("-b", type=int)
-    p_inv.add_argument("-s", type=int)
-    p_inv.add_argument("-t", type=int)
-    p_inv.set_defaults(func=cmd_invariants)
+    def command(parent, name, help_text, func, flags):
+        p = parent.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p_pair = sub.add_parser("pair", parents=[shared],
-                            help="one verified equal-invariant pair at a given prime")
+    p_inv = sub.add_parser("invariants",
+                           help="discriminant, regulator, unit index and class number")
+    kinds = p_inv.add_subparsers(dest="kind", required=True)
+    for kind, params, field in (("biquad", ("-a", "-b"), "B(a, b) = Q(sqrt(a), sqrt(b))"),
+                                ("cyclic", ("-s", "-t"), "the cyclic quartic field K(s, t)")):
+        p_kind = command(kinds, kind, field, cmd_invariants, _RECORD_FLAGS)
+        for param, dest in zip(params, ("x", "y")):
+            p_kind.add_argument(param, dest=dest, metavar=param[1:].upper(), type=int,
+                                required=True)
+
+    p_pair = command(sub, "pair", "one verified equal-invariant pair at a given prime",
+                     cmd_pair, _RECORD_FLAGS)
     p_pair.add_argument("kind", choices=("biquad", "cyclic"))
     p_pair.add_argument("--t", type=int, required=True)
     p_pair.add_argument("--p", type=int, required=True)
-    p_pair.set_defaults(func=cmd_pair)
 
-    p_fam = sub.add_parser("family", parents=[shared],
-                           help="stream of verified pairs over ascending primes")
+    p_fam = command(sub, "family", "stream of verified pairs over ascending primes",
+                    cmd_family, _RECORD_FLAGS + ("--jobs",))
     p_fam.add_argument("kind", choices=("biquad", "cyclic"))
     p_fam.add_argument("--t", type=int, required=True)
     p_fam.add_argument("--count", type=int, required=True)
-    p_fam.set_defaults(func=cmd_family)
 
-    p_sieve = sub.add_parser("sieve-t", parents=[shared],
-                             help="t with t^2+1 square-free in a residue class mod 8")
+    p_sieve = command(sub, "sieve-t", "t with t^2+1 square-free in a residue class mod 8",
+                      cmd_sieve, ("--format", "--timings"))
     p_sieve.add_argument("--min", type=int, required=True)
     p_sieve.add_argument("--max", type=int, required=True)
     p_sieve.add_argument("--mod8", type=int, choices=(3, 5), required=True)
-    p_sieve.set_defaults(func=cmd_sieve)
 
-    p_target = sub.add_parser("target-regulator", parents=[shared],
-                              help="smallest admissible t whose base regulator exceeds M")
+    p_target = command(sub, "target-regulator",
+                       "smallest admissible t whose base regulator exceeds M",
+                       cmd_target_regulator, ("--precision-bits", "--timings"))
     p_target.add_argument("--M", type=float, required=True)
     p_target.add_argument("--mod8", type=int, choices=(3, 5), default=5)
-    p_target.set_defaults(func=cmd_target_regulator)
 
-    p_verify = sub.add_parser("verify-examples", parents=[shared],
-                              help="recompute the two bundled example pairs and diff")
-    p_verify.set_defaults(func=cmd_verify_examples)
-
+    command(sub, "verify-examples", "recompute the two bundled example pairs and diff",
+            cmd_verify_examples, ("--precision-bits",))
     return parser
 
 
@@ -321,13 +227,34 @@ def _emit_error(code: str, message: str, precondition: str | None) -> None:
     print(json.dumps(record, sort_keys=True, indent=2))
 
 
+def _run(args) -> int:
+    """Run the command; write its CSV rows, or one JSON record per item."""
+    started = time.perf_counter()
+    result = args.func(args)
+    if isinstance(result, int):  # verify-examples prints its own table
+        return result
+    records, rows, columns = result
+    if getattr(args, "format", "json") == "csv":
+        writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return 0
+    for payload in records:
+        record = {"schema_version": SCHEMA_VERSION, "command": args.subcommand,
+                  "payload": payload}
+        if args.timings:
+            record["timings"] = {"total_ms": round((time.perf_counter() - started) * 1000, 3)}
+        print(json.dumps(record, sort_keys=True, indent=2))
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.precision_bits < 64 or args.jobs < 1:
+    if getattr(args, "precision_bits", 64) < 64 or getattr(args, "jobs", 1) < 1:
         _emit_error("E_CONFIG", "precision_bits >= 64 and jobs >= 1 required", None)
         return 2
     try:
-        return args.func(args)
+        return _run(args)
     except DomainError as exc:
         _emit_error(exc.code, str(exc), exc.precondition)
         return 2

@@ -93,10 +93,16 @@ def cyclicity_certificate(s: int, t: int) -> CyclicityCertificate:
 
 
 def same_field(s: int, s2: int, t: int) -> bool:
-    """Equality of K(s,t) and K(s2,t): s*s2 is a square, or its core matches t^2+1."""
+    """Equality of K(s,t) and K(s2,t): s*s2 is a square, or its core matches t^2+1.
+
+    The core of s*s2 is (a/g)(b/g) for the cores a, b of s, s2 and
+    g = gcd(a, b), so s*s2 itself is never factored.
+    """
     if s == 0 or s2 == 0 or t == 0:
         raise DomainError("parameters must be nonzero", code="E_PARAM_ZERO")
-    core = squarefree_part(s * s2).value
+    a, b = squarefree_part(s).value, squarefree_part(s2).value
+    g = math.gcd(a, b)
+    core = (a // g) * (b // g)
     return core == 1 or core == squarefree_part(t * t + 1).value
 
 
@@ -174,7 +180,7 @@ def maximal_real_subfield(K: CyclicQuarticField) -> QuadraticField:
     if K.s > 0:
         raise DomainError(f"{K.label()} is totally real: the maximal real subfield is "
                           "the field itself", precondition="s < 0")
-    return quadratic_field(squarefree_part(K.t * K.t + 1).value)
+    return quadratic_field(K.t * K.t + 1)
 
 
 def hasse_Q(K: CyclicQuarticField) -> int | None:

@@ -107,12 +107,20 @@ def nagell_precondition_check() -> bool:
     return True
 
 
+#: largest M for regulator_target: the scan factors t^2+1 near e^(2M), which
+#: took 10 s at M = 38 and did not finish at M = 50
+MAX_TARGET_M = 30
+
+
 def regulator_target(M: float, residue: int, precision_bits: int = 128) -> tuple[int, HighPrecReal]:
     """Smallest sieve-admissible t with t > e^M; returns (t, log(t + sqrt(t^2+1)))."""
     if not math.isfinite(M):
         raise DomainError(f"M = {M} must be finite", precondition="M finite")
     if M <= 0:
         raise DomainError(f"M = {M} must be positive", precondition="M > 0")
+    if M > MAX_TARGET_M:
+        raise DomainError(f"M = {M} exceeds the bound {MAX_TARGET_M}",
+                          precondition=f"M <= {MAX_TARGET_M}")
     if residue not in (3, 5):
         raise DomainError(f"residue {residue} must be 3 or 5", code="E_T_INADMISSIBLE")
     check_precision_bits(precision_bits)

@@ -1,6 +1,10 @@
+import argparse
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +203,84 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     error = json.loads(out)["error"]
     assert error["code"] == "E_INTERNAL"
     assert error["message"].startswith("ZeroDivisionError")
+
+
+RECORD_FLAGS = {"--precision-bits", "--format", "--with-class-number", "--timings"}
+
+#: subcommand path -> every option it accepts, besides -h
+OPTION_SURFACE = {
+    ("invariants", "biquad"): RECORD_FLAGS | {"-a", "-b"},
+    ("invariants", "cyclic"): RECORD_FLAGS | {"-s", "-t"},
+    ("pair",): RECORD_FLAGS | {"--t", "--p"},
+    ("family",): RECORD_FLAGS | {"--jobs", "--t", "--count"},
+    ("sieve-t",): {"--format", "--timings", "--min", "--max", "--mod8"},
+    ("target-regulator",): {"--precision-bits", "--timings", "--M", "--mod8"},
+    ("verify-examples",): {"--precision-bits"},
+}
+
+
+def _commands(parser, path=()):
+    """(path, parser) of every leaf command under `parser`."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _commands(child, path + (name,))
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_acts_on():
+    surface = {path: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+               for path, p in _commands(cli.build_parser())}
+    assert surface == OPTION_SURFACE
+
+
+@pytest.mark.parametrize("argv", [
+    ["target-regulator", "--M", "3", "--format", "csv"],
+    ["sieve-t", "--min", "1", "--max", "20", "--mod8", "5", "--precision-bits", "128"],
+    ["invariants", "biquad", "-a", "-21", "-b", "10", "-s", "3"],
+    ["invariants", "biquad", "-a", "-21"],
+    ["invariants", "cyclic", "-s", "-3"],
+    ["verify-examples", "--jobs", "8"],
+])
+def test_a_flag_the_command_does_not_take_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "cyclic", "--t", "5", "--count", "2", "--jobs", "0"],
+    ["target-regulator", "--M", "3", "--precision-bits", "32"],
+    ["verify-examples", "--precision-bits", "32"],
+])
+def test_config_errors_still_exit_2(argv, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "E_CONFIG"
+
+
+def test_serializer_rejects_types_without_a_cmq1_form():
+    assert cli._data((1, True, None, "x", (2,))) == ["1", True, None, "x", ["2"]]
+    for value in (1.5, [1], {1, 2}, b"1"):
+        with pytest.raises(TypeError):
+            cli._data(value)
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("cmquartic ")]
+
+
+def test_readme_cli_block_is_listed():
+    assert len(_readme_cli_lines()) == 8
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(line, capsys):
+    code, _ = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0, line

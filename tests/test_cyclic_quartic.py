@@ -6,7 +6,8 @@ import pytest
 
 from cmquartic import cli, families
 from cmquartic import cyclic_quartic as cq
-from cmquartic.arith import count_roots_mod_p, factor, is_prime, is_squarefree, kronecker
+from cmquartic.arith import (count_roots_mod_p, factor, is_prime, is_squarefree, kronecker,
+                             squarefree_part)
 from cmquartic.cyclic_quartic import (
     CHECK_BOUND,
     CyclicQuarticField,
@@ -68,6 +69,32 @@ def test_same_field_examples():
     assert same_field(7, 28, 3) is True
     with pytest.raises(DomainError):
         same_field(0, 2, 3)
+
+
+def test_same_field_agrees_with_the_core_of_the_product():
+    # squares, shared factors, signs and t^2+1 cores, against the core of s*s2 itself
+    values = [s for s in range(-60, 61) if s] + [-1229, -2458, 2 * 1229**2, -9 * 1226]
+    for t in (1, 3, 5, 7, 35):
+        core_m = squarefree_part(t * t + 1).value
+        for s in values:
+            for s2 in values[::7]:
+                core = squarefree_part(s * s2).value
+                assert same_field(s, s2, t) is (core == 1 or core == core_m), (s, s2, t)
+
+
+def test_same_field_never_factors_the_product(monkeypatch):
+    from cmquartic import arith
+
+    real = arith.factor
+
+    def guarded(n):
+        assert abs(n) != 2 * p * p, f"factor handed 2p^2 = {n}"
+        return real(n)
+
+    monkeypatch.setattr(arith, "factor", guarded)
+    for p in (1229, 100003, 1000003):
+        assert same_field(-p, -2 * p, 5) is False
+        assert families.cyclic_pair_report(5, p).distinct
 
 
 def test_distinctness_sweep():

@@ -108,6 +108,14 @@ def test_regulator_target_large_M_starts_at_e_to_the_M():
     assert all(not is_squarefree(u * u + 1) for u in skipped if u % 8 == 5)
 
 
+def test_regulator_target_rejects_M_above_the_bound():
+    # the scan factors t^2+1 near e^(2M); at M = 1000 it never returned
+    for M in (30.5, 38, 1000):
+        with pytest.raises(DomainError, match="exceeds the bound 30") as exc:
+            regulator_target(M, 5)
+        assert exc.value.precondition == "M <= 30"
+
+
 def test_biquadratic_pair_examples():
     rep = biquadratic_pair_report(5, 29)
     assert rep.field_a == "B(-754,-29,26)"
