@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import Factorization, factor, squarefree_part
-from .cmfield import FieldInvariants, cm_regulator, hasse_index, resolved_q
+from .cmfield import FieldInvariants, cm_regulator, hasse_index
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from . import quadratic
@@ -74,14 +74,13 @@ def maximal_real_subfield(K: BiquadraticField) -> QuadraticField:
     return quadratic_field(pos[0])
 
 
-def hasse_Q(K: BiquadraticField) -> int | None:
-    """1 when disc(K)/disc(K+)^2 does not divide 2^4; otherwise None (unresolved)."""
-    return hasse_index(K)
+def hasse_Q(K: BiquadraticField) -> int:
+    """1 when disc(K)/disc(K+)^2 does not divide 2^4; otherwise E_Q_UNRESOLVED."""
+    return hasse_index(K, "; pass Q_override")
 
 
 def _q(K: BiquadraticField, Q_override: int | None) -> int:
-    q = Q_override if Q_override is not None else K.hasse_q
-    return resolved_q(K, q, "; pass Q_override")
+    return Q_override if Q_override is not None else K.hasse_q
 
 
 def regulator(K: BiquadraticField, precision_bits: int = 128,
@@ -155,7 +154,7 @@ def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:
 def field_invariants(K: BiquadraticField, precision_bits: int = 128,
                      with_class_number: bool = False,
                      Q_override: int | None = None) -> FieldInvariants:
-    q = Q_override if Q_override is not None else K.hasse_q
+    q = _q(K, Q_override)
     h = class_number(K, Q_override=q) if with_class_number else None
     return FieldInvariants(
         disc=K.disc,

@@ -1,6 +1,8 @@
 """What the biquadratic and cyclic quartic CM-fields share past disc(K) and K+.
 
 The functions take a field with `disc`, `kplus`, `hasse_q` and `label()`.
+The Hasse unit index Q = [E_K : W_K E_K+] is always an int: `hasse_index`
+returns 1 or raises E_Q_UNRESOLVED for the fields its rule cannot settle.
 """
 
 from __future__ import annotations
@@ -19,27 +21,22 @@ class FieldInvariants:
 
     disc: Factorization
     regulator: HighPrecReal
-    hasse_q: int | None  # None = unresolved
+    hasse_q: int
     roots_of_unity: int
     class_number: int | None
     r1: int = 0
     r2: int = 2
 
 
-def hasse_index(K) -> int | None:
-    """1 when disc(K)/disc(K+)^2 does not divide 16; None when unresolved."""
+def hasse_index(K, hint: str = "") -> int:
+    """1 when disc(K)/disc(K+)^2 does not divide 16; else an E_Q_UNRESOLVED error."""
     ratio, rem = divmod(K.disc.value(), K.kplus.fund_disc**2)
     if rem:
         raise ConsistencyError(f"disc(K+)^2 does not divide disc(K) for {K.label()}")
-    return 1 if 16 % ratio else None
-
-
-def resolved_q(K, q: int | None, hint: str = "") -> int:
-    """q itself; an unresolved index is an E_Q_UNRESOLVED domain error."""
-    if q is None:
+    if 16 % ratio == 0:
         raise DomainError(f"Hasse index of {K.label()} is unresolved{hint}",
                           code="E_Q_UNRESOLVED")
-    return q
+    return 1
 
 
 def cm_regulator(K, q: int, precision_bits: int) -> HighPrecReal:

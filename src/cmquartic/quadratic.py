@@ -156,43 +156,30 @@ def _floor_quotient(P: int, Q: int, sq: int) -> int:
 def fundamental_unit(field: QuadraticField) -> QuadraticUnit:
     """Fundamental unit > 1 of the maximal order, by the PQa expansion.
 
-    Expands sqrt(m) (m = 2, 3 mod 4) or (1 + sqrt(m))/2 (m = 1 mod 4);
-    the first repeated (P, Q) state closes the periodic part, and the
-    convergents of one period give the unit.
+    Expands w = sqrt(m) (m = 2, 3 mod 4) or w = (1 + sqrt(m))/2 (m = 1 mod 4)
+    as (P + sqrt(m))/Q.  The first return of Q to its starting value 1 or 2
+    ends the period, and p - q*conj(w) is the unit for the last convergent p/q.
     """
     m = field.radicand
     if m <= 1:
         raise DomainError(f"radicand {m} has no fundamental unit",
                           precondition="radicand > 1")
     sq = math.isqrt(m)
-    P, Q = (1, 2) if m % 4 == 1 else (0, 1)
-    seen: dict[tuple[int, int], int] = {}
-    partials: list[int] = []
-    states: list[tuple[int, int]] = []
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(partials)
-        a = _floor_quotient(P, Q, sq)
-        partials.append(a)
-        states.append((P, Q))
-        P = a * Q - P
-        Q = (m - P * P) // Q
-    j = seen[(P, Q)]
-    Pj, Qj = states[j]
-    # convergent matrix of the periodic word; beta = q1*alpha_j + q0 is the unit
+    P, Q0 = (1, 2) if m % 4 == 1 else (0, 1)
+    Q = Q0
     p1, p0 = 1, 0
     q1, q0 = 0, 1
-    for a in partials[j:]:
+    while True:
+        a = _floor_quotient(P, Q, sq)
         p1, p0 = a * p1 + p0, p1
         q1, q0 = a * q1 + q0, q1
-    num_rat = q1 * Pj + q0 * Qj
-    x2, r1 = divmod(2 * num_rat, Qj)
-    y2, r2 = divmod(2 * q1, Qj)
-    if r1 or r2:
-        raise ConsistencyError(f"unit for m={m} is not an algebraic integer")
-    if x2 % 2 == 0 and y2 % 2 == 0:
-        x, y, denom = x2 // 2, y2 // 2, 1
-    else:
-        x, y, denom = x2, y2, 2
+        P = a * Q - P
+        Q = (m - P * P) // Q
+        if Q == Q0:
+            break
+    x, y, denom = (p1, q1, 1) if Q0 == 1 else (2 * p1 - q1, q1, 2)
+    if denom == 2 and x % 2 == 0 and y % 2 == 0:
+        x, y, denom = x // 2, y // 2, 1
     norm_scaled = x * x - m * y * y
     denom2 = denom * denom
     if norm_scaled not in (denom2, -denom2):

@@ -69,8 +69,12 @@ def test_maximal_real_subfield():
 
 def test_hasse_Q():
     assert hasse_Q(biquadratic(-21, 10)) == 1
-    assert hasse_Q(biquadratic(-1, 2)) is None  # ratio 4 divides 16
     assert hasse_Q(biquadratic(-26, 2)) == 1
+    # ratio 4 divides 16: the rule cannot settle Q, and says so
+    with pytest.raises(DomainError) as exc:
+        hasse_Q(biquadratic(-1, 2))
+    assert exc.value.code == "E_Q_UNRESOLVED"
+    assert str(exc.value) == "Hasse index of B(-2,-1,2) is unresolved; pass Q_override"
 
 
 def test_regulator_values():
@@ -189,6 +193,17 @@ def test_field_invariants_payload():
     assert inv.disc.value() == 2822400
     inv = field_invariants(biquadratic(-21, 10))
     assert inv.class_number is None
+
+
+def test_field_invariants_take_the_override_for_an_unresolved_index():
+    # Q(zeta12): the rule leaves Q open, and Q = 2 gives h = 1
+    K = biquadratic(-1, 3)
+    with pytest.raises(DomainError):
+        K.hasse_q
+    inv = field_invariants(K, 128, True, Q_override=2)
+    assert inv.hasse_q == 2
+    assert inv.class_number == 1
+    assert inv.roots_of_unity == 12
 
 
 def test_package_attribute_is_the_submodule():

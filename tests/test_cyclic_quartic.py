@@ -343,6 +343,8 @@ def test_parity_first_candidates_match_the_full_filter_on_the_benchmark_pool():
                     if parities is not None
                     and all(q % 2 == b for q, b in zip(chi.exponents, parities))]
             assert characters_of_order_dividing_4(fchi, D) == full, K.label()
+            # chi^2 is the character of D != 1, so no candidate has order 1 or 2
+            assert all(chi.order == 4 for chi in full), K.label()
             fields += 1
     assert fields == 88
 

@@ -6,6 +6,11 @@ the output of refactors that must not change behaviour.  Regenerate it
 only for a deliberate output change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py --capture
+
+To add a case, append its name and argv to `cases.json` (any exit code)
+and capture it alone; every other `.stdout` and exit code is left as is:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --capture NAME...
 """
 
 import contextlib
@@ -30,9 +35,16 @@ def test_cli_output_matches_golden(case, capsys):
     assert out == (GOLDEN / f"{case['name']}.stdout").read_text()
 
 
-def _capture() -> None:
+def _capture(names: list[str]) -> None:
+    """Capture the named cases, or the whole corpus when no name is given."""
+    unknown = set(names) - {c["name"] for c in CASES}
+    if unknown:
+        sys.exit(f"no such golden case: {', '.join(sorted(unknown))}")
     cases = []
     for case in CASES:
+        if names and case["name"] not in names:
+            cases.append(case)
+            continue
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.main(case["argv"])
@@ -41,5 +53,5 @@ def _capture() -> None:
     (GOLDEN / "cases.json").write_text(json.dumps(cases, indent=2) + "\n")
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--capture"]:
-    _capture()
+if __name__ == "__main__" and sys.argv[1:2] == ["--capture"]:
+    _capture(sys.argv[2:])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import pytest
@@ -7,6 +8,8 @@ from cmquartic.arith import is_squarefree
 from cmquartic.errors import DomainError
 from cmquartic.quadratic import (
     QuadraticField,
+    QuadraticUnit,
+    _floor_quotient,
     analytic_class_number_oracle,
     class_number_imaginary,
     class_number_real,
@@ -124,6 +127,58 @@ def test_fundamental_unit_identity_and_minimality():
         assert u.x * u.x - m * u.y * u.y == u.norm * u.denom * u.denom
         assert u.x > 0 and u.y > 0
         assert (u.x, u.y, u.denom) == brute_force_minimal_unit(m), m
+
+
+def reference_unit(m):
+    """The unit from the convergents of one whole period, located by storing
+    every (P, Q) state until one repeats: an independent oracle."""
+    sq = math.isqrt(m)
+    P, Q = (1, 2) if m % 4 == 1 else (0, 1)
+    seen = {}
+    partials = []
+    states = []
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(partials)
+        a = _floor_quotient(P, Q, sq)
+        partials.append(a)
+        states.append((P, Q))
+        P = a * Q - P
+        Q = (m - P * P) // Q
+    j = seen[(P, Q)]
+    Pj, Qj = states[j]
+    # convergent matrix of the periodic word; beta = q1*alpha_j + q0 is the unit
+    p1, p0 = 1, 0
+    q1, q0 = 0, 1
+    for a in partials[j:]:
+        p1, p0 = a * p1 + p0, p1
+        q1, q0 = a * q1 + q0, q1
+    x2, r1 = divmod(2 * (q1 * Pj + q0 * Qj), Qj)
+    y2, r2 = divmod(2 * q1, Qj)
+    assert r1 == 0 and r2 == 0
+    x, y, denom = (x2 // 2, y2 // 2, 1) if x2 % 2 == 0 and y2 % 2 == 0 else (x2, y2, 2)
+    return QuadraticUnit(x=x, y=y, denom=denom, radicand=m,
+                         norm=1 if x * x - m * y * y > 0 else -1)
+
+
+def test_fundamental_unit_matches_the_stored_period_oracle():
+    radicands = [m for m in range(2, 10_000) if is_squarefree(m)]
+    radicands += [t * t + 1 for t in range(1, 2001) if is_squarefree(t * t + 1)]
+    for m in radicands:
+        assert fundamental_unit(quadratic_field(m)) == reference_unit(m), m
+    assert len(radicands) > 7_000
+
+
+def test_fundamental_unit_memory_does_not_grow_with_the_period():
+    # the unit of Q(sqrt(9999991)) has 4,153 digits; a stored period took 2 MB
+    field = quadratic_field(9_999_991)
+    tracemalloc.start()
+    try:
+        u = fundamental_unit(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(str(u.x)) > 4_000
+    assert peak < 256 * 1024
 
 
 def test_class_number_real_examples():
