@@ -4,7 +4,8 @@ A biquadratic field is determined by its three quadratic subfields, so
 the canonical representation is the set of their radicands.  The module
 computes discriminants by the conductor-discriminant product, regulators
 through the maximal real subfield, the Hasse unit index bound, and class
-numbers through Kuroda's formula.
+numbers as h^- * h(K+), with h^- from the B1 values of the Kronecker
+characters of the two imaginary quadratic subfields.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import Factorization, factor, squarefree_part
-from .cmfield import FieldInvariants, cm_regulator, hasse_index
+from .cmfield import (FieldInvariants, checked_q, cm_regulator, hasse_index,
+                      relative_class_number)
+from .dirichlet import bernoulli_B1, kronecker_character
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from . import quadratic
@@ -80,7 +83,8 @@ def hasse_Q(K: BiquadraticField) -> int:
 
 
 def _q(K: BiquadraticField, Q_override: int | None) -> int:
-    return Q_override if Q_override is not None else K.hasse_q
+    """The override, checked to be 1 or 2, else K.hasse_q."""
+    return checked_q(Q_override) if Q_override is not None else K.hasse_q
 
 
 def regulator(K: BiquadraticField, precision_bits: int = 128,
@@ -103,31 +107,17 @@ def roots_of_unity_order(K: BiquadraticField) -> int:
     return 2
 
 
-def _imaginary_unit_order(disc: int) -> int:
-    return 6 if disc == -3 else 4 if disc == -4 else 2
-
-
 def class_number(K: BiquadraticField, Q_override: int | None = None) -> int:
-    """Kuroda's formula h = (q/2) h1 h2 h3 with q = Q * [W(K) : W'].
+    """h(K) = h^- * h(K+), with h^- over the odd characters (D1|.) and (D2|.).
 
-    W' is generated by the roots of unity of the two imaginary quadratic
-    subfields, so [W(K) : W'] = w / lcm(w2, w3).
+    D1, D2 are the discriminants of the imaginary quadratic subfields;
+    since -B1((D|.))/2 = h(D)/w(D), this is Q * w * h1 * h2 * h(K+) / (w1 * w2).
     """
     Q = _q(K, Q_override)
-    if Q not in (1, 2):
-        raise DomainError(f"Q_override must be 1 or 2, got {Q}")
-    h_real = quadratic.class_number_real(K.kplus.fund_disc)
-    imag_discs = [quadratic_field(r).fund_disc for r in K.radicands if r < 0]
-    h_imag = [quadratic.class_number_imaginary(d) for d in imag_discs]
-    w = roots_of_unity_order(K)
-    w_sub = math.lcm(*(_imaginary_unit_order(d) for d in imag_discs))
-    q_times_product = Q * (w // w_sub) * h_real * h_imag[0] * h_imag[1]
-    h, rem = divmod(q_times_product, 2)
-    if rem or h < 1:
-        raise ConsistencyError(
-            f"Kuroda formula gave non-integer class number {q_times_product}/2 "
-            f"for {K.label()} with Q={Q}")
-    return h
+    b1_values = [bernoulli_B1(kronecker_character(quadratic_field(r).fund_disc))
+                 for r in K.radicands if r < 0]
+    h_minus = relative_class_number(b1_values, Q, roots_of_unity_order(K))
+    return h_minus * quadratic.class_number_real(K.kplus.fund_disc)
 
 
 def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:

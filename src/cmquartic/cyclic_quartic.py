@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .arith import (ROOT_COUNT_CAP, Factorization, count_roots_mod_p, factor, is_prime,
                     squarefree_part)
-from .cmfield import FieldInvariants, cm_regulator, hasse_index
+from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
 from .dirichlet import (
     DirichletCharacter,
     bernoulli_B1,
@@ -248,34 +247,15 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     return min(cands, key=lambda c: c.exponents)
 
 
-def relative_class_number(chi: DirichletCharacter, Q: int, w: int) -> int:
-    """h^- = Q * w * B1(chi) * B1(conj chi) / 4, verified to be a positive integer."""
-    if Q not in (1, 2):
-        raise DomainError(f"Q must be 1 or 2, got {Q}")
-    if chi.order != 4 or not chi.is_odd():
-        raise DomainError("chi must be an odd character of order 4",
-                          precondition="chi odd, order 4")
-    b1 = bernoulli_B1(chi)
-    prod = b1 * b1.conjugate()
-    if prod.im != 0:
-        raise ConsistencyError("B1 * conj(B1) is not real")
-    h = Fraction(Q * w, 4) * prod.re
-    if h.denominator != 1 or h <= 0:
-        raise ConsistencyError(
-            f"relative class number {h} is not a positive integer "
-            f"(wrong character, Q or w)")
-    return int(h)
-
-
 def class_number(K: CyclicQuarticField) -> int:
-    """h(K) = h^- * h(K+); exact throughout.
+    """h(K) = h^- * h(K+), with h^- from B1(chi) and B1(conj chi) = conj B1(chi); exact.
 
     On the supported domain t is odd, so the quadratic subfield radicand
     is even: the field contains no 5th, 8th or 12th roots of unity and
     w = 2 is forced.
     """
-    chi = associated_quartic_character(K)
-    h_minus = relative_class_number(chi, K.hasse_q, 2)
+    b1 = bernoulli_B1(associated_quartic_character(K))
+    h_minus = relative_class_number((b1, b1.conjugate()), K.hasse_q, 2)
     return h_minus * quadratic.class_number_real(K.kplus.fund_disc)
 
 

@@ -11,8 +11,9 @@ split by CRT into coprime parts m * n, chi into psi (mod m) times lambda
 (mod n), and each part's exponents are one small `bytes` table, built
 from the per-prime-power code tables by repetition (CRT periodicity) and
 big-integer addition.  The Python loop runs over the units of the
-smaller part m; the prefix class counts of lambda between consecutive
-points are read with `bytes.count`.
+smaller part m, only those below m/2 when lambda is nontrivial; the
+prefix class counts of lambda between consecutive points are read with
+`bytes.count`.
 """
 
 from __future__ import annotations
@@ -306,6 +307,17 @@ def characters_of_order_dividing_4(modulus: int,
     return [DirichletCharacter(modulus, v) for v in vectors]
 
 
+def kronecker_character(D: int) -> DirichletCharacter:
+    """The Kronecker character (D|.) of a fundamental discriminant D, as a character mod |D|.
+
+    Its exponent is 2 on each component whose lift has (D|lift) = -1 and 0
+    elsewhere.
+    """
+    f = abs(D)
+    return DirichletCharacter(f, tuple(2 if kronecker(D, g) == -1 else 0
+                                       for g in unit_group(f).component_lifts))
+
+
 def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     """Generalized Bernoulli number B_{1,chi} = (1/f) * sum_{a<f} chi(a) a, exact.
 
@@ -322,6 +334,12 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     and the last term drops because psi is chosen nontrivial, so that
     sum_x psi(x) = 0.  S0 is 0 unless lambda is trivial.  No split (n = 1)
     leaves sum_x psi(x) * x.
+
+    When S0 = 0, x and m - x contribute alike: c_(m-x) = 1 - c_x (mod n)
+    gives P(c_(m-x)) = -lambda(-1) * P(c_x), and psi(-1) * lambda(-1) =
+    chi(-1) = -1.  So only the x < m/2 are visited and the sum doubled.
+    For trivial lambda the identity fails (some c_x = 0), and every x is
+    visited.
     """
     if chi.order == 1:
         raise DomainError("B1 of the trivial character is not supported",
@@ -334,9 +352,12 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     lam = _exponent_table([part for part in chi._decode if part not in side])
     m, n = len(psi), len(lam)
     mbar = pow(m, -1, n)
-    # points (c_x, k) with psi(x) = i^k, sorted by c_x; shift[k] sums x - m*c_x
+    s0 = _gaussian([lam.count(j) for j in range(4)])
+    halved = s0 == ZERO
+    # points (c_x, k) with psi(x) = i^k, sorted by c_x; shift[k] sums x - m*c_x,
+    # which counts only when S0 != 0, that is after a full loop
     points, shift = [], [0, 0, 0, 0]
-    for x, k in enumerate(psi):
+    for x, k in enumerate(psi[:(m + 1) // 2] if halved else psi):
         if k < 4:
             c = x * mbar % n
             points.append(c << 2 | k)
@@ -356,8 +377,8 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
         im[k] += n1 - n3
         prev = c
     # sum_x psi(x) P(c_x) = sum_k i^k (re[k] + i*im[k]), by powers of i
-    total = [re[k] + im[k - 1] for k in range(4)]
-    s0 = _gaussian([lam.count(j) for j in range(4)])
+    scale = 2 if halved else 1
+    total = [scale * (re[k] + im[k - 1]) for k in range(4)]
     return I_POWERS[lam[m % n]] * (_gaussian(total) + s0 * _gaussian(shift, chi.modulus))
 
 

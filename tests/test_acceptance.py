@@ -25,7 +25,7 @@ from cmquartic.cyclic_quartic import (
     same_field,
     two_adic_distinctness,
 )
-from cmquartic.dirichlet import DirichletCharacter
+from cmquartic.dirichlet import DirichletCharacter, bernoulli_B1
 from cmquartic.errors import DomainError
 from cmquartic.families import (
     biquadratic_family,
@@ -153,7 +153,8 @@ def test_criterion_8_relative_class_number_sanity():
     with criterion(8, "odd quartic character mod 5 with Q=1, w=10 gives h- = 1", 1.0):
         chi = DirichletCharacter(5, (1,))
         assert chi.order == 4 and chi.is_odd()
-        assert relative_class_number(chi, 1, 10) == 1
+        b1 = bernoulli_B1(chi)
+        assert relative_class_number((b1, b1.conjugate()), 1, 10) == 1
 
 
 def test_criterion_9_residue_cross_check():
@@ -194,6 +195,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _fresh_cli(argv: list[str]) -> tuple[int, str, float]:
+    """Exit code, stdout and peak RSS in MB of one fresh `python -m cmquartic.cli` process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryFile() as out:
+        proc = subprocess.Popen([sys.executable, "-m", "cmquartic.cli", *argv],
+                                stdout=out, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        out.seek(0)
+        peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+        return os.waitstatus_to_exitcode(status), out.read().decode(), peak_mb
+
+
 @pytest.mark.parametrize("t, p, golden, seconds, megabytes", [
     (101, 10303, "pair_cyclic_t101_p10303_h_json", 5.0, 100),
     (5, 1000003, "pair_cyclic_p1000003_h_json", 3.0, 150),
@@ -201,19 +215,22 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_criterion_12_large_conductor_pairs_in_bounded_time_and_memory(t, p, golden, seconds,
                                                                       megabytes):
     # one fresh process per pair, so its peak resident set is its own
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     argv = ["pair", "cyclic", "--t", str(t), "--p", str(p), "--with-class-number"]
     f = 8 * p * (t * t + 1)
     with criterion(12, f"cyclic pair t={t}, p={p} (f = {f:,}) as golden, "
-                       f"under {megabytes} MB peak RSS", seconds), \
-            tempfile.TemporaryFile() as out:
-        proc = subprocess.Popen([sys.executable, "-m", "cmquartic.cli", *argv],
-                                stdout=out, env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        assert proc.returncode == 0
-        assert out.read().decode() == (GOLDEN / f"{golden}.stdout").read_text()
-        peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
+                       f"under {megabytes} MB peak RSS", seconds):
+        code, out, peak_mb = _fresh_cli(argv)
+        assert code == 0
+        assert out == (GOLDEN / f"{golden}.stdout").read_text()
         assert peak_mb < megabytes, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_criterion_13_large_biquadratic_pair_in_bounded_time_and_memory():
+    # |D| = 420,852,904 for the product subfield: its O(|D|) form count took
+    # about 5 s on a 2-vCPU Xeon VM, the B1 kernel takes well under a second
+    argv = ["pair", "biquad", "--t", "101", "--p", "10313", "--with-class-number"]
+    with criterion(13, "biquadratic pair t=101, p=10313 as golden, under 60 MB peak RSS", 2.0):
+        code, out, peak_mb = _fresh_cli(argv)
+        assert code == 0
+        assert out == (GOLDEN / "pair_biquad_t101_p10313_h_json.stdout").read_text()
+        assert peak_mb < 60, f"peak RSS {peak_mb:.1f} MB"

@@ -137,6 +137,24 @@ def test_kronecker_equals_euler_criterion():
             assert kronecker(a, p) == expected, (a, p)
 
 
+def test_kronecker_matches_sympy():
+    # an independent oracle: every imaginary quadratic class number reads
+    # kronecker through dirichlet.kronecker_character
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.one_of(st.integers(-200, 200), st.integers(-10**12, 10**12))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(ints, ints, st.integers(0, 6))
+    def check(a, n, k):
+        n <<= k  # even n, through the 2-adic factor
+        hypothesis.assume(a or n)
+        assert kronecker(a, n) == sympy.kronecker_symbol(a, n), (a, n)
+
+    check()
+
+
 def test_kronecker_multiplicative():
     # zero arguments excluded: (0 | +-1) = 1 by convention breaks the identity
     for a in range(-20, 21):

@@ -128,6 +128,17 @@ def test_class_number_requires_resolved_Q():
         class_number(biquadratic(-1, 2))
 
 
+def test_q_override_outside_1_and_2_is_a_domain_error():
+    # every path checks the override: 3 once gave a wrong regulator, 0 a
+    # bare ZeroDivisionError
+    with pytest.raises(DomainError):
+        field_invariants(biquadratic(-21, 10), Q_override=3)
+    with pytest.raises(DomainError):
+        regulator(biquadratic(-1, 2), Q_override=0)
+    with pytest.raises(DomainError):
+        class_number(biquadratic(-1, 2), Q_override=3)
+
+
 def test_paper_pair_validation():
     with pytest.raises(DomainError):
         paper_pair(15, 5)  # gcd 5

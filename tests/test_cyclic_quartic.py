@@ -25,8 +25,9 @@ from cmquartic.cyclic_quartic import (
     same_field,
     two_adic_distinctness,
 )
-from cmquartic.dirichlet import DirichletCharacter, characters_of_order_dividing_4, unit_group
-from cmquartic.errors import DomainError
+from cmquartic.dirichlet import (DirichletCharacter, bernoulli_B1,
+                                 characters_of_order_dividing_4, unit_group)
+from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import class_number_real
 
 
@@ -193,7 +194,8 @@ def test_relative_class_number_against_digamma_L_values():
                 else:
                     im -= psi
             h_analytic = 2 * (re * re + im * im) / f / (4 * mpmath.pi**2)
-            h_exact = relative_class_number(chi, 1, 2)
+            b1 = bernoulli_B1(chi)
+            h_exact = relative_class_number((b1, b1.conjugate()), 1, 2)
             assert abs(h_analytic - h_exact) < mpmath.mpf("1e-8"), (s, t)
 
 
@@ -350,13 +352,15 @@ def test_parity_first_candidates_match_the_full_filter_on_the_benchmark_pool():
 
 
 def test_relative_class_number_cyclotomic():
-    chi = DirichletCharacter(5, (1,))
-    assert relative_class_number(chi, 1, 10) == 1
+    b1 = bernoulli_B1(DirichletCharacter(5, (1,)))
+    assert relative_class_number((b1, b1.conjugate()), 1, 10) == 1
     with pytest.raises(DomainError):
-        relative_class_number(chi, 3, 10)
-    quadratic_chi = DirichletCharacter(4, (2,))
-    with pytest.raises(DomainError):
-        relative_class_number(quadratic_chi, 1, 2)
+        relative_class_number((b1, b1.conjugate()), 3, 10)
+    # B1(chi) alone is not real, and B1 of (-4|.) alone gives h^- = 1/2
+    with pytest.raises(ConsistencyError):
+        relative_class_number((b1,), 1, 10)
+    with pytest.raises(ConsistencyError):
+        relative_class_number((bernoulli_B1(DirichletCharacter(4, (2,))),), 1, 2)
 
 
 def test_class_number_example_pair():
@@ -365,8 +369,8 @@ def test_class_number_example_pair():
     assert 19400 == 2**3 * 5**2 * 97
     # h = h_minus * h(K+): the real subfield contributes exactly h(4904) = 10
     assert class_number_real(4904) == 10
-    chi = associated_quartic_character(CyclicQuarticField(-3, 35))
-    assert relative_class_number(chi, 1, 2) == 1940
+    b1 = bernoulli_B1(associated_quartic_character(CyclicQuarticField(-3, 35)))
+    assert relative_class_number((b1, b1.conjugate()), 1, 2) == 1940
 
 
 def test_class_number_small_member():

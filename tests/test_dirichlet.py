@@ -15,9 +15,11 @@ from cmquartic.dirichlet import (
     I_POWERS,
     bernoulli_B1,
     characters_of_order_dividing_4,
+    kronecker_character,
     unit_group,
 )
 from cmquartic.errors import DomainError
+from cmquartic.quadratic import class_number_imaginary, is_fundamental_discriminant
 
 
 @lru_cache(maxsize=None)
@@ -353,3 +355,82 @@ def test_split_B1_matches_reference_on_random_moduli():
 
     check()
     assert any(trivial_parts) and not all(trivial_parts)
+
+
+def test_kronecker_character_values():
+    for D in (-3, -4, -8, -7, -84, -840, 5, 8, 12, 40, 1229):
+        chi = kronecker_character(D)
+        assert chi.modulus == abs(D) and chi.conductor() == abs(D) and chi.order == 2
+        assert chi.is_odd() == (D < 0)
+        for a in range(abs(D)):
+            k = chi.value_exponent(a)
+            assert kronecker(D, a) == (0 if k is None else I_POWERS[k].re), (D, a)
+
+
+def _imaginary_class_number_from_B1(D: int) -> int:
+    """h(D) = -(w/2) * B1((D|.)), w the number of roots of unity of Q(sqrt(D))."""
+    w = 6 if D == -3 else 4 if D == -4 else 2
+    b1 = bernoulli_B1(kronecker_character(D))
+    assert b1.im == 0
+    h = -w * b1.re / 2
+    assert h.denominator == 1
+    return int(h)
+
+
+def test_B1_class_number_matches_the_form_count():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    for D in (-3, -4, -7, -8, -84, -840, -20020):
+        assert _imaginary_class_number_from_B1(D) == class_number_imaginary(D), D
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(3, 200_000))
+    def check(d):
+        hypothesis.assume(is_fundamental_discriminant(-d))
+        assert _imaginary_class_number_from_B1(-d) == class_number_imaginary(-d), -d
+
+    check()
+
+
+def _split_kind(chi: DirichletCharacter) -> tuple[bool, bool]:
+    """(lambda trivial, some unit x of the loop side has c_x = 0) for chi's B1 split."""
+    side = dirichlet._loop_side(chi._decode)
+    rest = [part for part in chi._decode if part not in side]
+    m = math.prod(pe for pe, *_ in side)
+    n = chi.modulus // m
+    trivial = not any(any(values) for *_, values in rest)
+    # c_x = x * m^-1 mod n is 0 exactly when n divides x
+    zero_point = n > 1 and any(math.gcd(x, m) == 1 for x in range(n, m, n))
+    return trivial, zero_point
+
+
+def test_halved_B1_loop_matches_per_term_sum():
+    # the loop over x < m/2 (nontrivial lambda) and the full loop (trivial
+    # lambda, where some c_x can be 0) both give (1/f) sum a chi(a)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kinds = set()
+    # trivial at 3, odd quartic at 25: psi lives on m = 25, n = 3 divides x = 3
+    chi = DirichletCharacter(75, (0, 1))
+    assert _split_kind(chi) == (True, True)
+    assert bernoulli_B1(chi) == reference_B1(chi)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        primes = data.draw(st.lists(st.sampled_from(sorted(_PRIME_POWERS)),
+                                    min_size=2, max_size=3, unique=True))
+        f = math.prod(data.draw(st.sampled_from(_PRIME_POWERS[p])) for p in primes)
+        hypothesis.assume(f <= 20_000)
+        exps = tuple(data.draw(st.sampled_from((0, 1, 2, 3) if c.order % 4 == 0 else (0, 2)))
+                     for c in unit_group(f).components)
+        chi = DirichletCharacter(f, exps)
+        hypothesis.assume(chi.order > 1 and chi.is_odd())
+        try:
+            assert bernoulli_B1(chi) == reference_B1(chi), (f, exps)
+        finally:
+            stepped_logs.cache_clear()
+        kinds.add(_split_kind(chi))
+
+    check()
+    assert {(False, False), (True, False)} <= kinds
