@@ -1,21 +1,25 @@
 """Family generators and verification reports.
 
-Square-free sieves over t, regulator-target search, the two infinite
-families of equal-invariant pairs (biquadratic and cyclic quartic), and
-the zeta-residue cross-check.  Pair generation is embarrassingly
-parallel over primes; output order is always ascending in p regardless
-of worker count.
+A segmented sieve for the t with t^2+1 square-free, regulator-target
+search, the two infinite families of equal-invariant pairs (biquadratic
+and cyclic quartic), and the zeta-residue cross-check.  The sieve walks
+each prime p = 1 (mod 4) up to a cube-root bound along the window, so a
+window costs t_max^(2/3) plus its length rather than one factorization
+per t.  Pair generation is embarrassingly parallel over primes; output
+order is always ascending in p regardless of worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import mpmath
 
-from .arith import Factorization, is_prime, is_squarefree, primes_in_progression
+from .arith import _TRIAL_LIMIT, Factorization, is_prime, is_squarefree, primes_in_progression
 from . import biquadratic as bq
 from . import cyclic_quartic as cq
 from . import quadratic
@@ -62,48 +66,75 @@ class FamilyReport:
     regulator: HighPrecReal
 
 
+#: candidates per sieve segment, so memory does not grow with the window
+SIEVE_SEGMENT = 1 << 15
+
+
+def _sqrt_minus_one_roots(bound: int) -> Iterator[tuple[int, int]]:
+    """(p, r) for every prime p = 1 (mod 4) up to `bound`, with r^2 = -1 (mod p)."""
+    prime = bytearray(b"\x01") * (bound + 1)  # read at odd indices only
+    for p in range(3, math.isqrt(bound) + 1, 2):
+        if prime[p]:
+            prime[p * p::2 * p] = bytes(len(range(p * p, bound + 1, 2 * p)))
+    for p in itertools.compress(range(5, bound + 1, 4), prime[5::4]):
+        c = 2  # c^((p-1)/4) squares to -1 exactly when c is a non-residue
+        while (r := pow(c, p >> 2, p)) * r % p != p - 1:
+            c += 1
+        yield p, r
+
+
 def sieve_t(t_min: int, t_max: int, residue: int) -> SieveReport:
-    """All t in [t_min, t_max] with t = residue (mod 8) and t^2+1 square-free."""
+    """All t in [t_min, t_max] with t = residue (mod 8) and t^2+1 square-free.
+
+    t is odd, so t^2+1 = 2n with n odd and every prime factor of n = 1
+    (mod 4).  Each prime p = 1 (mod 4) up to B = min(ceil(n_max^(1/3)),
+    the trial-division limit) is divided out of n along the two residue
+    classes t = +-r (mod p) with r^2 = -1; a second factor p rejects t.
+    What is left has only prime factors above B, so below B^3 it is
+    square-free unless it is a square, and above it is factored.
+    """
     if residue not in (3, 5):
         raise DomainError(f"residue {residue} must be 3 or 5", code="E_T_INADMISSIBLE")
     if t_min < 1:
         raise DomainError(f"t_min {t_min} must be >= 1")
-    hits = [t for t in range(t_min + (residue - t_min) % 8, t_max + 1, 8)
-            if is_squarefree(t * t + 1)]
+    start = t_min + (residue - t_min) % 8
+    count = (t_max - start) // 8 + 1
+    if count <= 0:
+        return SieveReport((), residue, t_min, t_max)
+    t_last = start + 8 * (count - 1)
+    n_max = (t_last * t_last + 1) // 2
+    bound = _TRIAL_LIMIT
+    if n_max < bound**3:
+        bound = round(n_max ** (1 / 3))
+        bound += bound**3 < n_max
+    cube = bound**3
+    # p | n  <=>  t = start + 8k = +-r (mod p)  <=>  k = (+-r - start) / 8 (mod p)
+    # machine words, not tuples: at the 2^20 cap there are 81,904 classes
+    primes, offsets = array("q"), array("q")
+    for p, r in _sqrt_minus_one_roots(bound):
+        inv8 = pow(8, -1, p)
+        primes.extend((p, p))
+        offsets.extend(((r - start) * inv8 % p, (-r - start) * inv8 % p))
+    hits = []
+    for k0 in range(0, count, SIEVE_SEGMENT):
+        t0 = start + 8 * k0
+        rest = [(t * t + 1) >> 1 for t in range(t0, min(t0 + 8 * SIEVE_SEGMENT, t_last + 1), 8)]
+        size = len(rest)
+        for p, u in zip(primes, offsets):
+            for k in range((u - k0) % p, size, p):
+                q = rest[k] // p
+                rest[k] = q if q % p else 0  # 0 marks a rejected t
+        for k, c in enumerate(rest):
+            if c == 0:
+                continue
+            if c < cube:
+                root = math.isqrt(c)
+                if c > 1 and root * root == c:
+                    continue
+            elif not is_squarefree(c):
+                continue
+            hits.append(t0 + 8 * k)
     return SieveReport(tuple(hits), residue, t_min, t_max)
-
-
-# the quadratic whose square-free values feed the residue-5 sieve:
-# (8k+5)^2 + 1 = 2 * (32k^2 + 40k + 13)
-_SIEVE_POLY = (32, 40, 13)
-
-
-def nagell_precondition_check() -> bool:
-    """Checks that the sieve quadratic admits infinitely many square-free values.
-
-    Verifies: irreducible over Q (negative discriminant), no multiple
-    roots, primitive coefficients, and for every prime p <= 100 a
-    witness k with p^2 not dividing g(k).  Failure of any check is an
-    internal error, never a return value.
-    """
-    a, b, c = _SIEVE_POLY
-    disc = b * b - 4 * a * c
-    if disc >= 0 and math.isqrt(disc) ** 2 == disc:
-        raise ConsistencyError("sieve quadratic has a rational root")
-    if disc == 0:
-        raise ConsistencyError("sieve quadratic has a multiple root")
-    if math.gcd(math.gcd(a, b), c) != 1:
-        raise ConsistencyError("sieve quadratic is not primitive")
-    for p in range(2, 101):
-        if not is_prime(p):
-            continue
-        p2 = p * p
-        for k in range(1, 10**4 + 1):
-            if ((a * k + b) * k + c) % p2:
-                break
-        else:
-            raise ConsistencyError(f"no square-free witness for p = {p}")
-    return True
 
 
 #: largest M for regulator_target: the scan factors t^2+1 near e^(2M), which

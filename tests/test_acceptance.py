@@ -234,3 +234,18 @@ def test_criterion_13_large_biquadratic_pair_in_bounded_time_and_memory():
         assert code == 0
         assert out == (GOLDEN / "pair_biquad_t101_p10313_h_json.stdout").read_text()
         assert peak_mb < 60, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_criterion_14_sieve_window_in_bounded_time_and_memory():
+    # one trial-division factorization per t took about 19 s on a 2-vCPU Xeon
+    # VM; the window sieve takes well under a second
+    argv = ["sieve-t", "--min", "1", "--max", "200000", "--mod8", "5"]
+    with criterion(14, "sieve-t on [1, 200000], t = 5 (mod 8): 22,364 values, "
+                       "under 60 MB peak RSS", 2.0):
+        code, out, peak_mb = _fresh_cli(argv)
+        assert code == 0
+        t_values = [int(t) for t in json.loads(out)["payload"]["t_values"]]
+        assert (len(t_values), sum(t_values)) == (22_364, 2_236_356_244)
+        # t^2+1 = 2*13*10301^2 and 2*5*53353^2: squares above the cube-root bound
+        assert 52_525 not in t_values and 168_717 not in t_values
+        assert peak_mb < 60, f"peak RSS {peak_mb:.1f} MB"

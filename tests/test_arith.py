@@ -155,6 +155,40 @@ def test_kronecker_matches_sympy():
     check()
 
 
+def test_factor_matches_sympy():
+    # an independent oracle: the sieve's fallback above t = 10^9 rests on
+    # factor, through squares of primes past the trial-division limit 2^20
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.integers(-10**6, 10**6).filter(bool)
+    big_prime = st.integers(2**20, 2**22).map(sympy.nextprime)
+    past_trial = st.builds(lambda a, q, e: a * q**e, small, big_prime, st.integers(1, 3))
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(small, st.integers(-10**12, 10**12).filter(bool), past_trial))
+    def check(n):
+        f = factor(n)
+        assert f.sign == (1 if n > 0 else -1)
+        assert dict(f.factors) == sympy.factorint(abs(n)), n
+
+    check()
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(st.integers(-10, 10**6), st.integers(10**6, 2**64),
+                                st.integers(2**64, 2**128)))
+    def check(n):
+        assert is_prime(n) == sympy.isprime(n), n
+
+    check()
+
+
 def test_kronecker_multiplicative():
     # zero arguments excluded: (0 | +-1) = 1 by convention breaks the identity
     for a in range(-20, 21):

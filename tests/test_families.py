@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from cmquartic.arith import factor, is_squarefree
+from cmquartic.arith import factor, is_prime, is_squarefree
 from cmquartic.cmfield import FieldInvariants
 from cmquartic.errors import DomainError
 from cmquartic.families import (
@@ -14,7 +14,6 @@ from cmquartic.families import (
     cyclic_family,
     cyclic_pair_report,
     dedekind_residue,
-    nagell_precondition_check,
     regulator_target,
     same_regulator_family,
     sieve_t,
@@ -37,6 +36,9 @@ def test_sieve_examples():
     assert sieve_t(1, 40, 5).t_values == (5, 13, 21, 29, 37)
     assert sieve_t(1, 10, 3).t_values == (3,)
     assert sieve_t(7, 7, 5).t_values == ()
+    assert sieve_t(101, 101, 5).t_values == (101,)
+    assert sieve_t(41, 40, 5).t_values == ()
+    assert sieve_t(1, 2, 3).t_values == ()
     assert sieve_t(1, 100, 3).t_values[:4] == (3, 11, 19, 27)
 
 
@@ -56,12 +58,71 @@ def test_sieve_validation():
         sieve_t(0, 10, 3)
 
 
+def _squarefree_filter(lo, hi, residue):
+    """The sieve's definition, one factorization per t."""
+    return tuple(t for t in range(lo, hi + 1) if t % 8 == residue and is_squarefree(t * t + 1))
+
+
+def test_sieve_matches_per_t_filter_to_20000():
+    for residue in (3, 5):
+        assert sieve_t(1, 20_000, residue).t_values == _squarefree_filter(1, 20_000, residue)
+
+
+def test_sieve_matches_factorint_on_random_windows():
+    # one is_squarefree call costs about 27 ms near t = 10^8, so the oracle
+    # here is sympy's factorint
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 10**8 - 1), st.integers(-16, 8 * 200 - 1),
+                      st.sampled_from((3, 5)))
+    def check(t_min, width, residue):
+        t_max = t_min + width
+        expected = tuple(t for t in range(t_min, t_max + 1) if t % 8 == residue
+                         and max(sympy.factorint(t * t + 1).values()) == 1)
+        assert sieve_t(t_min, t_max, residue).t_values == expected
+
+    check()
+
+
+@pytest.mark.parametrize("t, square", [
+    (52_525, 10_301),  # t^2+1 = 2*13*10301^2: a square above the cube-root bound
+    (168_717, 53_353),  # t^2+1 = 2*5*53353^2
+    # t^2+1 = 2*5*349*1033*1409*3533*1048589^2: a square above 2^20, the largest
+    # sieving prime; the cofactor is that square
+    (4_442_173_193_733, 1_048_589),
+    # t^2+1 = 2*17*29*3209*1446233*1048589^2: the cofactor is past 2^60, so only
+    # its factorization finds the square
+    (2_243_095_411_891, 1_048_589),
+], ids=["52525", "168717", "4442173193733", "2243095411891"])
+def test_sieve_rejects_squares_the_sieve_primes_miss(t, square):
+    assert (t * t + 1) % (square * square) == 0
+    for lo, hi in ((t, t), (t - 16, t + 16)):
+        report = sieve_t(lo, hi, t % 8)
+        assert t not in report.t_values
+        assert report.t_values == _squarefree_filter(lo, hi, t % 8)
+
+
+# the quadratic whose square-free values feed the residue-5 sieve:
+# (8k+5)^2 + 1 = 2 * (32k^2 + 40k + 13)
+_SIEVE_POLY = (32, 40, 13)
+
+
 def test_nagell_precondition_check():
-    assert nagell_precondition_check() is True
-    # the quadratic behind the check: discriminant and content
-    assert 40 * 40 - 4 * 32 * 13 == -64
-    assert math.gcd(math.gcd(32, 40), 13) == 1
-    assert 32 + 40 + 13 == 85  # witness value at k = 1, equal to 5 * 17
+    """The sieve quadratic takes infinitely many square-free values (Nagell 1922).
+
+    Its negative discriminant rules out rational and multiple roots, its
+    coefficients are coprime, and for every prime p <= 100 some k has p^2
+    not dividing g(k).
+    """
+    a, b, c = _SIEVE_POLY
+    assert b * b - 4 * a * c == -64
+    assert math.gcd(math.gcd(a, b), c) == 1
+    assert a + b + c == 85  # witness value at k = 1, equal to 5 * 17
+    for p in filter(is_prime, range(2, 101)):
+        assert any(((a * k + b) * k + c) % (p * p) for k in range(1, 10**4 + 1)), p
 
 
 def test_regulator_target_examples():
