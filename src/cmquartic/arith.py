@@ -151,22 +151,28 @@ def factor(n: int) -> Factorization:
             n //= p
         p += step
         step = 6 - step
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
-            if is_prime(m):
-                exps[m] = exps.get(m, 0) + 1
-                continue
-            root = math.isqrt(m)
-            if root * root == m:
-                stack.extend((root, root))
-                continue
-            d = _rho_factor(m)
-            stack.extend((d, m // d))
+    exps.update(_cofactor_exponents(n))
     return Factorization(sign, tuple(sorted(exps.items())))
+
+
+def _cofactor_exponents(n: int) -> dict[int, int]:
+    """Prime exponents of an odd n >= 1 left by trial division: is_prime, exact roots, rho."""
+    exps: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            exps[m] = exps.get(m, 0) + 1
+            continue
+        root = math.isqrt(m)
+        if root * root == m:
+            stack.extend((root, root))
+            continue
+        d = _rho_factor(m)
+        stack.extend((d, m // d))
+    return exps
 
 
 def squarefree_part(n: int) -> SquarefreePart:

@@ -3,8 +3,8 @@
 A biquadratic field is determined by its three quadratic subfields, so
 the canonical representation is the set of their radicands.  The module
 computes discriminants by the conductor-discriminant product, regulators
-through the maximal real subfield, the Hasse unit index bound, and class
-numbers as h^- * h(K+), with h^- from the B1 values of the Kronecker
+through the maximal real subfield, the Hasse unit index from its unit, and
+class numbers as h^- * h(K+), with h^- from the B1 values of the Kronecker
 characters of the two imaginary quadratic subfields.
 """
 
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import Factorization, factor, squarefree_part
-from .cmfield import (FieldInvariants, checked_q, cm_regulator, hasse_index,
-                      relative_class_number)
+from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
 from .dirichlet import bernoulli_B1, kronecker_character
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
@@ -47,16 +46,16 @@ def biquadratic(a: int, b: int) -> BiquadraticField:
         raise DomainError(f"radicands ({a}, {b}) must avoid 0 and 1", code="E_PARAM_ZERO")
     ra = squarefree_part(a).value
     rb = squarefree_part(b).value
+    for n, r in ((a, ra), (b, rb)):
+        if r == 1:
+            raise DomainError(f"{n} is a perfect square: sqrt({n}) is rational",
+                              precondition="a and b not perfect squares")
     if ra == rb:
         raise DomainError(
             f"sqrt({a}) and sqrt({b}) generate the same quadratic field",
             precondition="distinct square-free parts",
         )
-    rc = squarefree_part(ra * rb).value
-    rads = tuple(sorted({ra, rb, rc}))
-    if len(rads) != 3 or 1 in rads:
-        raise ConsistencyError(f"radicand closure failed for ({a}, {b}): {rads}")
-    return BiquadraticField(rads)
+    return BiquadraticField(tuple(sorted((ra, rb, squarefree_part(ra * rb).value))))
 
 
 def discriminant(K: BiquadraticField) -> Factorization:
@@ -78,19 +77,13 @@ def maximal_real_subfield(K: BiquadraticField) -> QuadraticField:
 
 
 def hasse_Q(K: BiquadraticField) -> int:
-    """1 when disc(K)/disc(K+)^2 does not divide 2^4; otherwise E_Q_UNRESOLVED."""
-    return hasse_index(K, "; pass Q_override")
+    """Q from the unit of K+; sqrt(c) is in K when c is a square times 1 or a radicand."""
+    return hasse_index(K, K.radicands)
 
 
-def _q(K: BiquadraticField, Q_override: int | None) -> int:
-    """The override, checked to be 1 or 2, else K.hasse_q."""
-    return checked_q(Q_override) if Q_override is not None else K.hasse_q
-
-
-def regulator(K: BiquadraticField, precision_bits: int = 128,
-              Q_override: int | None = None) -> HighPrecReal:
+def regulator(K: BiquadraticField, precision_bits: int = 128) -> HighPrecReal:
     """2 * reg(K+) / Q, the quartic CM regulator identity."""
-    return cm_regulator(K, _q(K, Q_override), precision_bits)
+    return cm_regulator(K, precision_bits)
 
 
 def roots_of_unity_order(K: BiquadraticField) -> int:
@@ -107,16 +100,15 @@ def roots_of_unity_order(K: BiquadraticField) -> int:
     return 2
 
 
-def class_number(K: BiquadraticField, Q_override: int | None = None) -> int:
+def class_number(K: BiquadraticField) -> int:
     """h(K) = h^- * h(K+), with h^- over the odd characters (D1|.) and (D2|.).
 
     D1, D2 are the discriminants of the imaginary quadratic subfields;
     since -B1((D|.))/2 = h(D)/w(D), this is Q * w * h1 * h2 * h(K+) / (w1 * w2).
     """
-    Q = _q(K, Q_override)
     b1_values = [bernoulli_B1(kronecker_character(quadratic_field(r).fund_disc))
                  for r in K.radicands if r < 0]
-    h_minus = relative_class_number(b1_values, Q, roots_of_unity_order(K))
+    h_minus = relative_class_number(b1_values, K.hasse_q, roots_of_unity_order(K))
     return h_minus * quadratic.class_number_real(K.kplus.fund_disc)
 
 
@@ -142,14 +134,12 @@ def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:
 
 
 def field_invariants(K: BiquadraticField, precision_bits: int = 128,
-                     with_class_number: bool = False,
-                     Q_override: int | None = None) -> FieldInvariants:
-    q = _q(K, Q_override)
-    h = class_number(K, Q_override=q) if with_class_number else None
+                     with_class_number: bool = False) -> FieldInvariants:
+    h = class_number(K) if with_class_number else None
     return FieldInvariants(
         disc=K.disc,
-        regulator=regulator(K, precision_bits, Q_override=q),
-        hasse_q=q,
+        regulator=regulator(K, precision_bits),
+        hasse_q=K.hasse_q,
         roots_of_unity=roots_of_unity_order(K),
         class_number=h,
     )

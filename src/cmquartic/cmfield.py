@@ -1,8 +1,10 @@
 """What the biquadratic and cyclic quartic CM-fields share past disc(K) and K+.
 
 The functions take a field with `disc`, `kplus`, `hasse_q` and `label()`.
-The Hasse unit index Q = [E_K : W_K E_K+] is always an int: `hasse_index`
-returns 1 or raises E_Q_UNRESOLVED for the fields its rule cannot settle.
+`hasse_index` works the Hasse unit index Q = [E_K : W_K E_K+] out from the
+fundamental unit eps of K+ (Washington, Introduction to Cyclotomic Fields,
+Thm 4.12; Lemmermeyer, Kuroda's class number formula, Acta Arith. 66, 1994):
+Q = 2 exactly when zeta*eps is a square in K for a root of unity zeta.
 Both kinds get h^- from the B1 values of their odd characters through
 `relative_class_number`.
 """
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .arith import Factorization
 from .dirichlet import I_POWERS
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError
 from .precision import HighPrecReal
 from . import quadratic
 
@@ -33,27 +35,39 @@ class FieldInvariants:
     r2: int = 2
 
 
-def hasse_index(K, hint: str = "") -> int:
-    """1 when disc(K)/disc(K+)^2 does not divide 16; else an E_Q_UNRESOLVED error."""
+def _has_sqrt(c: int, radicands: tuple[int, ...]) -> bool:
+    """sqrt(c) lies in K: c is a square times 1 or times one of its radicands."""
+    return any(c * r > 0 and math.isqrt(c * r) ** 2 == c * r for r in (1, *radicands))
+
+
+def hasse_index(K, radicands: tuple[int, ...]) -> int:
+    """Q in {1, 2} from the fundamental unit eps of K+ and the radicands of K's subfields.
+
+    A unit of norm -1 gives Q = 1, since Q = 2 makes eps = eta * conj(eta)
+    totally positive.  Otherwise M = 2 + Tr(eps) has eps * M = (1 + eps)^2,
+    so zeta * eps is a square exactly when zeta * M is.  Modulo squares the
+    roots of unity are 1, -1 and, when i is in K, i = (1 + i)^2 / 2; eps
+    itself is no square, and Q(zeta8) has a unit of norm -1.  So Q = 2
+    exactly when sqrt(-M) is in K, or i and sqrt(2M) are.  Q = 2 leaves
+    K/K+ unramified outside 2, which disc(K)/disc(K+)^2 | 16 checks.
+    """
     ratio, rem = divmod(K.disc.value(), K.kplus.fund_disc**2)
     if rem:
         raise ConsistencyError(f"disc(K+)^2 does not divide disc(K) for {K.label()}")
-    if 16 % ratio == 0:
-        raise DomainError(f"Hasse index of {K.label()} is unresolved{hint}",
-                          code="E_Q_UNRESOLVED")
-    return 1
+    unit = quadratic.fundamental_unit(K.kplus)
+    if unit.norm == -1:
+        return 1
+    M = 2 + 2 * unit.x // unit.denom
+    if not (_has_sqrt(-M, radicands) or (-1 in radicands and _has_sqrt(2 * M, radicands))):
+        return 1
+    if 16 % ratio:
+        raise ConsistencyError(f"Q = 2 for {K.label()}, but K/K+ ramifies at an odd prime")
+    return 2
 
 
-def cm_regulator(K, q: int, precision_bits: int) -> HighPrecReal:
+def cm_regulator(K, precision_bits: int) -> HighPrecReal:
     """2 * reg(K+) / Q, the quartic CM regulator identity."""
-    return quadratic.regulator(K.kplus, precision_bits).scaled(2, q)
-
-
-def checked_q(Q: int) -> int:
-    """Q itself when it can be a quartic CM unit index, 1 or 2; else a DomainError."""
-    if Q not in (1, 2):
-        raise DomainError(f"Q must be 1 or 2, got {Q}")
-    return Q
+    return quadratic.regulator(K.kplus, precision_bits).scaled(2, K.hasse_q)
 
 
 def relative_class_number(b1_values, Q: int, w: int) -> int:
@@ -67,7 +81,7 @@ def relative_class_number(b1_values, Q: int, w: int) -> int:
     prod = math.prod(b1_values, start=I_POWERS[0])
     if prod.im != 0:
         raise ConsistencyError("the product of the B1 values is not real")
-    h = Fraction(checked_q(Q) * w, (-2) ** len(b1_values)) * prod.re
+    h = Fraction(Q * w, (-2) ** len(b1_values)) * prod.re
     if h.denominator != 1 or h <= 0:
         raise ConsistencyError(
             f"relative class number {h} is not a positive integer "

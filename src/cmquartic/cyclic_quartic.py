@@ -2,11 +2,10 @@
 
 For nonzero integers s, t this polynomial is irreducible with cyclic
 Galois group; the field is totally real for s > 0 and CM for s < 0.
-The module provides the cyclicity certificate, the square-free-part
-field-equality test, the exact discriminant under explicit congruence
-conditions, regulators through the real quadratic subfield, and class
-numbers through an order-4 character and its generalized Bernoulli
-numbers.
+The module provides the square-free-part field-equality test, the exact
+discriminant under explicit congruence conditions, regulators through the
+real quadratic subfield, and class numbers through an order-4 character
+and its generalized Bernoulli numbers.
 """
 
 from __future__ import annotations
@@ -52,43 +51,11 @@ class CyclicQuarticField:
     hasse_q = cached_property(lambda self: hasse_Q(self))
 
 
-@dataclass(frozen=True)
-class CyclicityCertificate:
-    """Witnesses that the defining polynomial generates a cyclic quartic field.
-
-    The constant term b is not a rational square (its square-free core
-    exceeds 1), a^2 - 4b is not one either, and b(a^2 - 4b) is the exact
-    square of `product_root`.
-    """
-
-    a: int
-    b: int
-    b_squarefree_core: int
-    shifted_disc: int
-    product_root: int
-
-
 def defining_polynomial(s: int, t: int) -> tuple[int, int, int, int, int]:
     """Coefficients (1, 0, -2s(t^2+1), 0, s^2 t^2 (t^2+1))."""
     CyclicQuarticField(s, t)  # rejects s = 0 or t = 0
     m = t * t + 1
     return (1, 0, -2 * s * m, 0, s * s * t * t * m)
-
-
-def cyclicity_certificate(s: int, t: int) -> CyclicityCertificate:
-    CyclicQuarticField(s, t)  # rejects s = 0 or t = 0
-    m = t * t + 1
-    a = -2 * s * m
-    b = s * s * t * t * m
-    core = squarefree_part(m).value
-    if core == 1:
-        raise ConsistencyError(f"t^2+1 = {m} is a perfect square with t != 0")
-    shifted = a * a - 4 * b  # = 4 s^2 (t^2 + 1), never a square
-    root = 2 * s * s * abs(t) * m
-    if root * root != b * shifted:
-        raise ConsistencyError(f"b(a^2-4b) is not the expected square for ({s}, {t})")
-    return CyclicityCertificate(a=a, b=b, b_squarefree_core=core,
-                                shifted_disc=shifted, product_root=root)
 
 
 def same_field(s: int, s2: int, t: int) -> bool:
@@ -103,13 +70,6 @@ def same_field(s: int, s2: int, t: int) -> bool:
     g = math.gcd(a, b)
     core = (a // g) * (b // g)
     return core == 1 or core == squarefree_part(t * t + 1).value
-
-
-def two_adic_distinctness(t: int) -> bool:
-    """True when t^2+1 is not twice a square (guaranteed for t = 3, 5 mod 8)."""
-    if t == 0:
-        raise DomainError("t must be nonzero", code="E_PARAM_ZERO")
-    return squarefree_part(t * t + 1).value != 2
 
 
 def hsw_discriminant(a: int, b: int, c: int) -> Factorization:
@@ -179,13 +139,13 @@ def maximal_real_subfield(K: CyclicQuarticField) -> QuadraticField:
 
 
 def hasse_Q(K: CyclicQuarticField) -> int:
-    """1 when disc(K)/disc(K+)^2 does not divide 16; otherwise E_Q_UNRESOLVED."""
-    return hasse_index(K)
+    """Q from the unit of K+, whose radicand is the only one of K: 1, as Hasse proved."""
+    return hasse_index(K, (K.kplus.radicand,))
 
 
 def regulator(K: CyclicQuarticField, precision_bits: int = 128) -> HighPrecReal:
     """2 * reg(K+) / Q for the imaginary members of the family."""
-    return cm_regulator(K, K.hasse_q, precision_bits)
+    return cm_regulator(K, precision_bits)
 
 
 def _conductor_of_quartic_character(K: CyclicQuarticField) -> int:

@@ -19,7 +19,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import mpmath
 
-from .arith import _TRIAL_LIMIT, Factorization, is_prime, is_squarefree, primes_in_progression
+from .arith import (_TRIAL_LIMIT, Factorization, _cofactor_exponents, is_prime, is_squarefree,
+                    primes_in_progression)
 from . import biquadratic as bq
 from . import cyclic_quartic as cq
 from . import quadratic
@@ -91,7 +92,8 @@ def sieve_t(t_min: int, t_max: int, residue: int) -> SieveReport:
     the trial-division limit) is divided out of n along the two residue
     classes t = +-r (mod p) with r^2 = -1; a second factor p rejects t.
     What is left has only prime factors above B, so below B^3 it is
-    square-free unless it is a square, and above it is factored.
+    square-free unless it is a square.  Above B^3, B is the trial-division
+    limit, so it goes straight to the stage of `factor` after trial division.
     """
     if residue not in (3, 5):
         raise DomainError(f"residue {residue} must be 3 or 5", code="E_T_INADMISSIBLE")
@@ -131,7 +133,7 @@ def sieve_t(t_min: int, t_max: int, residue: int) -> SieveReport:
                 root = math.isqrt(c)
                 if c > 1 and root * root == c:
                     continue
-            elif not is_squarefree(c):
+            elif any(e > 1 for e in _cofactor_exponents(c).values()):
                 continue
             hits.append(t0 + 8 * k)
     return SieveReport(tuple(hits), residue, t_min, t_max)

@@ -26,9 +26,6 @@ class HighPrecReal:
     error_bound: mpf
     precision_bits: int
 
-    def __float__(self) -> float:
-        return float(self.value)
-
     def to_decimal(self) -> str:
         dps = int(self.precision_bits * 0.30103) + 2
         return mpmath.nstr(self.value, dps, strip_zeros=False)

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,7 +22,6 @@ from cmquartic.cyclic_quartic import (
     hsw_discriminant,
     relative_class_number,
     same_field,
-    two_adic_distinctness,
 )
 from cmquartic.dirichlet import DirichletCharacter, bernoulli_B1
 from cmquartic.errors import DomainError
@@ -45,6 +43,8 @@ from cmquartic.quadratic import (
     is_fundamental_discriminant,
     quadratic_field,
 )
+
+from test_cyclic_quartic import two_adic_distinctness
 
 
 @contextmanager
@@ -195,17 +195,32 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+#: runs `python -m cmquartic.cli` and, on the way out, writes the process's
+#: own peak resident set (VmHWM, in kB) to stderr; stdout is the CLI's alone
+_PEAK_RSS_SHIM = """
+import runpy, sys
+try:
+    runpy.run_module("cmquartic.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as status:
+        sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+"""
+
+
 def _fresh_cli(argv: list[str]) -> tuple[int, str, float]:
-    """Exit code, stdout and peak RSS in MB of one fresh `python -m cmquartic.cli` process."""
+    """Exit code, stdout and peak RSS in MB of one fresh CLI process.
+
+    The peak is the child's own VmHWM: `ru_maxrss` from `os.wait4` also
+    counts the pages the child shared with the test process before exec.
+    """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    with tempfile.TemporaryFile() as out:
-        proc = subprocess.Popen([sys.executable, "-m", "cmquartic.cli", *argv],
-                                stdout=out, env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-        out.seek(0)
-        peak_mb = usage.ru_maxrss / 1024  # kilobytes on Linux
-        return os.waitstatus_to_exitcode(status), out.read().decode(), peak_mb
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SHIM, *argv], env=env,
+                          capture_output=True, check=False)
+    hwm = proc.stderr.decode().splitlines()[-1]
+    assert hwm.startswith("VmHWM:") and hwm.endswith(" kB"), proc.stderr.decode()
+    peak_mb = int(hwm.split()[1]) / 1024
+    return proc.returncode, proc.stdout.decode(), peak_mb
 
 
 @pytest.mark.parametrize("t, p, golden, seconds, megabytes", [

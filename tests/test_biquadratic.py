@@ -4,6 +4,8 @@ import mpmath
 import pytest
 
 from cmquartic.arith import is_squarefree
+from cmquartic.cmfield import relative_class_number
+from cmquartic.dirichlet import bernoulli_B1, kronecker_character
 from cmquartic.biquadratic import (
     BiquadraticField,
     biquadratic,
@@ -17,7 +19,7 @@ from cmquartic.biquadratic import (
     roots_of_unity_order,
 )
 from cmquartic.errors import ConsistencyError, DomainError
-from cmquartic.quadratic import class_number_real, quadratic_field
+from cmquartic.quadratic import class_number_real, fundamental_unit, quadratic_field
 from cmquartic import quadratic
 
 
@@ -30,6 +32,13 @@ def test_construction_examples():
         biquadratic(0, 5)
     # normalization: same field regardless of square factors
     assert biquadratic(-84, 40) == biquadratic(-21, 10)
+
+
+def test_square_radicand_is_a_domain_error():
+    for a, b in ((-60, 4), (4, -3), (-3, 9)):
+        with pytest.raises(DomainError) as exc:
+            biquadratic(a, b)
+        assert exc.value.precondition == "a and b not perfect squares"
 
 
 def test_radicand_closure():
@@ -67,14 +76,83 @@ def test_maximal_real_subfield():
         maximal_real_subfield(biquadratic(2, 3))
 
 
+#: (a, b) -> label and Hasse index, one field per branch of the unit rule
+KNOWN_Q = [
+    ((-21, 10), "B(-210,-21,10)", 1),
+    ((-26, 2), "B(-26,-13,2)", 1),
+    ((-1, 2), "B(-2,-1,2)", 1),  # Q(zeta8): eps = 1 + sqrt(2) has norm -1
+    ((-1, 5), "B(-5,-1,5)", 1),  # norm -1
+    ((-3, 2), "B(-6,-3,2)", 1),  # norm -1
+    ((-1, 3), "B(-3,-1,3)", 2),  # Q(zeta12): M = 6, sqrt(2M) = 2 sqrt(3)
+    ((-1, 6), "B(-6,-1,6)", 2),  # M = 12, sqrt(2M) = 2 sqrt(6)
+    ((-1, 7), "B(-7,-1,7)", 2),  # M = 18, 2M = 36 is a square
+    ((-2, 3), "B(-6,-2,3)", 2),  # w = 2, M = 6, sqrt(-M) = sqrt(-6)
+    ((-3, 6), "B(-3,-2,6)", 2),  # w = 6, M = 12, sqrt(-M) = 2 sqrt(-3)
+    ((-1, 10), "B(-10,-1,10)", 1),  # norm -1 (eps = 3 + sqrt(10))
+    ((-5, 3), "B(-15,-5,3)", 1),  # M = 6, but neither sqrt(-6) nor i is in K
+    ((-2, 7), "B(-14,-2,7)", 2),  # M = 18, sqrt(-M) = 3 sqrt(-2)
+]
+
+
 def test_hasse_Q():
-    assert hasse_Q(biquadratic(-21, 10)) == 1
-    assert hasse_Q(biquadratic(-26, 2)) == 1
-    # ratio 4 divides 16: the rule cannot settle Q, and says so
-    with pytest.raises(DomainError) as exc:
-        hasse_Q(biquadratic(-1, 2))
-    assert exc.value.code == "E_Q_UNRESOLVED"
-    assert str(exc.value) == "Hasse index of B(-2,-1,2) is unresolved; pass Q_override"
+    for ab, label, q in KNOWN_Q:
+        K = biquadratic(*ab)
+        assert K.label() == label
+        assert hasse_Q(K) == q, label
+        assert class_number(K) > 0  # h^- is an integer only for the right Q
+
+
+def _small_fields():
+    """The imaginary biquadratic fields B(a, b) with -60 <= a < 0 and 2 <= b < 60."""
+    fields = {}
+    for a in range(-60, 0):
+        for b in range(2, 60):
+            try:
+                K = biquadratic(a, b)
+            except DomainError:  # a square, or one quadratic field twice
+                continue
+            fields[K.radicands] = K
+    return list(fields.values())
+
+
+def test_hasse_Q_sweep_resolves_every_small_field():
+    fields = _small_fields()
+    unsettled = q2 = 0
+    for K in fields:
+        q = hasse_Q(K)
+        # the ramification rule: Q = 1 unless disc(K)/disc(K+)^2 divides 16
+        if 16 % (K.disc.value() // K.kplus.fund_disc**2):
+            assert q == 1, K.label()
+        else:
+            unsettled += 1
+            q2 += q == 2
+        b1_values = [bernoulli_B1(kronecker_character(quadratic_field(r).fund_disc))
+                     for r in K.radicands if r < 0]
+        assert relative_class_number(b1_values, q, roots_of_unity_order(K)) > 0
+    assert (len(fields), unsettled, q2) == (1194, 78, 41)
+
+
+def test_hasse_Q_matches_the_sympy_square_test():
+    """Q = 2 exactly when x^2 - zeta*eps has a root in K for a root of unity zeta."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def linear_factors(coeffs, F):
+        _, factors = sympy.Poly(coeffs, x, domain=F).factor_list()
+        return [f for f, _ in factors if f.degree() == 1]
+
+    for ab, label, q in KNOWN_Q:
+        K = biquadratic(*ab)
+        F = sympy.QQ.algebraic_field(*(sympy.sqrt(r) for r in K.radicands[:2]))
+        unit = fundamental_unit(K.kplus)
+        eps = F.from_sympy((unit.x + unit.y * sympy.sqrt(unit.radicand)) / unit.denom)
+        w = roots_of_unity_order(K)
+        cyclotomic = sympy.Poly(sympy.cyclotomic_poly(w, x), x).all_coeffs()
+        roots = linear_factors(cyclotomic, F)
+        assert len(roots) == sympy.totient(w), label  # K holds every primitive w-th root
+        zeta = F.from_sympy(-roots[0].TC())
+        squares = [k for k in range(w) if linear_factors([F.one, F.zero, -zeta**k * eps], F)]
+        assert (2 if squares else 1) == q, label
 
 
 def test_regulator_values():
@@ -90,9 +168,12 @@ def test_regulator_values():
 
 
 def test_regulator_requires_resolved_Q():
-    with pytest.raises(DomainError):
-        regulator(biquadratic(-1, 2))
-    assert regulator(biquadratic(-1, 2), Q_override=1).value > 0
+    # reg(K) = 2 reg(K+) / Q: Q(zeta8) has Q = 1, Q(zeta12) has Q = 2
+    with mpmath.workprec(150):
+        assert abs(regulator(biquadratic(-1, 2)).value
+                   - 2 * mpmath.log(1 + mpmath.sqrt(2))) < mpmath.mpf(2) ** -120
+        assert abs(regulator(biquadratic(-1, 3)).value
+                   - mpmath.log(2 + mpmath.sqrt(3))) < mpmath.mpf(2) ** -120
 
 
 def test_roots_of_unity():
@@ -115,28 +196,18 @@ def test_class_number_example_pair():
 
 
 def test_class_number_cyclotomic_sanity():
-    # eighth roots of unity: prime-power conductor has unit index Q = 1
-    assert class_number(biquadratic(-1, 2), Q_override=1) == 1
-    # twelfth roots of unity: the true unit index is 2; 1 is inconsistent
-    assert class_number(biquadratic(-1, 3), Q_override=2) == 1
-    with pytest.raises(ConsistencyError):
-        class_number(biquadratic(-1, 3), Q_override=1)
+    # Q(zeta8) and Q(zeta12) have class number 1
+    assert class_number(biquadratic(-1, 2)) == 1
+    assert class_number(biquadratic(-1, 3)) == 1
 
 
 def test_class_number_requires_resolved_Q():
-    with pytest.raises(DomainError):
-        class_number(biquadratic(-1, 2))
-
-
-def test_q_override_outside_1_and_2_is_a_domain_error():
-    # every path checks the override: 3 once gave a wrong regulator, 0 a
-    # bare ZeroDivisionError
-    with pytest.raises(DomainError):
-        field_invariants(biquadratic(-21, 10), Q_override=3)
-    with pytest.raises(DomainError):
-        regulator(biquadratic(-1, 2), Q_override=0)
-    with pytest.raises(DomainError):
-        class_number(biquadratic(-1, 2), Q_override=3)
+    # Q(zeta12): its resolved Q = 2 gives h^- = 1; Q = 1 gives h^- = 1/2
+    K = biquadratic(-1, 3)
+    b1_values = [bernoulli_B1(kronecker_character(d)) for d in (-4, -3)]
+    assert relative_class_number(b1_values, K.hasse_q, 12) == 1
+    with pytest.raises(ConsistencyError):
+        relative_class_number(b1_values, 1, 12)
 
 
 def test_paper_pair_validation():
@@ -206,12 +277,8 @@ def test_field_invariants_payload():
     assert inv.class_number is None
 
 
-def test_field_invariants_take_the_override_for_an_unresolved_index():
-    # Q(zeta12): the rule leaves Q open, and Q = 2 gives h = 1
-    K = biquadratic(-1, 3)
-    with pytest.raises(DomainError):
-        K.hasse_q
-    inv = field_invariants(K, 128, True, Q_override=2)
+def test_field_invariants_of_zeta12():
+    inv = field_invariants(biquadratic(-1, 3), 128, True)
     assert inv.hasse_q == 2
     assert inv.class_number == 1
     assert inv.roots_of_unity == 12

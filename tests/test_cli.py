@@ -180,8 +180,8 @@ def test_verify_examples_detects_injected_fault(capsys, monkeypatch):
 
     real = bq.class_number
 
-    def corrupted(K, Q_override=None):
-        return real(K, Q_override) + 1
+    def corrupted(K):
+        return real(K) + 1
 
     monkeypatch.setattr(bq, "class_number", corrupted)
     code, out = run_cli(capsys, "verify-examples")

@@ -68,6 +68,13 @@ def test_sieve_matches_per_t_filter_to_20000():
         assert sieve_t(1, 20_000, residue).t_values == _squarefree_filter(1, 20_000, residue)
 
 
+def test_sieve_matches_per_t_filter_near_10_to_12():
+    # n = (t^2+1)/2 is past 2^60 here, so nearly every cofactor skips trial division
+    for residue in (3, 5):
+        lo, hi = 10**12, 10**12 + 47
+        assert sieve_t(lo, hi, residue).t_values == _squarefree_filter(lo, hi, residue)
+
+
 def test_sieve_matches_factorint_on_random_windows():
     # one is_squarefree call costs about 27 ms near t = 10^8, so the oracle
     # here is sympy's factorint

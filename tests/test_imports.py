@@ -1,7 +1,10 @@
 """Every name a package module imports is used (standard library `ast` only),
-and the CLI never loads numpy, sympy or, at start-up, concurrent.futures."""
+the CLI never loads numpy, sympy or, at start-up, concurrent.futures, and
+every function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -9,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cmquartic"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cmquartic"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -56,3 +60,15 @@ def test_cli_and_class_number_load_neither_numpy_nor_sympy():
     out = subprocess.run([sys.executable, "-c", _HEAVY_IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_every_function_the_tracer_wraps_is_a_module_function():
+    # `perfbench/run.py --trace 1` fails to install when a wrapped name is gone
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, names in tracer.WRAPPED.items():
+        module = importlib.import_module(f"cmquartic.{module_name}")
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), f"{module_name}.{name}"
