@@ -227,30 +227,59 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-#: count_roots_mod_p evaluates modulo primes below this cap only
+#: the character selection of a cyclic quartic field tests primes below
+#: this cap only, and count_roots_mod_p takes no larger p
 ROOT_COUNT_CAP = 10**6
+
+
+def _sqrt_mod_p(a: int, p: int) -> int:
+    """A square root of a nonzero quadratic residue a modulo an odd prime p (Tonelli-Shanks)."""
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> e  # p - 1 = q * 2^e with q odd
+    x, b = pow(a, (q + 1) >> 1, p), pow(a, q, p)  # x^2 = a * b, and b has order dividing 2^(e-1)
+    if b == 1:
+        return x
+    z = 2
+    while pow(z, (p - 1) >> 1, p) == 1:
+        z += 1
+    c = pow(z, q, p)  # a non-residue's q-th power has order exactly 2^e
+    while b != 1:
+        i, b2 = 0, b
+        while b2 != 1:  # b has order 2^i
+            b2 = b2 * b2 % p
+            i += 1
+        g = pow(c, 1 << (e - i - 1), p)
+        x, c, e = x * g % p, g * g % p, i
+        b = b * c % p
+    return x
 
 
 def count_roots_mod_p(s: int, t: int, p: int) -> int:
     """Roots of X^4 - 2s(t^2+1)X^2 + s^2 t^2 (t^2+1) modulo an odd prime p.
 
-    Counted without multiplicity by direct evaluation; p is capped at 10^6
-    because only small auxiliary primes are ever needed.  The polynomial
-    is even, so x and -x are evaluated once, for 0 <= x <= (p-1)/2.
+    Counted without multiplicity, from quadratic residues: with m = t^2+1,
+    X^2 runs over the roots Y = s(m +- r) of Y^2 - 2smY + s^2 t^2 m, where
+    r^2 = m, since the discriminant is 4 s^2 m.  When p divides s or m the
+    polynomial is X^4, one root; when p divides t it is X^2 (X^2 - 2sm),
+    with two more roots when 2sm is a residue.  Otherwise there is no Y
+    when m is a non-residue; else the two values of Y have product
+    s^2 t^2 m, a nonzero square, so both are residues (4 roots) or
+    neither (0).  p must lie below ROOT_COUNT_CAP.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise DomainError(f"p = {p} is not an odd prime", precondition="p odd prime")
     if p >= ROOT_COUNT_CAP:
         raise DomainError(f"p = {p} exceeds the 10^6 evaluation cap")
-    m = t * t + 1
-    c2 = (-2 * s * m) % p
-    c0 = (s * s * t * t * m) % p
-    count = int(c0 == 0)
-    for x in range(1, (p + 1) // 2):
-        x2 = x * x % p
-        if (x2 * (x2 + c2) + c0) % p == 0:
-            count += 2
-    return count
+    half = p >> 1  # Euler's criterion: a^half is 1 for a nonzero residue a
+    m = (t * t + 1) % p
+    s %= p
+    if s == 0 or m == 0:
+        return 1
+    if t % p == 0:
+        return 3 if pow(2 * s * m, half, p) == 1 else 1
+    if pow(m, half, p) != 1:
+        return 0
+    return 4 if pow(s * (m + _sqrt_mod_p(m, p)), half, p) == 1 else 0
 
 
 def primes_in_progression(start: int, modulus: int, residue: int, count: int) -> list[int]:

@@ -41,9 +41,12 @@ class BiquadraticField:
 
 
 def biquadratic(a: int, b: int) -> BiquadraticField:
-    """Field Q(sqrt(a), sqrt(b)); radicands are normalized square-free parts."""
-    if a in (0, 1) or b in (0, 1):
-        raise DomainError(f"radicands ({a}, {b}) must avoid 0 and 1", code="E_PARAM_ZERO")
+    """Field Q(sqrt(a), sqrt(b)); radicands are normalized square-free parts.
+
+    0 is E_PARAM_ZERO; any square, 1 included, is a perfect-square DomainError.
+    """
+    if a == 0 or b == 0:
+        raise DomainError(f"radicands ({a}, {b}) must be nonzero", code="E_PARAM_ZERO")
     ra = squarefree_part(a).value
     rb = squarefree_part(b).value
     for n, r in ((a, ra), (b, rb)):
@@ -109,7 +112,7 @@ def class_number(K: BiquadraticField) -> int:
     b1_values = [bernoulli_B1(kronecker_character(quadratic_field(r).fund_disc))
                  for r in K.radicands if r < 0]
     h_minus = relative_class_number(b1_values, K.hasse_q, roots_of_unity_order(K))
-    return h_minus * quadratic.class_number_real(K.kplus.fund_disc)
+    return h_minus * quadratic.class_number_real(K.kplus)
 
 
 def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:

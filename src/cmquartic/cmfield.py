@@ -54,7 +54,7 @@ def hasse_index(K, radicands: tuple[int, ...]) -> int:
     ratio, rem = divmod(K.disc.value(), K.kplus.fund_disc**2)
     if rem:
         raise ConsistencyError(f"disc(K+)^2 does not divide disc(K) for {K.label()}")
-    unit = quadratic.fundamental_unit(K.kplus)
+    unit = K.kplus.unit
     if unit.norm == -1:
         return 1
     M = 2 + 2 * unit.x // unit.denom

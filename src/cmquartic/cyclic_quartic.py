@@ -17,11 +17,7 @@ from functools import cached_property, lru_cache
 from .arith import (ROOT_COUNT_CAP, Factorization, count_roots_mod_p, factor, is_prime,
                     squarefree_part)
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
-from .dirichlet import (
-    DirichletCharacter,
-    bernoulli_B1,
-    characters_of_order_dividing_4,
-)
+from .dirichlet import DirichletCharacter, bernoulli_B1, odd_primitive_characters
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from . import quadratic
@@ -181,18 +177,18 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
 
     Candidates are the odd primitive order-4 characters modulo
     f = sqrt(disc(K)/disc(K+)) whose square is the quadratic character of
-    disc(K+); the survivors are filtered by comparing chi(p) = 1 against
-    full root counts of the defining polynomial modulo the odd primes in
-    ascending order.  Every prime up to CHECK_BOUND is tested; past it,
-    only while more than one conjugate pair is left.  The candidates are
-    closed under conjugation, so two survivors are chi and its conjugate;
-    both yield identical downstream values, and the one with the
-    lexicographically smaller exponent vector is returned.
+    disc(K+), built prime power by prime power; the survivors are filtered
+    by comparing chi(p) = 1 against the root counts of the defining
+    polynomial modulo the odd primes in ascending order.  Every prime up
+    to CHECK_BOUND is tested; past it, only while more than one conjugate
+    pair is left.  The candidates are closed under conjugation, so two
+    survivors are chi and its conjugate; both yield identical downstream
+    values, and the one with the lexicographically smaller exponent vector
+    is returned.
     """
     s, t = K.s, K.t
     fchi = _conductor_of_quartic_character(K)
-    cands = [chi for chi in characters_of_order_dividing_4(fchi, K.kplus.fund_disc)
-             if chi.is_odd() and chi.conductor() == fchi]
+    cands = odd_primitive_characters(fchi, K.kplus.fund_disc)
     excluded = 2 * abs(s) * abs(t) * (t * t + 1) * fchi
     for p in _check_primes():
         if not cands or (p > CHECK_BOUND and len(cands) <= 2):
@@ -216,7 +212,7 @@ def class_number(K: CyclicQuarticField) -> int:
     """
     b1 = bernoulli_B1(associated_quartic_character(K))
     h_minus = relative_class_number((b1, b1.conjugate()), K.hasse_q, 2)
-    return h_minus * quadratic.class_number_real(K.kplus.fund_disc)
+    return h_minus * quadratic.class_number_real(K.kplus)
 
 
 def field_invariants(K: CyclicQuarticField, precision_bits: int = 128,

@@ -252,11 +252,8 @@ class DirichletCharacter:
         cond = 1
         for (p, e), (_, comps, codes, values) in zip(self.group.factors, self._decode):
             j = e
-            while j > 0:
-                gens = [1 + p**(j - 1)] if j > 1 else [c.generator for c in comps]
-                # chi at the lift of g (g mod p^e, 1 elsewhere) is its local value at g
-                if any(values[codes[g]] for g in gens):
-                    break
+            # chi at the lift of g (g mod p^e, 1 elsewhere) is its local value at g
+            while j > 0 and not any(values[codes[g]] for g in _step_generators(p, j, comps)):
                 j -= 1
             cond *= p**j
         return cond
@@ -264,6 +261,11 @@ class DirichletCharacter:
     def exponent_table(self) -> bytes:
         """Byte a is k with chi(a) = i^k, or NONUNIT when chi(a) = 0, for 0 <= a < modulus."""
         return _exponent_table(self._decode)
+
+
+def _step_generators(p: int, j: int, comps) -> list[int]:
+    """Residues mod p^e that generate the units = 1 mod p^(j-1) over those = 1 mod p^j."""
+    return [1 + p**(j - 1)] if j > 1 else [c.generator for c in comps]
 
 
 def _exponent_table(parts) -> bytes:
@@ -286,6 +288,12 @@ def _exponent_table(parts) -> bytes:
     return _reduce(acc, n)
 
 
+def _exponent_pool(comp: CyclicComponent, parity: int | None) -> list[int]:
+    """Quarter turns q with q * order = 0 (mod 4), of the given parity unless it is None."""
+    step = 1 if comp.order % 4 == 0 else 2 if comp.order % 2 == 0 else 4
+    return [q for q in range(0, 4, step) if parity is None or q % 2 == parity]
+
+
 def characters_of_order_dividing_4(modulus: int,
                                    D: int | None = None) -> list[DirichletCharacter]:
     """All characters with chi^4 = 1, or with D only those with chi^2 = (D|.).
@@ -301,10 +309,40 @@ def characters_of_order_dividing_4(modulus: int,
         return []
     vectors: list[tuple[int, ...]] = [()]
     for j, comp in enumerate(grp.components):
-        step = 1 if comp.order % 4 == 0 else 2 if comp.order % 2 == 0 else 4
-        pool = [q for q in range(0, 4, step) if parities is None or q % 2 == parities[j]]
+        pool = _exponent_pool(comp, None if parities is None else parities[j])
         vectors = [v + (q,) for v in vectors for q in pool]
     return [DirichletCharacter(modulus, v) for v in vectors]
+
+
+def odd_primitive_characters(modulus: int, D: int) -> list[DirichletCharacter]:
+    """The odd characters of conductor `modulus` with chi^2 = (D|.), in lexicographic order.
+
+    The list `characters_of_order_dividing_4(modulus, D)` filtered by
+    `is_odd()` and `conductor() == modulus`, built prime power by prime
+    power: `conductor()` keeps p^e exactly when chi's local part at p^e
+    is nontrivial at `_step_generators(p, e, ...)`, and chi(-1) is the
+    sum of the local values at -1.  So each prime power keeps the local
+    exponent tuples that pass its own test, with their local value at -1,
+    and a product of local tuples is odd when those values sum to 2
+    (mod 4).
+    """
+    grp = unit_group(modulus)
+    parities = grp.square_parities(D)
+    if parities is None:
+        return []
+    pools, j = [], 0
+    for (p, e), (pe, comps, codes) in zip(grp.factors, grp._local):
+        gens = _step_generators(p, e, comps)
+        pool = []
+        for qs in itertools.product(*(_exponent_pool(c, parities[j + i])
+                                      for i, c in enumerate(comps))):
+            values = _code_values(qs)
+            if any(values[codes[g]] for g in gens):
+                pool.append((qs, values[codes[pe - 1]]))
+        pools.append(pool)
+        j += len(comps)
+    return [DirichletCharacter(modulus, tuple(itertools.chain.from_iterable(qs for qs, _ in c)))
+            for c in itertools.product(*pools) if sum(k for _, k in c) % 4 == 2]
 
 
 def kronecker_character(D: int) -> DirichletCharacter:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath
 from mpmath import mpf
@@ -24,13 +25,18 @@ from .precision import HighPrecReal, check_precision_bits, hp_from_value, workpr
 
 @dataclass(frozen=True)
 class QuadraticField:
-    """Square-free radicand plus the fundamental discriminant it induces."""
+    """Square-free radicand plus the fundamental discriminant it induces.
+
+    `unit`, the fundamental unit of a real field, is computed once, on first use.
+    """
 
     radicand: int
     fund_disc: int
 
     def label(self) -> str:
         return f"Q(sqrt({self.radicand}))"
+
+    unit = cached_property(lambda self: fundamental_unit(self))
 
 
 @dataclass(frozen=True)
@@ -193,12 +199,11 @@ def fundamental_unit(field: QuadraticField) -> QuadraticUnit:
                          norm=1 if norm_scaled > 0 else -1)
 
 
-def class_number_real(D: int) -> int:
+def class_number_real(field: QuadraticField) -> int:
     """Wide class number: the narrow count, halved when the unit norm is +1."""
+    D = field.fund_disc
     narrow = narrow_class_number_real(D)
-    m = D if D % 4 == 1 else D // 4
-    unit = fundamental_unit(QuadraticField(m, D))
-    if unit.norm == -1:
+    if field.unit.norm == -1:
         return narrow
     if narrow % 2:
         raise ConsistencyError(f"odd narrow class number {narrow} with unit norm +1 (D={D})")
@@ -208,7 +213,7 @@ def class_number_real(D: int) -> int:
 def regulator(field: QuadraticField, precision_bits: int = 128) -> HighPrecReal:
     """log of the fundamental unit, with a stated error bound."""
     check_precision_bits(precision_bits)
-    unit = fundamental_unit(field)
+    unit = field.unit
     with workprec(precision_bits):
         val = mpmath.log((unit.x + unit.y * mpmath.sqrt(unit.radicand)) / unit.denom)
     return hp_from_value(val, precision_bits)

@@ -129,7 +129,8 @@ def test_criterion_6_class_number_cross_validation():
             if D == 0 or not is_fundamental_discriminant(D):
                 continue
             checked += 1
-            expected = class_number_imaginary(D) if D < 0 else class_number_real(D)
+            expected = (class_number_imaginary(D) if D < 0
+                        else class_number_real(quadratic_field(D)))
             assert analytic_class_number_oracle(D) == expected, D
         assert checked >= 1200
 
@@ -145,7 +146,7 @@ def test_criterion_7_unit_and_parity_sweep():
             u = fundamental_unit(quadratic_field(m))
             assert (u.x, u.y, u.denom, u.norm) == (t, 1, 1, -1), t
             if t > 1 and m != 2:
-                assert class_number_real(4 * m) % 2 == 0, t
+                assert class_number_real(quadratic_field(m)) % 2 == 0, t
         assert checked > 100
 
 

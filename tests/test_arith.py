@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cmquartic.arith import (
+    _sqrt_mod_p,
     Factorization,
     count_roots_mod_p,
     factor,
@@ -222,11 +223,24 @@ def test_count_roots_examples():
 
 
 def test_count_roots_matches_oracle():
-    # x and -x are evaluated once; the oracle evaluates every residue
-    for p in sieve_primes(100)[1:]:
-        for s in (*range(-7, 0), *range(1, 8), -11, -6, -3, -2 * p, p):
-            for t in (1, 2, 3, 4, 5, 35, p):
+    # every odd p < 400, with p dividing s, t or t^2+1 and both signs of t;
+    # the oracle evaluates every residue
+    for p in sieve_primes(400)[1:]:
+        i = next((x for x in range(p) if (x * x + 1) % p == 0), None)  # p | i^2 + 1
+        ts = (1, 2, 3, 4, 5, 35, p, 2 * p, *(-t for t in (1, 3, 35, p)),
+              *(() if i is None else (i, -i, i + p)))
+        for s in (*range(-7, 0), *range(1, 8), -11, -2 * p, p):
+            for t in ts:
                 assert count_roots_mod_p(s, t, p) == _count_roots_oracle(s, t, p), (s, t, p)
+
+
+def test_sqrt_mod_p():
+    # 2-adic valuations of p - 1 from 1 to 18: Tonelli-Shanks loops up to 17 times
+    for p in (3, 7, 13, 17, 97, 193, 257, 65537, 163841, 786433):
+        for x in range(1, min(p, 300)):
+            a = x * x % p
+            r = _sqrt_mod_p(a, p)
+            assert r * r % p == a, (a, p)
 
 
 def test_count_roots_domain_errors():

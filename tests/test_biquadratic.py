@@ -35,10 +35,16 @@ def test_construction_examples():
 
 
 def test_square_radicand_is_a_domain_error():
-    for a, b in ((-60, 4), (4, -3), (-3, 9)):
+    # 1 is a square like 4 and 9; only 0 is E_PARAM_ZERO
+    for a, b in ((-60, 4), (4, -3), (-3, 9), (1, -3), (-3, 1), (9, -3)):
         with pytest.raises(DomainError) as exc:
             biquadratic(a, b)
         assert exc.value.precondition == "a and b not perfect squares"
+        assert exc.value.code == "E_DOMAIN"
+    for a, b in ((0, 5), (-3, 0)):
+        with pytest.raises(DomainError) as exc:
+            biquadratic(a, b)
+        assert exc.value.code == "E_PARAM_ZERO"
 
 
 def test_radicand_closure():
@@ -190,7 +196,7 @@ def test_class_number_example_pair():
     assert class_number(biquadratic(-21, 10)) == 32
     assert class_number(biquadratic(-42, 10)) == 32
     # decomposition (1/2) * 2 * 4 * 8 double-checked through the factors
-    assert class_number_real(40) == 2
+    assert class_number_real(quadratic_field(10)) == 2
     assert quadratic.class_number_imaginary(-84) == 4
     assert quadratic.class_number_imaginary(-840) == 8
 
@@ -261,7 +267,7 @@ def test_paper_pair_example_instances():
 def test_class_number_divisible_by_real_subfield():
     for m1, m2 in _valid_pairs(12):
         Ka, Kb = paper_pair(m1, m2)
-        h_plus = class_number_real(maximal_real_subfield(Ka).fund_disc)
+        h_plus = class_number_real(maximal_real_subfield(Ka))
         assert class_number(Ka) % h_plus == 0
         assert class_number(Kb) % h_plus == 0
 

@@ -25,9 +25,10 @@ from cmquartic.cyclic_quartic import (
     same_field,
 )
 from cmquartic.dirichlet import (DirichletCharacter, bernoulli_B1,
-                                 characters_of_order_dividing_4, unit_group)
+                                 characters_of_order_dividing_4, odd_primitive_characters,
+                                 unit_group)
 from cmquartic.errors import ConsistencyError, DomainError
-from cmquartic.quadratic import class_number_real
+from cmquartic.quadratic import class_number_real, quadratic_field
 
 
 def test_defining_polynomial():
@@ -366,27 +367,69 @@ def test_character_splitting_above_the_check_bound(s, t, checked):
     assert len(primes) == checked
 
 
-def test_parity_first_candidates_match_the_full_filter_on_the_benchmark_pool():
-    # the cyclic-pairs benchmark pool: K(-p, t) and K(-2p, t) for the first
-    # 20 (t = 5) and 12 (t = 11, 13) odd primes p > t^2+1; the full filter
-    # keeps, of all 4^k characters, those whose exponent parities square to
-    # the quadratic character of K+
-    fields = 0
+def full_filter_candidates(K):
+    """The selection's candidates by the full filter: every order-4 character whose
+    square is the quadratic character of K+, kept when odd and primitive."""
+    fchi = cq._conductor_of_quartic_character(K)
+    return [chi for chi in characters_of_order_dividing_4(fchi, K.kplus.fund_disc)
+            if chi.is_odd() and chi.conductor() == fchi]
+
+
+def candidates(K):
+    return odd_primitive_characters(cq._conductor_of_quartic_character(K), K.kplus.fund_disc)
+
+
+def benchmark_pool():
+    """The cyclic-pairs benchmark pool: K(-p, t) and K(-2p, t) for the first
+    20 (t = 5) and 12 (t = 11, 13) odd primes p > t^2+1."""
     for t, count in ((5, 20), (11, 12), (13, 12)):
         primes = [p for p in range(t * t + 2, 10**4) if p % 2 and is_prime(p)][:count]
-        for s in (sign * p for p in primes for sign in (-1, -2)):
-            K = CyclicQuarticField(s, t)
-            fchi = cq._conductor_of_quartic_character(K)
-            D = K.kplus.fund_disc
-            parities = unit_group(fchi).square_parities(D)
-            full = [chi for chi in characters_of_order_dividing_4(fchi)
-                    if parities is not None
-                    and all(q % 2 == b for q, b in zip(chi.exponents, parities))]
-            assert characters_of_order_dividing_4(fchi, D) == full, K.label()
-            # chi^2 is the character of D != 1, so no candidate has order 1 or 2
-            assert all(chi.order == 4 for chi in full), K.label()
-            fields += 1
+        yield from (CyclicQuarticField(sign * p, t) for p in primes for sign in (-1, -2))
+
+
+def test_parity_first_candidates_match_the_full_filter_on_the_benchmark_pool():
+    # the full filter here keeps, of all 4^k characters, those whose
+    # exponent parities square to the quadratic character of K+
+    fields = 0
+    for K in benchmark_pool():
+        fchi = cq._conductor_of_quartic_character(K)
+        D = K.kplus.fund_disc
+        parities = unit_group(fchi).square_parities(D)
+        full = [chi for chi in characters_of_order_dividing_4(fchi)
+                if parities is not None
+                and all(q % 2 == b for q, b in zip(chi.exponents, parities))]
+        assert characters_of_order_dividing_4(fchi, D) == full, K.label()
+        # chi^2 is the character of D != 1, so no candidate has order 1 or 2
+        assert all(chi.order == 4 for chi in full), K.label()
+        fields += 1
     assert fields == 88
+
+
+def test_prime_power_candidates_match_the_full_filter():
+    # odd primitive candidates built prime power by prime power are the
+    # full filter's list, in its order; t = 13, 21, 47 give m = t^2+1 with
+    # 3 or 4 prime factors, t = 35 has 1226 = 2 * 613
+    fields, sizes = 0, set()
+    for t in (1, 3, 5, 7, 13, 21, 35, 47):
+        for s in range(-300, 0):
+            K = CyclicQuarticField(s, t)
+            try:
+                full = full_filter_candidates(K)
+            except DomainError:
+                continue  # s not square-free, or sharing a factor with t^2+1
+            assert candidates(K) == full, K.label()
+            sizes.add(len(full))
+            fields += 1
+    assert fields == 1273
+    assert sizes == {2, 4, 8, 16}
+    for K in benchmark_pool():
+        assert candidates(K) == full_filter_candidates(K), K.label()
+
+
+def test_candidate_counts():
+    for K in benchmark_pool():
+        assert len(candidates(K)) == (8 if K.t == 13 else 4), K.label()
+    assert len(candidates(CyclicQuarticField(-3, 35))) == 4
 
 
 def test_relative_class_number_cyclotomic():
@@ -404,7 +447,7 @@ def test_class_number_example_pair():
     assert class_number(CyclicQuarticField(-6, 35)) == 19400
     assert 19400 == 2**3 * 5**2 * 97
     # h = h_minus * h(K+): the real subfield contributes exactly h(4904) = 10
-    assert class_number_real(4904) == 10
+    assert class_number_real(quadratic_field(1226)) == 10
     b1 = bernoulli_B1(associated_quartic_character(CyclicQuarticField(-3, 35)))
     assert relative_class_number((b1, b1.conjugate()), 1, 2) == 1940
 
@@ -412,7 +455,7 @@ def test_class_number_example_pair():
 def test_class_number_small_member():
     h = class_number(CyclicQuarticField(-1, 3))
     assert h > 0
-    assert h % class_number_real(40) == 0  # divisible by h(Q(sqrt(10))) = 2
+    assert h % class_number_real(quadratic_field(10)) == 0  # divisible by h(Q(sqrt(10))) = 2
 
 
 def test_field_invariants_payload():

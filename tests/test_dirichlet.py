@@ -16,6 +16,7 @@ from cmquartic.dirichlet import (
     bernoulli_B1,
     characters_of_order_dividing_4,
     kronecker_character,
+    odd_primitive_characters,
     unit_group,
 )
 from cmquartic.errors import DomainError
@@ -304,6 +305,16 @@ def test_conductor_matches_divisor_scan():
     for f in (*range(1, 130), 240, 320, 384, 968, 1029, 1800, 4320):
         for chi in characters_of_order_dividing_4(f):
             assert chi.conductor() == reference_conductor(chi), (f, chi.exponents)
+
+
+def test_odd_primitive_characters_match_the_full_filter():
+    # moduli of every shape, not only conductors of cyclic quartic fields:
+    # 2-power parts up to 2^7, odd prime squares and cubes, no primitive character
+    for f in (*range(1, 600), 968, 1029, 1800, 4320):
+        for D in (-4, -3, 1, 5, 8, -8, 12, 13, 17, 40):
+            full = [chi for chi in characters_of_order_dividing_4(f, D)
+                    if chi.is_odd() and chi.conductor() == f]
+            assert odd_primitive_characters(f, D) == full, (f, D)
 
 
 def test_component_lifts_and_square_parities():

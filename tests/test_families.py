@@ -346,16 +346,20 @@ def test_biquadratic_pair_computes_each_class_number_once(monkeypatch):
 
 
 def test_pair_runs_each_field_stage_once_per_field(monkeypatch):
-    # disc(K), K+ and Q are built once per field and read from the field object
+    # disc(K), K+, Q and the unit of K+ are built once per field and read from
+    # the field object; the regulator, Q and h(K+) all read that one unit
     from cmquartic import biquadratic as bq
     from cmquartic import cyclic_quartic as cq
+    from cmquartic import quadratic
 
     for module, pair_report in ((cq, cyclic_pair_report), (bq, biquadratic_pair_report)):
         stages = ("discriminant", "maximal_real_subfield", "hasse_Q")
         calls = {stage: _count_calls(monkeypatch, module, stage) for stage in stages}
+        units = _count_calls(monkeypatch, quadratic, "fundamental_unit")
         pair_report(5, 29, with_class_number=True)
         assert {stage: len(c) for stage, c in calls.items()} == dict.fromkeys(stages, 2), \
             module.__name__
+        assert len(units) == 2, module.__name__
 
 
 def test_reg_equal_fails_when_the_shipped_regulator_is_wrong(monkeypatch):

@@ -182,11 +182,11 @@ def test_fundamental_unit_memory_does_not_grow_with_the_period():
 
 
 def test_class_number_real_examples():
-    assert class_number_real(40) == 2
-    assert class_number_real(12) == 1
-    assert class_number_real(8) == 1
+    assert class_number_real(quadratic_field(10)) == 2
+    assert class_number_real(quadratic_field(3)) == 1
+    assert class_number_real(quadratic_field(2)) == 1
     # Example pair's real subfield: both routes give 10
-    assert class_number_real(4904) == 10
+    assert class_number_real(quadratic_field(1226)) == 10
     assert analytic_class_number_oracle(4904) == 10
 
 
@@ -237,5 +237,5 @@ def test_analytic_oracle_examples():
 def test_analytic_matches_combinatorial_small():
     # |D| <= 400 here; the full |D| <= 2000 sweep runs in the acceptance suite
     for D in fundamental_discriminants(400):
-        expected = class_number_imaginary(D) if D < 0 else class_number_real(D)
+        expected = class_number_imaginary(D) if D < 0 else class_number_real(quadratic_field(D))
         assert analytic_class_number_oracle(D) == expected, D
