@@ -12,12 +12,14 @@ split by CRT into coprime parts m * n, chi into psi (mod m) times lambda
 from the per-prime-power code tables by repetition (CRT periodicity) and
 big-integer addition.  The Python loop runs over the units of the
 smaller part m, only those below m/2 when lambda is nontrivial; the
-prefix class counts of lambda between consecutive points are read with
-`bytes.count`.
+prefix sums of lambda at the sorted points are read off one block of
+lambda's table at a time, each block's prefix one `itertools.accumulate`
+list, so memory is m + n bytes plus one block of ints.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -159,6 +161,11 @@ _NONUNIT_CODE = 255
 #: more can only come from a non-unit, since units add at most 9 * 3
 _FOLD = 9
 _REDUCE = bytes(x % 4 if x < NONUNIT else NONUNIT for x in range(256))
+#: residues of lambda's table per prefix block in bernoulli_B1
+_BLOCK = 1 << 16
+#: lambda's exponent byte to the real or the imaginary part of i^k, as a signed byte
+_RE = bytes(1 if x == 0 else 255 if x == 2 else 0 for x in range(256))
+_IM = bytes(1 if x == 1 else 255 if x == 3 else 0 for x in range(256))
 
 
 def _reduce(acc: int, n: int) -> bytes:
@@ -378,6 +385,11 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     chi(-1) = -1.  So only the x < m/2 are visited and the sum doubled.
     For trivial lambda the identity fails (some c_x = 0), and every x is
     visited.
+
+    P(c_x) is read by one list index per point: lambda's table is walked in
+    blocks of _BLOCK residues, and the real and imaginary parts of P over a
+    block are prefix lists from the running totals (the imaginary one only
+    when lambda takes the values +-i).
     """
     if chi.order == 1:
         raise DomainError("B1 of the trivial character is not supported",
@@ -390,34 +402,50 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     lam = _exponent_table([part for part in chi._decode if part not in side])
     m, n = len(psi), len(lam)
     mbar = pow(m, -1, n)
-    s0 = _gaussian([lam.count(j) for j in range(4)])
+    counts = [lam.count(j) for j in range(4)]
+    s0 = _gaussian(counts)
     halved = s0 == ZERO
-    # points (c_x, k) with psi(x) = i^k, sorted by c_x; shift[k] sums x - m*c_x,
-    # which counts only when S0 != 0, that is after a full loop
-    points, shift = [], [0, 0, 0, 0]
-    for x, k in enumerate(psi[:(m + 1) // 2] if halved else psi):
-        if k < 4:
-            c = x * mbar % n
-            points.append(c << 2 | k)
-            shift[k] += x - m * c
+    # points (c_x, k) with psi(x) = i^k, sorted by c_x
+    points = [x * mbar % n << 2 | k
+              for x, k in enumerate(psi[:(m + 1) // 2] if halved else psi) if k < 4]
     points.sort()
-    # n_j counts the u < c with lambda(u) = i^j, so P(c) = n0 - n2 + i*(n1 - n3);
-    # re[k] + i*im[k] sums P(c_x) over the x with psi(x) = i^k
-    re, im, prev = [0, 0, 0, 0], [0, 0, 0, 0], 0
-    n0 = n1 = n2 = n3 = 0
-    for point in points:
-        c, k = point >> 2, point & 3
-        n0 += lam.count(0, prev, c)
-        n1 += lam.count(1, prev, c)
-        n2 += lam.count(2, prev, c)
-        n3 += lam.count(3, prev, c)
-        re[k] += n0 - n2
-        im[k] += n1 - n3
-        prev = c
+    # shift[k] sums x - m*c_x over the same x; it counts only when S0 != 0,
+    # that is after a full loop
+    shift = [0, 0, 0, 0]
+    if not halved:
+        for x, k in enumerate(psi):
+            if k < 4:
+                shift[k] += x - m * (x * mbar % n)
+    # re[k] + i*im[k] sums P(c_x) over the x with psi(x) = i^k; im is 0
+    # unless lambda takes the values +-i
+    re = _prefix_class_sums(points, lam, _RE)
+    im = _prefix_class_sums(points, lam, _IM) if counts[1] or counts[3] else [0, 0, 0, 0]
     # sum_x psi(x) P(c_x) = sum_k i^k (re[k] + i*im[k]), by powers of i
     scale = 2 if halved else 1
     total = [scale * (re[k] + im[k - 1]) for k in range(4)]
     return I_POWERS[lam[m % n]] * (_gaussian(total) + s0 * _gaussian(shift, chi.modulus))
+
+
+def _prefix_class_sums(points: list[int], lam: bytes, part: bytes) -> list[int]:
+    """sums[k] = sum of P(c) over the sorted points c << 2 | k, P(c) = sum_{u<c} of one part
+    of lambda(u): its real part for part = _RE, its imaginary part for _IM.
+
+    lam is walked in blocks of _BLOCK residues up to the last point.  Each
+    block's prefix sums, from the running total, are one list built by
+    `itertools.accumulate` over the block's signed part bytes, read once at
+    every point that falls in the block.
+    """
+    sums, total, i = [0, 0, 0, 0], 0, 0
+    for start in range(0, (points[-1] >> 2) + 1, _BLOCK):
+        end = bisect.bisect_left(points, (start + _BLOCK) << 2, i)
+        signed = memoryview(lam[start:start + _BLOCK].translate(part)).cast("b")
+        prefix = list(itertools.accumulate(signed, initial=total))
+        total = prefix[-1]
+        for point in points[i:end]:
+            sums[point & 3] += prefix[(point >> 2) - start]
+        i = end
+        del prefix  # so the next block's list is not built beside this one
+    return sums
 
 
 def _gaussian(classes: list[int], denominator: int = 1) -> GaussianRational:
@@ -431,7 +459,9 @@ def _loop_side(parts):
 
     psi must be nontrivial on m.  Among such sides the split nearest
     sqrt(f), the least max(m, n), is taken, and of its two sides the
-    smaller m, so the Python loop runs over the smaller side.
+    smaller m, so the Python loop runs over the smaller side.  The two
+    exponent tables then take m + n bytes, and the prefix sums of lambda
+    one block of ints on top.
     """
     f = math.prod(pe for pe, *_ in parts)
 

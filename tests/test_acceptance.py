@@ -265,3 +265,15 @@ def test_criterion_14_sieve_window_in_bounded_time_and_memory():
         # t^2+1 = 2*13*10301^2 and 2*5*53353^2: squares above the cube-root bound
         assert 52_525 not in t_values and 168_717 not in t_values
         assert peak_mb < 60, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_criterion_15_cyclic_pair_at_t_1003_in_bounded_time_and_memory():
+    # f = 16 * 1006021 * 5 * 29 * 3469 = 8,096,537,489,680: B1 splits it into
+    # m = 1,609,616 and n = 5,030,105, so lambda's prefix sums are read block
+    # by block; one prefix list over all of n would take hundreds of MB
+    argv = ["pair", "cyclic", "--t", "1003", "--p", "1006021", "--with-class-number"]
+    with criterion(15, "cyclic pair t=1003, p=1006021 as golden, under 120 MB peak RSS", 10.0):
+        code, out, peak_mb = _fresh_cli(argv)
+        assert code == 0
+        assert out == (GOLDEN / "pair_cyclic_t1003_p1006021_h_json.stdout").read_text()
+        assert peak_mb < 120, f"peak RSS {peak_mb:.1f} MB"

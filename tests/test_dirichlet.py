@@ -339,6 +339,21 @@ _PRIME_POWERS = {2: (2, 4, 8, 16, 32), 3: (3, 9, 27), 5: (5, 25), 7: (7, 49),
                  11: (11,), 13: (13,), 17: (17,), 29: (29,), 37: (37,)}
 
 
+def _draw_odd_character(hypothesis, data, max_primes: int) -> DirichletCharacter:
+    """An odd nontrivial character on a modulus f <= 20,000 built from 2 to
+    `max_primes` of the prime powers above, with random exponents."""
+    st = hypothesis.strategies
+    primes = data.draw(st.lists(st.sampled_from(sorted(_PRIME_POWERS)),
+                                min_size=2, max_size=max_primes, unique=True))
+    f = math.prod(data.draw(st.sampled_from(_PRIME_POWERS[p])) for p in primes)
+    hypothesis.assume(f <= 20_000)
+    exps = tuple(data.draw(st.sampled_from((0, 1, 2, 3) if c.order % 4 == 0 else (0, 2)))
+                 for c in unit_group(f).components)
+    chi = DirichletCharacter(f, exps)
+    hypothesis.assume(chi.order > 1 and chi.is_odd())
+    return chi
+
+
 def test_split_B1_matches_reference_on_random_moduli():
     # random composite moduli and random odd characters on them, many of
     # them imprimitive or trivial at some prime power, so that psi or lambda
@@ -350,16 +365,9 @@ def test_split_B1_matches_reference_on_random_moduli():
     @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.data())
     def check(data):
-        primes = data.draw(st.lists(st.sampled_from(sorted(_PRIME_POWERS)),
-                                    min_size=2, max_size=4, unique=True))
-        f = math.prod(data.draw(st.sampled_from(_PRIME_POWERS[p])) for p in primes)
-        hypothesis.assume(f <= 20_000)
-        exps = tuple(data.draw(st.sampled_from((0, 1, 2, 3) if c.order % 4 == 0 else (0, 2)))
-                     for c in unit_group(f).components)
-        chi = DirichletCharacter(f, exps)
-        hypothesis.assume(chi.order > 1 and chi.is_odd())
+        chi = _draw_odd_character(hypothesis, data, max_primes=4)
         try:
-            assert bernoulli_B1(chi) == reference_B1(chi) == grid_B1(chi), (f, exps)
+            assert bernoulli_B1(chi) == reference_B1(chi) == grid_B1(chi), chi
         finally:
             stepped_logs.cache_clear()
         trivial_parts.append(not all(any(values) for *_, values in chi._decode))
@@ -429,19 +437,65 @@ def test_halved_B1_loop_matches_per_term_sum():
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.data())
     def check(data):
-        primes = data.draw(st.lists(st.sampled_from(sorted(_PRIME_POWERS)),
-                                    min_size=2, max_size=3, unique=True))
-        f = math.prod(data.draw(st.sampled_from(_PRIME_POWERS[p])) for p in primes)
-        hypothesis.assume(f <= 20_000)
-        exps = tuple(data.draw(st.sampled_from((0, 1, 2, 3) if c.order % 4 == 0 else (0, 2)))
-                     for c in unit_group(f).components)
-        chi = DirichletCharacter(f, exps)
-        hypothesis.assume(chi.order > 1 and chi.is_odd())
+        chi = _draw_odd_character(hypothesis, data, max_primes=3)
         try:
-            assert bernoulli_B1(chi) == reference_B1(chi), (f, exps)
+            assert bernoulli_B1(chi) == reference_B1(chi), chi
         finally:
             stepped_logs.cache_clear()
         kinds.add(_split_kind(chi))
 
     check()
     assert {(False, False), (True, False)} <= kinds
+
+
+def _block_kinds(chi: DirichletCharacter, block: int) -> set[str]:
+    """How chi's B1 split meets prefix blocks of `block` residues.
+
+    "trivial", "real" or "quartic" for lambda; "block start" when some
+    point c_x > 0 opens a block; "short last block" when the last point lies
+    in a final block of fewer than `block` residues.
+    """
+    side = dirichlet._loop_side(chi._decode)
+    lam = dirichlet._exponent_table([part for part in chi._decode if part not in side])
+    m = math.prod(pe for pe, *_ in side)
+    n = len(lam)
+    kinds = {"quartic" if 1 in lam or 3 in lam else "real" if 2 in lam else "trivial"}
+    # the loop visits the units x < m/2, or every unit when lambda is trivial
+    xs = [x for x in range(m if "trivial" in kinds else (m + 1) // 2) if math.gcd(x, m) == 1]
+    points = [x * pow(m, -1, n) % n for x in xs]
+    if any(c and c % block == 0 for c in points):
+        kinds.add("block start")
+    if n % block and max(points) >= n - n % block:
+        kinds.add("short last block")
+    return kinds
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_bernoulli_B1_across_prefix_blocks(block, monkeypatch):
+    # every split of B1_MODULI and of the random moduli, with lambda's prefix
+    # sums cut into blocks of 1, 2, 7 and 64 residues
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chars = [chi for f in B1_MODULI for chi in odd_nontrivial(f)]
+    assert len(chars) == 292
+    expected = [reference_B1(chi) for chi in chars]
+    assert expected == [grid_B1(chi) for chi in chars]
+    monkeypatch.setattr(dirichlet, "_BLOCK", block)
+    kinds = set()
+    for chi, b1 in zip(chars, expected):
+        assert bernoulli_B1(chi) == b1, chi
+        kinds |= _block_kinds(chi, block)
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        chi = _draw_odd_character(hypothesis, data, max_primes=4)
+        try:
+            assert bernoulli_B1(chi) == reference_B1(chi) == grid_B1(chi), chi
+        finally:
+            stepped_logs.cache_clear()
+        kinds.update(_block_kinds(chi, block))
+
+    check()
+    wanted = {"trivial", "real", "quartic", "block start", "short last block"}
+    assert kinds >= (wanted if block > 1 else wanted - {"short last block"}), kinds

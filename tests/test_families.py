@@ -373,3 +373,35 @@ def test_reg_equal_fails_when_the_shipped_regulator_is_wrong(monkeypatch):
     for rep in (biquadratic_pair_report(5, 29), cyclic_pair_report(5, 29)):
         assert rep.reg_equal is False, rep.kind
         assert not rep.all_flags_true()
+
+
+def test_distinct_fails_when_the_two_members_are_one_field(monkeypatch):
+    # biquadratic: the second member is built at -p as well, so Ka == Kb
+    # really holds; cyclic: same_field reports K(-p, t) = K(-2p, t)
+    from cmquartic import biquadratic as bq
+    from cmquartic import cyclic_quartic as cq
+
+    real = bq.biquadratic
+    monkeypatch.setattr(bq, "biquadratic", lambda a, b: real(a // 2 if a % 2 == 0 else a, b))
+    monkeypatch.setattr(cq, "same_field", lambda s, s2, t: True)
+    for rep in (biquadratic_pair_report(5, 29), cyclic_pair_report(5, 29)):
+        assert rep.distinct is False, rep.kind
+        assert rep.disc_equal and rep.reg_equal, rep.kind
+        assert not rep.all_flags_true()
+
+
+def test_disc_equal_fails_when_the_second_members_discriminant_is_wrong(monkeypatch):
+    # the second member, at -2p, gets its true discriminant times 9
+    from cmquartic import biquadratic as bq
+    from cmquartic import cyclic_quartic as cq
+
+    p = 29
+    for module, second in ((bq, lambda K: -2 * p in K.radicands), (cq, lambda K: K.s == -2 * p)):
+        real = module.discriminant
+        monkeypatch.setattr(module, "discriminant",
+                            lambda K, real=real, second=second:
+                            real(K) * factor(9) if second(K) else real(K))
+    for rep in (biquadratic_pair_report(5, p), cyclic_pair_report(5, p)):
+        assert rep.disc_equal is False, rep.kind
+        assert rep.distinct and rep.reg_equal, rep.kind
+        assert not rep.all_flags_true()
