@@ -227,8 +227,8 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-#: the character selection of a cyclic quartic field tests primes below
-#: this cap only, and count_roots_mod_p takes no larger p
+#: count_roots_mod_p rejects p at or above this cap; the check on a cyclic
+#: quartic field's character uses only the odd primes up to its CHECK_BOUND
 ROOT_COUNT_CAP = 10**6
 
 

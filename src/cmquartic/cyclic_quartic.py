@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .arith import (ROOT_COUNT_CAP, Factorization, count_roots_mod_p, factor, is_prime,
-                    squarefree_part)
+from .arith import Factorization, count_roots_mod_p, factor, is_prime, squarefree_part
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
-from .dirichlet import DirichletCharacter, bernoulli_B1, odd_primitive_characters
+from .dirichlet import DirichletCharacter, bernoulli_B1, unit_group
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from . import quadratic
@@ -154,8 +153,7 @@ def _conductor_of_quartic_character(K: CyclicQuarticField) -> int:
     return f
 
 
-#: every odd prime up to this bound is checked against the root counts,
-#: also once the candidates are down to one conjugate pair
+#: every odd prime up to this bound is a check on the constructed character
 CHECK_BOUND = 200
 
 
@@ -164,43 +162,64 @@ def _odd_primes_to(bound: int) -> tuple[int, ...]:
     return tuple(p for p in range(3, bound + 1, 2) if is_prime(p))
 
 
-def _check_primes():
-    """The odd primes below ROOT_COUNT_CAP in ascending order, those up to CHECK_BOUND cached."""
-    yield from _odd_primes_to(CHECK_BOUND)
-    for p in range((CHECK_BOUND + 1) | 1, ROOT_COUNT_CAP, 2):
-        if is_prime(p):
-            yield p
-
-
 def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     """The order-4 character cutting out K(s,t), up to complex conjugation.
 
-    Candidates are the odd primitive order-4 characters modulo
-    f = sqrt(disc(K)/disc(K+)) whose square is the quadratic character of
-    disc(K+), built prime power by prime power; the survivors are filtered
-    by comparing chi(p) = 1 against the root counts of the defining
-    polynomial modulo the odd primes in ascending order.  Every prime up
-    to CHECK_BOUND is tested; past it, only while more than one conjugate
-    pair is left.  The candidates are closed under conjugation, so two
-    survivors are chi and its conjugate; both yield identical downstream
-    values, and the one with the lexicographically smaller exponent vector
-    is returned.
+    K(s,t) = Q(sqrt(s(m + sqrt(m)))) with m = t^2+1 is the A(D + B sqrt(D))
+    form, A = s, B = 1, C = t, of Hardy, Hudson, Richman, Williams and Holtz
+    (1986), so chi is written down on the components of (Z/f)^*, with
+    f = sqrt(disc(K)/disc(K+)) = 16 * (odd square-free):
+
+    - at an odd prime q of m, where -t is a square root of -1, the quartic
+      residue symbol to the power v = v_q(m): exponent v*k, where
+      g^((q-1)/4) = (-t)^k (mod q) for the component generator g;
+    - at an odd prime of s, the Legendre symbol: exponent 2;
+    - on 5 (mod 16), exponent 1 when (t = 1 mod 4) differs from (s even),
+      else 3;
+    - on -1 (mod 16), the exponent that makes chi odd.
+
+    chi is then checked: chi(p) = 1 exactly when the defining polynomial
+    has 4 roots mod p, at every odd prime p <= CHECK_BOUND prime to
+    2st*m*f, and chi has conductor f, which checks disc(K) = disc(K+) f^2
+    apart from hsw_discriminant.  chi and its conjugate yield identical
+    downstream values; the one with the smaller exponent vector is returned.
     """
     s, t = K.s, K.t
-    fchi = _conductor_of_quartic_character(K)
-    cands = odd_primitive_characters(fchi, K.kplus.fund_disc)
-    excluded = 2 * abs(s) * abs(t) * (t * t + 1) * fchi
-    for p in _check_primes():
-        if not cands or (p > CHECK_BOUND and len(cands) <= 2):
-            break
+    m = t * t + 1
+    f = _conductor_of_quartic_character(K)
+    comps = unit_group(f).components
+    exps = [0] * len(comps)
+    minus_one = 2  # the exponent of chi(-1) left to the -1 component
+    for j, c in enumerate(comps):
+        q = c.modulus
+        if q % 2 == 0:
+            continue
+        if m % q == 0:
+            v, rest = 0, m
+            while rest % q == 0:
+                v, rest = v + 1, rest // q
+            k = 1 if pow(c.generator, c.order // 4, q) == -t % q else 3
+            exps[j] = v * k % 4
+        elif s % q == 0:
+            exps[j] = 2
+        minus_one -= exps[j] * (c.order // 2)
+    for j, c in enumerate(comps):
+        if c.modulus % 2 == 0:
+            exps[j] = (minus_one % 4 if c.generator == c.modulus - 1
+                       else 1 if (t % 4 == 1) != (s % 2 == 0) else 3)
+    chi = DirichletCharacter(f, tuple(exps))
+    excluded = 2 * s * t * m * f
+    for p in _odd_primes_to(CHECK_BOUND):
         if excluded % p:
-            splits = count_roots_mod_p(s, t, p) == 4
-            cands = [chi for chi in cands if (chi.value_exponent(p) == 0) == splits]
-    if len(cands) != 2:
-        raise ConsistencyError(
-            f"character selection for {K.label()} left {len(cands)} candidates "
-            f"after the odd primes below {p}")
-    return min(cands, key=lambda c: c.exponents)
+            roots = count_roots_mod_p(s, t, p)
+            if (chi.value_exponent(p) == 0) != (roots == 4):
+                raise ConsistencyError(
+                    f"the character of {K.label()} has chi({p}) = i^{chi.value_exponent(p)}, "
+                    f"but the defining polynomial has {roots} roots mod {p}")
+    if chi.conductor() != f:
+        raise ConsistencyError(f"the character of {K.label()} has conductor "
+                               f"{chi.conductor()}, not f = {f}")
+    return min(chi, chi.conjugate(), key=lambda c: c.exponents)
 
 
 def class_number(K: CyclicQuarticField) -> int:

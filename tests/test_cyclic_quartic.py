@@ -25,8 +25,7 @@ from cmquartic.cyclic_quartic import (
     same_field,
 )
 from cmquartic.dirichlet import (DirichletCharacter, bernoulli_B1,
-                                 characters_of_order_dividing_4, odd_primitive_characters,
-                                 unit_group)
+                                 characters_of_order_dividing_4, unit_group)
 from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import class_number_real, quadratic_field
 
@@ -321,8 +320,7 @@ def test_character_soundness_against_root_counts():
 
 
 def test_wrong_split_after_the_pair_is_settled_is_an_internal_error(monkeypatch, capsys):
-    # K(-3,35) is down to one conjugate pair well before 197; a root count
-    # that contradicts it there leaves no candidate
+    # a root count at 197 that contradicts the constructed character of K(-3,35)
     def wrong_at_197(s, t, p):
         n = count_roots_mod_p(s, t, p)
         return (0 if n == 4 else 4) if p == 197 else n
@@ -332,22 +330,41 @@ def test_wrong_split_after_the_pair_is_settled_is_an_internal_error(monkeypatch,
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 3
     assert error["code"] == "E_INTERNAL"
-    assert "K(-3,35) left 0 candidates" in error["message"]
+    assert ("the character of K(-3,35) has chi(197) = i^1, "
+            "but the defining polynomial has 4 roots mod 197") in error["message"]
 
 
-def test_selection_runs_past_a_low_check_bound(monkeypatch):
-    # with the bound at 3 the loop goes on only while two pairs are left
-    tested = []
+@pytest.mark.parametrize("stray", [3, 11])
+def test_wrong_discriminant_is_an_internal_error(monkeypatch, capsys, stray):
+    # a stray q^2 in disc(K) puts q into f, where the constructed chi is trivial
+    true_discriminant = cq.discriminant
+    monkeypatch.setattr(cq, "discriminant", lambda K: true_discriminant(K) * factor(stray**2))
+    code = cli.main(["invariants", "cyclic", "-s", "-7", "-t", "3", "--with-class-number"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 3
+    assert error["code"] == "E_INTERNAL"
+    assert f"K(-7,3) has conductor 560, not f = {560 * stray}" in error["message"]
+
+
+def test_check_counts_roots_at_exactly_the_odd_primes_up_to_the_bound(monkeypatch):
+    checked = []
 
     def counting(s, t, p):
-        tested.append(p)
+        checked.append(p)
         return count_roots_mod_p(s, t, p)
 
     monkeypatch.setattr(cq, "count_roots_mod_p", counting)
+    for s, t in ((-3, 35), (-6, 35), (-1, 3), (-817, 157), (-3, 443)):
+        checked.clear()
+        chi = associated_quartic_character(CyclicQuarticField(s, t))
+        excluded = 2 * s * t * (t * t + 1) * chi.modulus
+        assert checked == [p for p in range(3, CHECK_BOUND + 1, 2)
+                           if is_prime(p) and excluded % p], (s, t)
     monkeypatch.setattr(cq, "CHECK_BOUND", 3)
+    checked.clear()
     rep = families.cyclic_pair_report(5, 29, with_class_number=True)
     assert (rep.class_a, rep.class_b) == (360, 1352)
-    assert 3 < max(tested) < 200
+    assert checked == [3, 3]
 
 
 @pytest.mark.parametrize("s, t, checked", [(-817, 157, 257), (-367, 19, 256), (-3, 35, 256)])
@@ -368,15 +385,28 @@ def test_character_splitting_above_the_check_bound(s, t, checked):
 
 
 def full_filter_candidates(K):
-    """The selection's candidates by the full filter: every order-4 character whose
-    square is the quadratic character of K+, kept when odd and primitive."""
+    """Every order-4 character mod f whose square is the quadratic character of K+,
+    kept when odd and primitive."""
     fchi = cq._conductor_of_quartic_character(K)
     return [chi for chi in characters_of_order_dividing_4(fchi, K.kplus.fund_disc)
             if chi.is_odd() and chi.conductor() == fchi]
 
 
-def candidates(K):
-    return odd_primitive_characters(cq._conductor_of_quartic_character(K), K.kplus.fund_disc)
+def searched_character(K):
+    """The character by search, as an oracle: the full filter's candidates are
+    narrowed by root counts at the odd primes in ascending order to one
+    conjugate pair, and its smaller exponent vector is taken."""
+    cands = full_filter_candidates(K)
+    s, t = K.s, K.t
+    excluded = 2 * s * t * (t * t + 1) * cq._conductor_of_quartic_character(K)
+    p = 3
+    while len(cands) > 2:
+        if excluded % p and is_prime(p):
+            splits = count_roots_mod_p(s, t, p) == 4
+            cands = [chi for chi in cands if (chi.value_exponent(p) == 0) == splits]
+        p += 2
+    assert len(cands) == 2 and cands[0] == cands[1].conjugate(), K.label()
+    return min(cands, key=lambda c: c.exponents)
 
 
 def benchmark_pool():
@@ -406,8 +436,8 @@ def test_parity_first_candidates_match_the_full_filter_on_the_benchmark_pool():
 
 
 def test_prime_power_candidates_match_the_full_filter():
-    # odd primitive candidates built prime power by prime power are the
-    # full filter's list, in its order; t = 13, 21, 47 give m = t^2+1 with
+    # the character built prime power by prime power, and its conjugate, are
+    # among the full filter's candidates; t = 13, 21, 47 give m = t^2+1 with
     # 3 or 4 prime factors, t = 35 has 1226 = 2 * 613
     fields, sizes = 0, set()
     for t in (1, 3, 5, 7, 13, 21, 35, 47):
@@ -417,19 +447,60 @@ def test_prime_power_candidates_match_the_full_filter():
                 full = full_filter_candidates(K)
             except DomainError:
                 continue  # s not square-free, or sharing a factor with t^2+1
-            assert candidates(K) == full, K.label()
+            chi = associated_quartic_character(K)
+            assert chi in full and chi.conjugate() in full, K.label()
             sizes.add(len(full))
             fields += 1
     assert fields == 1273
     assert sizes == {2, 4, 8, 16}
-    for K in benchmark_pool():
-        assert candidates(K) == full_filter_candidates(K), K.label()
 
 
 def test_candidate_counts():
+    # the full filter's candidates, which the root-count search narrows to one pair
     for K in benchmark_pool():
-        assert len(candidates(K)) == (8 if K.t == 13 else 4), K.label()
-    assert len(candidates(CyclicQuarticField(-3, 35))) == 4
+        assert len(full_filter_candidates(K)) == (8 if K.t == 13 else 4), K.label()
+    assert len(full_filter_candidates(CyclicQuarticField(-3, 35))) == 4
+
+
+def test_constructed_character_matches_the_search():
+    # t = 13, 21, 47 give m = t^2+1 with 3 or 4 prime factors; 5^2 divides
+    # m at t = 7, 43, 157, 5^3 at t = 57 and 5^4 at t = 443
+    fields, sizes = 0, set()
+    for t in (1, 3, 5, 7, 13, 21, 35, 43, 47, 57, 157, 443, -3, -57):
+        for s in range(-150, 0):
+            K = CyclicQuarticField(s, t)
+            try:
+                K.disc
+            except DomainError:
+                continue  # s not square-free, or sharing a factor with t^2+1
+            assert associated_quartic_character(K) == searched_character(K), K.label()
+            sizes.add(len(full_filter_candidates(K)))
+            fields += 1
+    assert fields == 1077
+    assert sizes == {2, 4, 8, 16}
+    for K in benchmark_pool():
+        assert associated_quartic_character(K) == searched_character(K), K.label()
+
+
+def test_constructed_character_matches_the_search_on_random_fields():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(-10**4 // 2, 10**4 // 2 - 1), st.integers(-1000, -1))
+    def check(half, s):
+        K = CyclicQuarticField(s, 2 * half + 1)  # odd t with |t| < 10^4
+        try:
+            K.disc
+        except DomainError:
+            hypothesis.assume(False)
+        try:
+            assert associated_quartic_character(K) == searched_character(K), K.label()
+        finally:
+            unit_group.cache_clear()
+
+    check()
 
 
 def test_relative_class_number_cyclotomic():
