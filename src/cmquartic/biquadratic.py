@@ -1,8 +1,8 @@
 """Imaginary biquadratic fields Q(sqrt(a), sqrt(b)).
 
 A biquadratic field is determined by its three quadratic subfields, so
-the canonical representation is the set of their radicands.  The module
-computes discriminants by the conductor-discriminant product, regulators
+the canonical representation is the set of them, sorted by radicand.  The
+module computes discriminants by the conductor-discriminant product, regulators
 through the maximal real subfield, the Hasse unit index from its unit, and
 class numbers as h^- * h(K+), with h^- from the B1 values of the Kronecker
 characters of the two imaginary quadratic subfields.
@@ -14,23 +14,26 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import Factorization, factor, squarefree_part
+from .arith import Factorization, squarefree_part
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
 from .dirichlet import bernoulli_B1, kronecker_character
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
-from . import quadratic
-from .quadratic import QuadraticField, quadratic_field
+from .quadratic import QuadraticField, product_field, quadratic_field
 
 
 @dataclass(frozen=True)
 class BiquadraticField:
-    """Canonical set of the three quadratic subfield radicands, sorted.
+    """Canonical set of the three quadratic subfields, sorted by radicand.
 
     `disc`, `kplus` and `hasse_q` are computed once, on first use.
     """
 
-    radicands: tuple[int, int, int]
+    subfields: tuple[QuadraticField, QuadraticField, QuadraticField]
+
+    @property
+    def radicands(self) -> tuple[int, int, int]:
+        return tuple(F.radicand for F in self.subfields)
 
     def label(self) -> str:
         return f"B({self.radicands[0]},{self.radicands[1]},{self.radicands[2]})"
@@ -44,39 +47,39 @@ def biquadratic(a: int, b: int) -> BiquadraticField:
     """Field Q(sqrt(a), sqrt(b)); radicands are normalized square-free parts.
 
     0 is E_PARAM_ZERO; any square, 1 included, is a perfect-square DomainError.
+    The subfields of a and b come from `quadratic_field`, and the third from
+    their factorizations, so a*b is never factored.
     """
     if a == 0 or b == 0:
         raise DomainError(f"radicands ({a}, {b}) must be nonzero", code="E_PARAM_ZERO")
-    ra = squarefree_part(a).value
-    rb = squarefree_part(b).value
-    for n, r in ((a, ra), (b, rb)):
-        if r == 1:
+    for n in (a, b):
+        if n > 0 and math.isqrt(n) ** 2 == n:
             raise DomainError(f"{n} is a perfect square: sqrt({n}) is rational",
                               precondition="a and b not perfect squares")
-    if ra == rb:
+    Fa, Fb = quadratic_field(a), quadratic_field(b)
+    if Fa == Fb:
         raise DomainError(
             f"sqrt({a}) and sqrt({b}) generate the same quadratic field",
             precondition="distinct square-free parts",
         )
-    return BiquadraticField(tuple(sorted((ra, rb, squarefree_part(ra * rb).value))))
+    subfields = sorted((Fa, Fb, product_field(Fa, Fb)), key=lambda F: F.radicand)
+    return BiquadraticField(tuple(subfields))
 
 
 def discriminant(K: BiquadraticField) -> Factorization:
     """Product of the three quadratic subfield fundamental discriminants."""
-    result = Factorization(1, ())
-    for r in K.radicands:
-        result = result * factor(quadratic_field(r).fund_disc)
+    result = math.prod((F.disc_factors for F in K.subfields), start=Factorization(1, ()))
     if result.sign <= 0:
         raise ConsistencyError(f"non-positive quartic discriminant for {K.label()}")
     return result
 
 
 def maximal_real_subfield(K: BiquadraticField) -> QuadraticField:
-    pos = [r for r in K.radicands if r > 0]
+    pos = [F for F in K.subfields if F.radicand > 0]
     if len(pos) != 1:
         raise DomainError(f"{K.label()} is totally real: no CM structure",
                           precondition="imaginary biquadratic")
-    return quadratic_field(pos[0])
+    return pos[0]
 
 
 def hasse_Q(K: BiquadraticField) -> int:
@@ -109,10 +112,10 @@ def class_number(K: BiquadraticField) -> int:
     D1, D2 are the discriminants of the imaginary quadratic subfields;
     since -B1((D|.))/2 = h(D)/w(D), this is Q * w * h1 * h2 * h(K+) / (w1 * w2).
     """
-    b1_values = [bernoulli_B1(kronecker_character(quadratic_field(r).fund_disc))
-                 for r in K.radicands if r < 0]
+    b1_values = [bernoulli_B1(kronecker_character(F.fund_disc))
+                 for F in K.subfields if F.radicand < 0]
     h_minus = relative_class_number(b1_values, K.hasse_q, roots_of_unity_order(K))
-    return h_minus * quadratic.class_number_real(K.kplus)
+    return h_minus * K.kplus.class_number
 
 
 def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:

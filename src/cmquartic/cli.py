@@ -77,9 +77,11 @@ def _field(kind: str, x: int, y: int, precision_bits: int, with_class_number: bo
 
 def cmd_invariants(args):
     K, inv = _field(args.kind, args.x, args.y, args.precision_bits, args.with_class_number)
-    record = {"kind": args.kind, **dataclasses.asdict(K)}
     if args.kind == "cyclic":
-        record["defining_polynomial"] = cq.defining_polynomial(K.s, K.t)
+        record = {"kind": args.kind, "s": K.s, "t": K.t,
+                  "defining_polynomial": cq.defining_polynomial(K.s, K.t)}
+    else:
+        record = {"kind": args.kind, "radicands": K.radicands}
     record = _data({**record, "label": K.label(), "maximal_real_subfield": K.kplus.radicand,
                     "invariants": inv})
     inv = record["invariants"]

@@ -19,7 +19,6 @@ from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_
 from .dirichlet import DirichletCharacter, bernoulli_B1, unit_group
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
-from . import quadratic
 from .quadratic import QuadraticField, quadratic_field
 
 
@@ -57,14 +56,15 @@ def same_field(s: int, s2: int, t: int) -> bool:
     """Equality of K(s,t) and K(s2,t): s*s2 is a square, or its core matches t^2+1.
 
     The core of s*s2 is (a/g)(b/g) for the cores a, b of s, s2 and
-    g = gcd(a, b), so s*s2 itself is never factored.
+    g = gcd(a, b), so s*s2 itself is never factored; the core of t^2+1 is
+    the radicand of K+.
     """
     if s == 0 or s2 == 0 or t == 0:
         raise DomainError("parameters must be nonzero", code="E_PARAM_ZERO")
     a, b = squarefree_part(s).value, squarefree_part(s2).value
     g = math.gcd(a, b)
     core = (a // g) * (b // g)
-    return core == 1 or core == squarefree_part(t * t + 1).value
+    return core == 1 or core == quadratic_field(t * t + 1).radicand
 
 
 def hsw_discriminant(a: int, b: int, c: int) -> Factorization:
@@ -81,22 +81,19 @@ def hsw_discriminant(a: int, b: int, c: int) -> Factorization:
             "(a): a=4 mod 8, b=2 mod 4, c=2 mod 8, nor (b): a=2 mod 4, b odd, c=2 mod 8",
             precondition="condition (a) or (b)",
         )
-    if squarefree_part(c).cofactor != 1:
+    field_c = quadratic_field(c)
+    if field_c.radicand != c:
         raise DomainError(f"c = {c} is not square-free", precondition="c square-free")
     g1 = math.gcd(a, b)
-    if squarefree_part(g1).cofactor != 1:
+    f1 = factor(g1)
+    if any(e > 1 for _, e in f1.factors):
         raise DomainError(f"gcd(a, b) = {g1} is not square-free",
                           precondition="gcd(a, b) square-free")
-    g2 = math.gcd(g1, c)
-    exps: dict[int, int] = {2: 8}
-    sign = 1
-    for f, mult in ((factor(g1), 2), (factor(c), 3)):
-        sign *= f.sign**mult
-        for p, e in f.factors:
-            exps[p] = exps.get(p, 0) + mult * e
-    for p, e in factor(g2).factors:
-        exps[p] = exps.get(p, 0) - 2 * e
-    return Factorization.from_exponents(sign, exps)
+    # with g1 and c square-free, a prime of both has 2 + 3 - 2 = 3 in the exponent
+    exps = dict.fromkeys((p for p, _ in f1.factors), 2)
+    exps.update(dict.fromkeys(field_c.radicand_primes(), 3))
+    exps[2] += 8  # c = 2 (mod 8), so 2 is a prime of c
+    return Factorization.from_exponents(field_c.disc_factors.sign, exps)
 
 
 def discriminant(K: CyclicQuarticField) -> Factorization:
@@ -119,9 +116,9 @@ def discriminant(K: CyclicQuarticField) -> Factorization:
     if math.gcd(s_odd, m_full) != 1:
         raise DomainError(f"gcd({s_odd}, t^2+1 = {m_full}) > 1",
                           precondition="gcd(s, t^2+1) = 1")
-    # t^2+1 = x^4 n^2 m with m, n square-free
-    m, y = squarefree_part(m_full)
-    n, x = squarefree_part(y)
+    # t^2+1 = x^4 n^2 m with m, n square-free; m is the radicand of K+
+    m = quadratic_field(m_full).radicand
+    n, x = squarefree_part(math.isqrt(m_full // m))
     # radical form sqrt(a + b sqrt(c)) with a = s x^2 n^2 m, b = s n, c = m
     return hsw_discriminant(s * x * x * n * n * m, s * n, m)
 
@@ -231,7 +228,7 @@ def class_number(K: CyclicQuarticField) -> int:
     """
     b1 = bernoulli_B1(associated_quartic_character(K))
     h_minus = relative_class_number((b1, b1.conjugate()), K.hasse_q, 2)
-    return h_minus * quadratic.class_number_real(K.kplus)
+    return h_minus * K.kplus.class_number
 
 
 def field_invariants(K: CyclicQuarticField, precision_bits: int = 128,

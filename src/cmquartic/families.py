@@ -174,7 +174,7 @@ def _require_admissible_t(t: int) -> None:
         raise DomainError(
             f"t = {t} is not 3 or 5 (mod 8)", code="E_T_INADMISSIBLE",
             precondition="t = 3 or 5 (mod 8)")
-    if not is_squarefree(t * t + 1):
+    if quadratic.quadratic_field(t * t + 1).radicand != t * t + 1:
         raise DomainError(
             f"t = {t} has t^2+1 = {t * t + 1} not square-free", code="E_T_INADMISSIBLE",
             precondition="t^2+1 square-free")

@@ -7,18 +7,25 @@ Shipped real class numbers come from the form cycles.  Shipped imaginary
 ones come from the B1 values of Kronecker characters (`dirichlet`), so
 the form count `class_number_imaginary` and the analytic formula exist
 as cross-checks.
+
+`quadratic_field` keeps the last FIELD_MEMO_SIZE fields it built, so the
+real quadratic subfield Q(sqrt(t^2+1)) shared by both members of a pair,
+a family and both field kinds is built once per t.  A memoized field
+caches only exact values: the factorization of its discriminant, its
+fundamental unit and, for a real field, its class number.  Regulators
+depend on the precision and are computed per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import mpmath
 from mpmath import mpf
 
-from .arith import is_squarefree, kronecker, squarefree_part
+from .arith import Factorization, factor, kronecker
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .precision import HighPrecReal, check_precision_bits, hp_from_value, workprec
 
@@ -27,7 +34,8 @@ from .precision import HighPrecReal, check_precision_bits, hp_from_value, workpr
 class QuadraticField:
     """Square-free radicand plus the fundamental discriminant it induces.
 
-    `unit`, the fundamental unit of a real field, is computed once, on first use.
+    `disc_factors`, the factorization of `fund_disc`, and for a real field
+    its fundamental `unit` and `class_number`, are computed once, on first use.
     """
 
     radicand: int
@@ -36,7 +44,13 @@ class QuadraticField:
     def label(self) -> str:
         return f"Q(sqrt({self.radicand}))"
 
+    def radicand_primes(self) -> set[int]:
+        """The primes of the radicand: those of odd exponent in the discriminant."""
+        return {p for p, e in self.disc_factors.factors if e & 1}
+
+    disc_factors = cached_property(lambda self: factor(self.fund_disc))
     unit = cached_property(lambda self: fundamental_unit(self))
+    class_number = cached_property(lambda self: class_number_real(self))
 
 
 @dataclass(frozen=True)
@@ -50,23 +64,59 @@ class QuadraticUnit:
     norm: int
 
 
+#: fields kept by `quadratic_field`: one pair or family step needs K+ and a few
+#: imaginary subfields, and a bound keeps a long run from growing
+FIELD_MEMO_SIZE = 16
+
+
 def quadratic_field(m: int) -> QuadraticField:
-    """Field of sqrt(m); the radicand is normalized to its square-free part."""
+    """Field of sqrt(m); the radicand is normalized to its square-free part.
+
+    One of the last FIELD_MEMO_SIZE fields built, when m was asked for then.
+    """
     if m in (0, 1):
         raise DomainError(f"m = {m} does not define a quadratic field", code="E_PARAM_ZERO")
-    r = squarefree_part(m).value
-    d = r if r % 4 == 1 else 4 * r
-    return QuadraticField(radicand=r, fund_disc=d)
+    return _field_memo(m)
+
+
+@lru_cache(maxsize=FIELD_MEMO_SIZE)
+def _field_memo(m: int) -> QuadraticField:
+    f = factor(m)
+    return _field_of(f.sign, {p for p, e in f.factors if e & 1})
+
+
+def _field_of(sign: int, primes: set[int]) -> QuadraticField:
+    """Q(sqrt(sign * prod(primes))), with the factorization of its discriminant filled in."""
+    r = sign * math.prod(primes)
+    exps = dict.fromkeys(primes, 1)
+    if r % 4 != 1:
+        exps[2] = exps.get(2, 0) + 2
+    field = QuadraticField(radicand=r, fund_disc=r if r % 4 == 1 else 4 * r)
+    # fills the cached property, so fund_disc is never factored
+    object.__setattr__(field, "disc_factors", Factorization.from_exponents(sign, exps))
+    return field
+
+
+def product_field(F1: QuadraticField, F2: QuadraticField) -> QuadraticField:
+    """Q(sqrt(r1 r2)), the third quadratic subfield of Q(sqrt(r1), sqrt(r2)).
+
+    Its radicand (r1/g)(r2/g), g = gcd(r1, r2), has the primes of exactly
+    one of r1, r2, so it is read off the two cached factorizations and
+    r1 r2 is never factored.
+    """
+    sign = F1.disc_factors.sign * F2.disc_factors.sign
+    return _field_of(sign, F1.radicand_primes() ^ F2.radicand_primes())
 
 
 def is_fundamental_discriminant(D: int) -> bool:
+    """D is the discriminant of Q(sqrt(D)); the square-free test reads the field memo."""
     if D == 1 or D == 0:
         return False
     if D % 4 == 1:
-        return is_squarefree(D)
+        return quadratic_field(D).radicand == D
     if D % 4 == 0:
         m = D // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
+        return m % 4 in (2, 3) and quadratic_field(m).radicand == m
     return False
 
 

@@ -346,20 +346,108 @@ def test_biquadratic_pair_computes_each_class_number_once(monkeypatch):
 
 
 def test_pair_runs_each_field_stage_once_per_field(monkeypatch):
-    # disc(K), K+, Q and the unit of K+ are built once per field and read from
-    # the field object; the regulator, Q and h(K+) all read that one unit
+    # disc(K), K+ and Q are built once per field and read from the field
+    # object; K+ comes from the quadratic field memo, so its unit and h(K+)
+    # are computed once per t for both members, a whole family and both kinds
     from cmquartic import biquadratic as bq
     from cmquartic import cyclic_quartic as cq
     from cmquartic import quadratic
 
+    units = _count_calls(monkeypatch, quadratic, "fundamental_unit")
+    class_numbers = _count_calls(monkeypatch, quadratic, "class_number_real")
+
+    def per_t_counts(run):
+        quadratic._field_memo.cache_clear()
+        units.clear()
+        class_numbers.clear()
+        run()
+        return len(units), len(class_numbers)
+
     for module, pair_report in ((cq, cyclic_pair_report), (bq, biquadratic_pair_report)):
         stages = ("discriminant", "maximal_real_subfield", "hasse_Q")
         calls = {stage: _count_calls(monkeypatch, module, stage) for stage in stages}
-        units = _count_calls(monkeypatch, quadratic, "fundamental_unit")
-        pair_report(5, 29, with_class_number=True)
+        assert per_t_counts(lambda: pair_report(5, 29, with_class_number=True)) == (1, 1), \
+            module.__name__
         assert {stage: len(c) for stage, c in calls.items()} == dict.fromkeys(stages, 2), \
             module.__name__
-        assert len(units) == 2, module.__name__
+    for family in (cyclic_family, biquadratic_family):
+        reports = []
+        assert per_t_counts(lambda: reports.extend(family(13, 4, with_class_number=True))) \
+            == (1, 1), family.__name__
+        assert len(reports) == 4 and all(rep.class_a for rep in reports)
+    assert per_t_counts(lambda: (cyclic_pair_report(5, 29, with_class_number=True),
+                                 biquadratic_pair_report(5, 29, with_class_number=True))) \
+        == (1, 1)
+
+
+def _guard_factor(monkeypatch, forbidden):
+    """Fail on factor(n) for |n| in the set `forbidden`; return the list of every argument.
+
+    Every module binding of `arith.factor` is replaced, so calls made
+    through `from .arith import factor` are seen as well.
+    """
+    import sys
+
+    from cmquartic import arith
+
+    real = arith.factor
+    seen = []
+
+    def guarded(n):
+        assert abs(n) not in forbidden, f"factor handed {n}"
+        seen.append(n)
+        return real(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmquartic") and getattr(module, "factor", None) is real:
+            monkeypatch.setattr(module, "factor", guarded)
+    return seen
+
+
+def test_biquadratic_field_never_factors_the_product_of_its_radicands(monkeypatch):
+    # the third subfield Q(sqrt(ra rb / g^2)) is read off the factorizations
+    # of the other two.  At a = -2p, g = 2 and the Kronecker character of that
+    # subfield has modulus 4 ra rb / g^2 = ra rb, which its unit group
+    # factors, so only the discriminant is checked there.
+    from cmquartic import biquadratic as bq
+
+    m = 170  # t = 13
+    forbidden = set()
+    _guard_factor(monkeypatch, forbidden)
+    for p in (173, 1009, 10009):
+        for a, with_class_number in ((-p, True), (-2 * p, False)):
+            forbidden.clear()
+            forbidden.add(abs(a) * m)
+            K = bq.biquadratic(a, m)
+            assert abs(a) * m // math.gcd(a, m) ** 2 in {abs(r) for r in K.radicands}
+            inv = bq.field_invariants(K, 128, with_class_number)
+            assert inv.disc.value() == math.prod(r if r % 4 == 1 else 4 * r
+                                                 for r in K.radicands)
+            assert (inv.class_number is not None) == with_class_number
+
+
+def test_family_factors_t_squared_plus_one_once(monkeypatch):
+    from cmquartic import quadratic
+
+    seen = _guard_factor(monkeypatch, set())
+    for family in (cyclic_family, biquadratic_family):
+        for t in (5, 13):
+            quadratic._field_memo.cache_clear()
+            seen.clear()
+            family(t, 4, with_class_number=True)
+            assert seen.count(t * t + 1) == 1, (family.__name__, t)
+
+
+def test_field_memo_is_bounded():
+    # 40 pairs ask for 81 distinct fields; K+ is asked for by every pair and stays
+    from cmquartic import quadratic
+
+    biquadratic_family(5, 40)
+    info = quadratic._field_memo.cache_info()
+    assert info.maxsize == quadratic.FIELD_MEMO_SIZE
+    assert info.currsize == info.maxsize
+    quadratic.quadratic_field(26)
+    assert quadratic._field_memo.cache_info().hits == info.hits + 1
 
 
 def test_reg_equal_fails_when_the_shipped_regulator_is_wrong(monkeypatch):
