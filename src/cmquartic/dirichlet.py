@@ -10,11 +10,16 @@ B1 sums never visit residues one by one in Python.  The modulus f is
 split by CRT into coprime parts m * n, chi into psi (mod m) times lambda
 (mod n), and each part's exponents are one small `bytes` table, built
 from the per-prime-power code tables by repetition (CRT periodicity) and
-big-integer addition.  The Python loop runs over the units of the
-smaller part m, only those below m/2 when lambda is nontrivial; the
-prefix sums of lambda at the sorted points are read off one block of
-lambda's table at a time, each block's prefix one `itertools.accumulate`
-list, so memory is m + n bytes plus one block of ints.
+big-integer addition.  The code tables are kept per prime power in a
+bounded memo (`LOCAL_MEMO_SIZE`), so moduli that share a prime, like
+the Kronecker moduli of a biquadratic pair, build its table and find its
+primitive root once.  The Python loop runs over the units of the smaller
+part m, only those below m/2 when lambda is nontrivial, and reads the
+prefix sum of lambda at each point by one list index.  When lambda's
+table has n <= 2^16 residues its prefix is one `itertools.accumulate`
+list, read in a single pass; beyond that the points are sorted and the
+prefix is built one block of 2^16 residues at a time.  Either way memory
+is m + n bytes plus at most one block of ints.
 """
 
 from __future__ import annotations
@@ -95,38 +100,9 @@ class UnitGroup:
         self._square_parities: dict[int, tuple[int, ...] | None] = {}
         self.factors = factor(modulus).factors if modulus > 1 else ()
         for p, e in self.factors:
-            pe = p**e
-            comps, codes = self._build_local(p, e, pe)
+            comps, codes = _local_table(p, e)
             self.components.extend(comps)
-            self._local.append((pe, comps, bytes(codes)))
-
-    @staticmethod
-    def _build_local(p: int, e: int, pe: int):
-        """Components of (Z/p^e)^* and its code table, by stepping each generator."""
-        codes = bytearray([_NONUNIT_CODE]) * pe
-        if p == 2 and e <= 2:
-            codes[1] = 0
-            if e == 1:
-                return (), codes
-            codes[3] = 1
-            return (CyclicComponent(4, 3, 2),), codes
-        if p == 2:
-            half = pe >> 2  # order of 5 mod 2^e
-            v = 1
-            for beta in range(half):
-                codes[v] = (beta & 3) << 2
-                codes[pe - v] = (beta & 3) << 2 | 1
-                v = v * 5 % pe
-            return (CyclicComponent(pe, pe - 1, 2), CyclicComponent(pe, 5, half)), codes
-        g = _primitive_root(p)
-        if e > 1 and pow(g, p - 1, p * p) == 1:
-            g += p  # lift to a generator mod p^e
-        order = pe // p * (p - 1)
-        v = 1
-        for k in range(order):
-            codes[v] = k & 3
-            v = v * g % pe
-        return (CyclicComponent(pe, g, order),), codes
+            self._local.append((p**e, comps, codes))
 
     @cached_property
     def component_lifts(self) -> tuple[int, ...]:
@@ -161,7 +137,8 @@ _NONUNIT_CODE = 255
 #: more can only come from a non-unit, since units add at most 9 * 3
 _FOLD = 9
 _REDUCE = bytes(x % 4 if x < NONUNIT else NONUNIT for x in range(256))
-#: residues of lambda's table per prefix block in bernoulli_B1
+#: residues of lambda's table per prefix block in bernoulli_B1; a table of at
+#: most this many residues is read from one prefix list with no sort
 _BLOCK = 1 << 16
 #: lambda's exponent byte to the real or the imaginary part of i^k, as a signed byte
 _RE = bytes(1 if x == 0 else 255 if x == 2 else 0 for x in range(256))
@@ -175,6 +152,41 @@ def _reduce(acc: int, n: int) -> bytes:
 @lru_cache(maxsize=None)
 def unit_group(modulus: int) -> UnitGroup:
     return UnitGroup(modulus)
+
+
+#: prime powers whose components and code table `_local_table` keeps: the
+#: four Kronecker moduli 4p, 8p, 4pm', 8pm' of a biquadratic pair share p
+LOCAL_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=LOCAL_MEMO_SIZE)
+def _local_table(p: int, e: int) -> tuple[tuple[CyclicComponent, ...], bytes]:
+    """Components of (Z/p^e)^* and its code table, by stepping each generator."""
+    pe = p**e
+    codes = bytearray([_NONUNIT_CODE]) * pe
+    if p == 2 and e <= 2:
+        codes[1] = 0
+        if e == 1:
+            return (), bytes(codes)
+        codes[3] = 1
+        return (CyclicComponent(4, 3, 2),), bytes(codes)
+    if p == 2:
+        half = pe >> 2  # order of 5 mod 2^e
+        v = 1
+        for beta in range(half):
+            codes[v] = (beta & 3) << 2
+            codes[pe - v] = (beta & 3) << 2 | 1
+            v = v * 5 % pe
+        return (CyclicComponent(pe, pe - 1, 2), CyclicComponent(pe, 5, half)), bytes(codes)
+    g = _primitive_root(p)
+    if e > 1 and pow(g, p - 1, p * p) == 1:
+        g += p  # lift to a generator mod p^e
+    order = pe // p * (p - 1)
+    v = 1
+    for k in range(order):
+        codes[v] = k & 3
+        v = v * g % pe
+    return (CyclicComponent(pe, g, order),), bytes(codes)
 
 
 @lru_cache(maxsize=None)
@@ -338,8 +350,8 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
         f * B1(chi) = lambda(m) * sum_x psi(x) * (m*n*P(c_x) + S0*(x - m*c_x) + m*n*B1(lambda)),
 
     and the last term drops because psi is chosen nontrivial, so that
-    sum_x psi(x) = 0.  S0 is 0 unless lambda is trivial.  No split (n = 1)
-    leaves sum_x psi(x) * x.
+    sum_x psi(x) = 0.  S0 is 0 unless lambda is trivial, when it is the
+    number of units mod n.  No split (n = 1) leaves sum_x psi(x) * x.
 
     When S0 = 0, x and m - x contribute alike: c_(m-x) = 1 - c_x (mod n)
     gives P(c_(m-x)) = -lambda(-1) * P(c_x), and psi(-1) * lambda(-1) =
@@ -347,10 +359,14 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     For trivial lambda the identity fails (some c_x = 0), and every x is
     visited.
 
-    P(c_x) is read by one list index per point: lambda's table is walked in
-    blocks of _BLOCK residues, and the real and imaginary parts of P over a
-    block are prefix lists from the running totals (the imaginary one only
-    when lambda takes the values +-i).
+    P(c_x) is read by one list index per x.  When lambda's table fits one
+    block (n <= _BLOCK = 2^16, every B1 of the two benchmark pools), the
+    prefix sums of its real part, and of its imaginary part only when
+    lambda takes the values +-i, are one list each, read in a single pass
+    over psi (`_one_block_sums`).  Beyond that the points are sorted and
+    lambda's table is walked one block at a time (`_prefix_class_sums`).
+    The sum stays a Gaussian integer, f * B1 rotated by lambda(m), until
+    one division by f at the end.
     """
     if chi.order == 1:
         raise DomainError("B1 of the trivial character is not supported",
@@ -361,58 +377,90 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     side = _loop_side(chi._decode)
     psi = _exponent_table(side)
     lam = _exponent_table([part for part in chi._decode if part not in side])
-    m, n = len(psi), len(lam)
+    f, m, n = chi.modulus, len(psi), len(lam)
     mbar = pow(m, -1, n)
-    counts = [lam.count(j) for j in range(4)]
-    s0 = _gaussian(counts)
-    halved = s0 == ZERO
-    # points (c_x, k) with psi(x) = i^k, sorted by c_x
-    points = [x * mbar % n << 2 | k
-              for x, k in enumerate(psi[:(m + 1) // 2] if halved else psi) if k < 4]
-    points.sort()
-    # shift[k] sums x - m*c_x over the same x; it counts only when S0 != 0,
-    # that is after a full loop
-    shift = [0, 0, 0, 0]
-    if not halved:
+    quartic = 1 in lam or 3 in lam
+    trivial = not quartic and 2 not in lam
+    xs = psi if trivial else psi[:(m + 1) // 2]
+    # re[k] + i*im[k] sums P(c_x) over the visited x with psi(x) = i^k; im
+    # is 0 unless lambda takes the values +-i
+    if n <= _BLOCK:
+        re, im = _one_block_sums(xs, mbar, lam, quartic)
+    else:
+        # points (c_x, k) with psi(x) = i^k, sorted by c_x
+        points = [x * mbar % n << 2 | k for x, k in enumerate(xs) if k < 4]
+        points.sort()
+        re = _prefix_class_sums(points, lam, _RE)
+        im = _prefix_class_sums(points, lam, _IM) if quartic else [0, 0, 0, 0]
+    # f * sum_x psi(x) P(c_x) = f * sum_k i^k (re[k] + i*im[k]), doubled when halved
+    scale = f if trivial else 2 * f
+    a = scale * (re[0] - re[2] - im[1] + im[3])
+    b = scale * (re[1] - re[3] + im[0] - im[2])
+    if trivial:
+        # S0 * sum_x psi(x) (x - m*c_x), with S0 the number of units mod n
+        shift = [0, 0, 0, 0]
         for x, k in enumerate(psi):
             if k < 4:
                 shift[k] += x - m * (x * mbar % n)
-    # re[k] + i*im[k] sums P(c_x) over the x with psi(x) = i^k; im is 0
-    # unless lambda takes the values +-i
-    re = _prefix_class_sums(points, lam, _RE)
-    im = _prefix_class_sums(points, lam, _IM) if counts[1] or counts[3] else [0, 0, 0, 0]
-    # sum_x psi(x) P(c_x) = sum_k i^k (re[k] + i*im[k]), by powers of i
-    scale = 2 if halved else 1
-    total = [scale * (re[k] + im[k - 1]) for k in range(4)]
-    return I_POWERS[lam[m % n]] * (_gaussian(total) + s0 * _gaussian(shift, chi.modulus))
+        s0 = lam.count(0)
+        a += s0 * (shift[0] - shift[2])
+        b += s0 * (shift[1] - shift[3])
+    for _ in range(lam[m % n]):  # times lambda(m) = i^k
+        a, b = -b, a
+    return GaussianRational(Fraction(a, f), Fraction(b, f))
+
+
+def _prefix(lam: bytes, part: bytes, initial: int = 0) -> list[int]:
+    """initial + P(c) for 0 <= c <= len(lam), P summing one part of lambda: its real
+    part for part = _RE, its imaginary part for _IM."""
+    return list(itertools.accumulate(memoryview(lam.translate(part)).cast("b"),
+                                     initial=initial))
+
+
+def _one_block_sums(xs: bytes, mbar: int, lam: bytes,
+                    quartic: bool) -> tuple[list[int], list[int]]:
+    """(re, im): re[k] + i*im[k] sums P(c_x) over the x with xs[x] = k < 4, c_x = x*mbar mod n.
+
+    One pass over xs, with no list of points: lambda's whole table is one
+    prefix list per part (the imaginary one only when quartic), indexed
+    at c_x.
+    """
+    n = len(lam)
+    prefix, re = _prefix(lam, _RE), [0, 0, 0, 0]
+    if not quartic:
+        for x, k in enumerate(xs):
+            if k < 4:
+                re[k] += prefix[x * mbar % n]
+        return re, [0, 0, 0, 0]
+    prefix_im, im = _prefix(lam, _IM), [0, 0, 0, 0]
+    for x, k in enumerate(xs):
+        if k < 4:
+            c = x * mbar % n
+            re[k] += prefix[c]
+            im[k] += prefix_im[c]
+    return re, im
 
 
 def _prefix_class_sums(points: list[int], lam: bytes, part: bytes) -> list[int]:
     """sums[k] = sum of P(c) over the sorted points c << 2 | k, P(c) = sum_{u<c} of one part
     of lambda(u): its real part for part = _RE, its imaginary part for _IM.
 
-    lam is walked in blocks of _BLOCK residues up to the last point.  Each
-    block's prefix sums, from the running total, are one list built by
-    `itertools.accumulate` over the block's signed part bytes, read once at
-    every point that falls in the block.
+    The route for n > _BLOCK: lam is walked in blocks of _BLOCK residues up
+    to the last point.  Each block's prefix sums, from the running total,
+    are one list built by `itertools.accumulate` over the block's signed
+    part bytes, read once at every point that falls in the block, so at
+    most one block of ints is held at a time.
     """
     sums, total, i = [0, 0, 0, 0], 0, 0
     for start in range(0, (points[-1] >> 2) + 1, _BLOCK):
         end = bisect.bisect_left(points, (start + _BLOCK) << 2, i)
-        signed = memoryview(lam[start:start + _BLOCK].translate(part)).cast("b")
-        prefix = list(itertools.accumulate(signed, initial=total))
+        prefix = _prefix(lam[start:start + _BLOCK], part, total)
         total = prefix[-1]
         for point in points[i:end]:
             sums[point & 3] += prefix[(point >> 2) - start]
         i = end
         del prefix  # so the next block's list is not built beside this one
     return sums
-
-
-def _gaussian(classes: list[int], denominator: int = 1) -> GaussianRational:
-    """sum_k classes[k] * i^k / denominator."""
-    return GaussianRational(Fraction(classes[0] - classes[2], denominator),
-                            Fraction(classes[1] - classes[3], denominator))
 
 
 def _loop_side(parts):
@@ -422,7 +470,8 @@ def _loop_side(parts):
     sqrt(f), the least max(m, n), is taken, and of its two sides the
     smaller m, so the Python loop runs over the smaller side.  The two
     exponent tables then take m + n bytes, and the prefix sums of lambda
-    one block of ints on top.
+    at most one block of ints on top: all n of them when n <= _BLOCK,
+    else _BLOCK at a time.
     """
     f = math.prod(pe for pe, *_ in parts)
 

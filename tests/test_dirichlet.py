@@ -440,17 +440,22 @@ def test_halved_B1_loop_matches_per_term_sum():
 def _block_kinds(chi: DirichletCharacter, block: int) -> set[str]:
     """How chi's B1 split meets prefix blocks of `block` residues.
 
-    "trivial", "real" or "quartic" for lambda; "block start" when some
-    point c_x > 0 opens a block; "short last block" when the last point lies
-    in a final block of fewer than `block` residues.
+    "trivial", "real" or "quartic" for lambda, with the route that reads
+    it: "in one block" when lambda's table of n residues fits one block,
+    else "in blocks".  On the blocked route also "block start" when some
+    point c_x > 0 opens a block, and "short last block" when the last point
+    lies in a final block of fewer than `block` residues.
     """
     side = dirichlet._loop_side(chi._decode)
     lam = dirichlet._exponent_table([part for part in chi._decode if part not in side])
     m = math.prod(pe for pe, *_ in side)
     n = len(lam)
-    kinds = {"quartic" if 1 in lam or 3 in lam else "real" if 2 in lam else "trivial"}
+    kind = "quartic" if 1 in lam or 3 in lam else "real" if 2 in lam else "trivial"
+    if n <= block:
+        return {f"{kind} in one block"}
+    kinds = {f"{kind} in blocks"}
     # the loop visits the units x < m/2, or every unit when lambda is trivial
-    xs = [x for x in range(m if "trivial" in kinds else (m + 1) // 2) if math.gcd(x, m) == 1]
+    xs = [x for x in range(m if kind == "trivial" else (m + 1) // 2) if math.gcd(x, m) == 1]
     points = [x * pow(m, -1, n) % n for x in xs]
     if any(c and c % block == 0 for c in points):
         kinds.add("block start")
@@ -459,16 +464,18 @@ def _block_kinds(chi: DirichletCharacter, block: int) -> set[str]:
     return kinds
 
 
-@pytest.mark.parametrize("block", [1, 2, 7, 64])
+@pytest.mark.parametrize("block", [1, 2, 7, 64, dirichlet._BLOCK])
 def test_bernoulli_B1_across_prefix_blocks(block, monkeypatch):
-    # every split of B1_MODULI and of the random moduli, with lambda's prefix
-    # sums cut into blocks of 1, 2, 7 and 64 residues
+    # every split of B1_MODULI and of the random moduli, read from one prefix
+    # list when lambda's table fits the default block of 2^16 residues, and
+    # with lambda's prefix sums cut into blocks of 1, 2, 7 and 64 residues
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     chars = [chi for f in B1_MODULI for chi in odd_nontrivial(f)]
     assert len(chars) == 292
     expected = [reference_B1(chi) for chi in chars]
     assert expected == [grid_B1(chi) for chi in chars]
+    one_block = block == dirichlet._BLOCK
     monkeypatch.setattr(dirichlet, "_BLOCK", block)
     kinds = set()
     for chi, b1 in zip(chars, expected):
@@ -486,5 +493,11 @@ def test_bernoulli_B1_across_prefix_blocks(block, monkeypatch):
         kinds.update(_block_kinds(chi, block))
 
     check()
-    wanted = {"trivial", "real", "quartic", "block start", "short last block"}
-    assert kinds >= (wanted if block > 1 else wanted - {"short last block"}), kinds
+    lambdas = ("trivial", "real", "quartic")
+    if one_block:
+        wanted = {f"{kind} in one block" for kind in lambdas}
+    else:
+        wanted = {f"{kind} in blocks" for kind in lambdas} | {"block start"}
+        if block > 1:
+            wanted.add("short last block")
+    assert kinds >= wanted, kinds

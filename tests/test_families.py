@@ -345,6 +345,19 @@ def test_biquadratic_pair_computes_each_class_number_once(monkeypatch):
     assert rep.residue_a is not None and rep.residue_b is not None
 
 
+def test_biquadratic_pair_finds_each_primitive_root_once(monkeypatch):
+    # the Kronecker moduli of B(-29, 26) and B(-58, 26) are 4p, 8pm', 8p and
+    # 4pm' with p = 29, m' = 13: they share the code tables of 29 and 13, so
+    # p - 1 is factored for a primitive root once per prime, not per modulus
+    from cmquartic import dirichlet
+
+    calls = _count_calls(monkeypatch, dirichlet, "_primitive_root")
+    dirichlet.unit_group.cache_clear()
+    rep = biquadratic_pair_report(5, 29, with_class_number=True)
+    assert rep.class_a and rep.class_b
+    assert sorted(calls) == [(13,), (29,)]
+
+
 def test_pair_runs_each_field_stage_once_per_field(monkeypatch):
     # disc(K), K+ and Q are built once per field and read from the field
     # object; K+ comes from the quadratic field memo, so its unit and h(K+)
