@@ -42,7 +42,6 @@ from .precision import HighPrecReal
 from .quadratic import (
     QuadraticField,
     QuadraticUnit,
-    analytic_class_number_oracle,
     class_number_imaginary,
     class_number_real,
     fundamental_unit,
@@ -70,7 +69,6 @@ __all__ = [
     "QuadraticUnit",
     "SieveReport",
     "SquarefreePart",
-    "analytic_class_number_oracle",
     "bernoulli_B1",
     "biquadratic_family",
     "class_number_imaginary",

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 from .arith import Factorization, count_roots_mod_p, factor, is_prime, squarefree_part
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
-from .dirichlet import DirichletCharacter, bernoulli_B1, unit_group
+from .dirichlet import DirichletCharacter, bernoulli_B1, components
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from .quadratic import QuadraticField, quadratic_field
@@ -184,7 +184,7 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     s, t = K.s, K.t
     m = t * t + 1
     f = _conductor_of_quartic_character(K)
-    comps = unit_group(f).components
+    comps = components(f)
     exps = [0] * len(comps)
     minus_one = 2  # the exponent of chi(-1) left to the -1 component
     for j, c in enumerate(comps):

@@ -1,19 +1,21 @@
 """Dirichlet characters of order dividing 4, with exact Gaussian-rational values.
 
-The unit group modulo f is decomposed into cyclic components with
-deterministic generators (smallest primitive roots; -1 and 5 for the
-2-power part).  A character is stored as one quarter-turn exponent per
-component, so every value is a power of i and all downstream sums stay
-in Q(i) exactly.
+The unit group modulo f is the tuple of its local groups (Z/p^e)^*, one
+per prime power p^e of f.  Each local group holds its cyclic components,
+with deterministic generators (smallest primitive roots; -1 and 5 for
+the 2-power part), and its code table of discrete logs mod 4.
+`unit_group` keeps one tuple per modulus over `_local_table`, one bounded
+memo (`LOCAL_MEMO_SIZE`) per prime power, so moduli that share a prime,
+like the Kronecker moduli of a biquadratic pair, build its table and find
+its primitive root once.  A character is stored as one quarter-turn
+exponent per component, so every value is a power of i and all
+downstream sums stay in Q(i) exactly.
 
 B1 sums never visit residues one by one in Python.  The modulus f is
 split by CRT into coprime parts m * n, chi into psi (mod m) times lambda
 (mod n), and each part's exponents are one small `bytes` table, built
 from the per-prime-power code tables by repetition (CRT periodicity) and
-big-integer addition.  The code tables are kept per prime power in a
-bounded memo (`LOCAL_MEMO_SIZE`), so moduli that share a prime, like
-the Kronecker moduli of a biquadratic pair, build its table and find its
-primitive root once.  The Python loop runs over the units of the smaller
+big-integer addition.  The Python loop runs over the units of the smaller
 part m, only those below m/2 when lambda is nontrivial, and reads the
 prefix sum of lambda at each point by one list index.  When lambda's
 table has n <= 2^16 residues its prefix is one `itertools.accumulate`
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .arith import factor, kronecker
 from .errors import ConsistencyError, DomainError
@@ -85,48 +88,22 @@ class CyclicComponent:
     order: int
 
 
-class UnitGroup:
-    """(Z/f)^* as a product of cyclic components, with one code table per prime power."""
+class LocalGroup(NamedTuple):
+    """(Z/p^e)^* for one prime power p^e exactly dividing a modulus.
 
-    def __init__(self, modulus: int):
-        if modulus < 1:
-            raise DomainError(f"modulus {modulus} must be positive")
-        self.modulus = modulus
-        self.components: list[CyclicComponent] = []
-        # per prime power: (p^e, its components, code table), where code[r]
-        # packs the discrete logs of r mod 4, two bits per component, and
-        # is _NONUNIT_CODE when p divides r
-        self._local: list[tuple[int, tuple[CyclicComponent, ...], bytes]] = []
-        self._square_parities: dict[int, tuple[int, ...] | None] = {}
-        self.factors = factor(modulus).factors if modulus > 1 else ()
-        for p, e in self.factors:
-            comps, codes = _local_table(p, e)
-            self.components.extend(comps)
-            self._local.append((p**e, comps, codes))
+    codes[r] packs the discrete logs of r mod 4, two bits per component,
+    and is _NONUNIT_CODE when p divides r.
+    """
 
-    @cached_property
-    def component_lifts(self) -> tuple[int, ...]:
-        """Per component: its generator modulo its prime power, 1 modulo the others.
+    p: int
+    e: int
+    components: tuple[CyclicComponent, ...]
+    codes: bytes
 
-        The j-th lift has the j-th unit vector as its exponent vector.
-        """
-        f = self.modulus
-        # (f/pe) * ((f/pe)^-1 mod pe) is 1 mod pe and 0 mod the other prime powers
-        return tuple((1 + (c.generator - 1) * (f // pe) * pow(f // pe, -1, pe)) % f
-                     for pe, comps, _ in self._local for c in comps)
+    @property
+    def modulus(self) -> int:
+        return len(self.codes)  # p^e
 
-    def square_parities(self, D: int) -> tuple[int, ...] | None:
-        """Exponent parities q_j mod 2 of every chi with chi^2 = (D|.), or None if none.
-
-        chi^2 takes the value (-1)^q_j at the j-th component lift, so it is
-        the quadratic character (D|.) exactly when each q_j has the parity
-        that (D|lift_j) = +-1 asks for; (D|lift_j) = 0 admits no chi.
-        """
-        if D not in self._square_parities:
-            signs = [kronecker(D, g) for g in self.component_lifts]
-            self._square_parities[D] = (None if 0 in signs
-                                        else tuple(int(k < 0) for k in signs))
-        return self._square_parities[D]
 
 #: exponent-table byte of a residue that shares a factor with the modulus
 NONUNIT = 28
@@ -150,26 +127,34 @@ def _reduce(acc: int, n: int) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def unit_group(modulus: int) -> UnitGroup:
-    return UnitGroup(modulus)
+def unit_group(modulus: int) -> tuple[LocalGroup, ...]:
+    """(Z/modulus)^* as its local groups, one per prime power, in increasing order of p."""
+    if modulus < 1:
+        raise DomainError(f"modulus {modulus} must be positive")
+    return tuple(_local_table(p, e) for p, e in factor(modulus).factors)
 
 
-#: prime powers whose components and code table `_local_table` keeps: the
-#: four Kronecker moduli 4p, 8p, 4pm', 8pm' of a biquadratic pair share p
+def components(modulus: int) -> list[CyclicComponent]:
+    """The cyclic components of (Z/modulus)^*, prime power by prime power."""
+    return [c for g in unit_group(modulus) for c in g.components]
+
+
+#: prime powers whose local group `_local_table` keeps: the four Kronecker
+#: moduli 4p, 8p, 4pm', 8pm' of a biquadratic pair share p
 LOCAL_MEMO_SIZE = 32
 
 
 @lru_cache(maxsize=LOCAL_MEMO_SIZE)
-def _local_table(p: int, e: int) -> tuple[tuple[CyclicComponent, ...], bytes]:
-    """Components of (Z/p^e)^* and its code table, by stepping each generator."""
+def _local_table(p: int, e: int) -> LocalGroup:
+    """(Z/p^e)^*: its components and its code table, by stepping each generator."""
     pe = p**e
     codes = bytearray([_NONUNIT_CODE]) * pe
     if p == 2 and e <= 2:
         codes[1] = 0
         if e == 1:
-            return (), bytes(codes)
+            return LocalGroup(p, e, (), bytes(codes))
         codes[3] = 1
-        return (CyclicComponent(4, 3, 2),), bytes(codes)
+        return LocalGroup(p, e, (CyclicComponent(4, 3, 2),), bytes(codes))
     if p == 2:
         half = pe >> 2  # order of 5 mod 2^e
         v = 1
@@ -177,7 +162,8 @@ def _local_table(p: int, e: int) -> tuple[tuple[CyclicComponent, ...], bytes]:
             codes[v] = (beta & 3) << 2
             codes[pe - v] = (beta & 3) << 2 | 1
             v = v * 5 % pe
-        return (CyclicComponent(pe, pe - 1, 2), CyclicComponent(pe, 5, half)), bytes(codes)
+        return LocalGroup(p, e, (CyclicComponent(pe, pe - 1, 2), CyclicComponent(pe, 5, half)),
+                          bytes(codes))
     g = _primitive_root(p)
     if e > 1 and pow(g, p - 1, p * p) == 1:
         g += p  # lift to a generator mod p^e
@@ -186,7 +172,7 @@ def _local_table(p: int, e: int) -> tuple[tuple[CyclicComponent, ...], bytes]:
     for k in range(order):
         codes[v] = k & 3
         v = v * g % pe
-    return (CyclicComponent(pe, g, order),), bytes(codes)
+    return LocalGroup(p, e, (CyclicComponent(pe, g, order),), bytes(codes))
 
 
 @lru_cache(maxsize=None)
@@ -212,29 +198,25 @@ class DirichletCharacter:
     modulus: int
     exponents: tuple[int, ...]
 
-    @property
-    def group(self) -> UnitGroup:
-        return unit_group(self.modulus)
-
     @cached_property
-    def _decode(self) -> list[tuple[int, tuple[CyclicComponent, ...], bytes, bytes]]:
-        """Per prime power: (p^e, its components, its code table, values).
+    def _decode(self) -> list[tuple[LocalGroup, bytes]]:
+        """Per prime power: (its local group, values).
 
         values[code] is the k with chi = i^k at that prime power on the
-        residues of that code; value_exponent, conductor and
-        exponent_table all read chi through these maps.
+        residues of that code; value_exponent, conductor and bernoulli_B1
+        all read chi through these maps.
         """
         out, j = [], 0
-        for pe, comps, codes in self.group._local:
-            out.append((pe, comps, codes, _code_values(self.exponents[j:j + len(comps)])))
-            j += len(comps)
+        for g in unit_group(self.modulus):
+            out.append((g, _code_values(self.exponents[j:j + len(g.components)])))
+            j += len(g.components)
         return out
 
     def value_exponent(self, a: int) -> int | None:
         """k with chi(a) = i^k, or None when chi(a) = 0."""
         k = 0
-        for pe, _, codes, values in self._decode:
-            code = codes[a % pe]
+        for g, values in self._decode:
+            code = g.codes[a % g.modulus]
             if code == _NONUNIT_CODE:
                 return None
             k += values[code]
@@ -269,7 +251,7 @@ class DirichletCharacter:
         for j = 1.
         """
         cond = 1
-        for (p, e), (_, comps, codes, values) in zip(self.group.factors, self._decode):
+        for (p, e, comps, codes), values in self._decode:
             j = e
             # chi at the lift of g (g mod p^e, 1 elsewhere) is its local value at g
             while j > 1 and not values[codes[1 + p**(j - 1)]]:
@@ -279,49 +261,37 @@ class DirichletCharacter:
             cond *= p**j
         return cond
 
-    def exponent_table(self) -> bytes:
-        """Byte a is k with chi(a) = i^k, or NONUNIT when chi(a) = 0, for 0 <= a < modulus."""
-        return _exponent_table(self._decode)
-
 
 def _exponent_table(parts) -> bytes:
     """Exponent table of chi on some of its prime powers, over 0 <= a < their product n.
 
-    The table is the byte-wise sum of each prime power's local table
-    repeated with period p^e (CRT), taken as one big-integer addition of
-    up to _FOLD tables at a time; `_REDUCE` then maps each byte sum to
-    k mod 4 or back to NONUNIT.  With no prime powers, n = 1 and the one
-    residue 0 is a unit.
+    `parts` are (local group, values) pairs of chi's `_decode`; byte a is k
+    with chi(a) = i^k there, or NONUNIT.  The table is the byte-wise sum of
+    each prime power's local table repeated with period p^e (CRT), taken as
+    one big-integer addition of up to _FOLD tables at a time; `_REDUCE`
+    then maps each byte sum to k mod 4 or back to NONUNIT.  With no prime
+    powers, n = 1 and the one residue 0 is a unit.
     """
-    n = math.prod(pe for pe, *_ in parts)
+    n = math.prod(g.modulus for g, _ in parts)
     acc, terms = 0, 0
-    for pe, _, codes, values in parts:
-        local = codes.translate(values.ljust(256, bytes([NONUNIT])))
+    for g, values in parts:
+        local = g.codes.translate(values.ljust(256, bytes([NONUNIT])))
         if terms == _FOLD:
             acc, terms = int.from_bytes(_reduce(acc, n), "little"), 1
-        acc += int.from_bytes(local * (n // pe), "little")
+        acc += int.from_bytes(local * (n // g.modulus), "little")
         terms += 1
     return _reduce(acc, n)
 
 
-def characters_of_order_dividing_4(modulus: int,
-                                   D: int | None = None) -> list[DirichletCharacter]:
-    """All characters with chi^4 = 1, or with D only those with chi^2 = (D|.).
+def characters_of_order_dividing_4(modulus: int) -> list[DirichletCharacter]:
+    """All characters with chi^4 = 1, exponent vectors in lexicographic order.
 
-    A quarter-turn exponent q_j is admissible when q_j * order_j = 0
-    (mod 4); with D, its parity is also fixed by `square_parities(D)`, so
-    at most 2 of the 4 choices remain per component.  Exponent vectors
-    come in lexicographic order.
+    A quarter-turn exponent q_j is admissible when q_j * order_j = 0 (mod 4).
     """
-    grp = unit_group(modulus)
-    parities = None if D is None else grp.square_parities(D)
-    if D is not None and parities is None:
-        return []
     vectors: list[tuple[int, ...]] = [()]
-    for j, comp in enumerate(grp.components):
+    for comp in components(modulus):
         step = 1 if comp.order % 4 == 0 else 2 if comp.order % 2 == 0 else 4
-        pool = [q for q in range(0, 4, step) if parities is None or q % 2 == parities[j]]
-        vectors = [v + (q,) for v in vectors for q in pool]
+        vectors = [v + (q,) for v in vectors for q in range(0, 4, step)]
     return [DirichletCharacter(modulus, v) for v in vectors]
 
 
@@ -329,11 +299,17 @@ def kronecker_character(D: int) -> DirichletCharacter:
     """The Kronecker character (D|.) of a fundamental discriminant D, as a character mod |D|.
 
     Its exponent is 2 on each component whose lift has (D|lift) = -1 and 0
-    elsewhere.
+    elsewhere.  The lift of a component generator g mod p^e is g mod p^e and
+    1 mod f/p^e: with r = f/p^e, r * (r^-1 mod p^e) is 1 mod p^e and 0 mod r.
     """
     f = abs(D)
-    return DirichletCharacter(f, tuple(2 if kronecker(D, g) == -1 else 0
-                                       for g in unit_group(f).component_lifts))
+    exps = []
+    for g in unit_group(f):
+        r = f // g.modulus
+        unit = r * pow(r, -1, g.modulus)
+        exps += [2 if kronecker(D, (1 + (c.generator - 1) * unit) % f) == -1 else 0
+                 for c in g.components]
+    return DirichletCharacter(f, tuple(exps))
 
 
 def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
@@ -473,12 +449,12 @@ def _loop_side(parts):
     at most one block of ints on top: all n of them when n <= _BLOCK,
     else _BLOCK at a time.
     """
-    f = math.prod(pe for pe, *_ in parts)
+    f = math.prod(g.modulus for g, _ in parts)
 
     def size(side) -> tuple[int, int]:
-        m = math.prod(pe for pe, *_ in side)
+        m = math.prod(g.modulus for g, _ in side)
         return max(m, f // m), m
 
     return min((side for r in range(1, len(parts) + 1)
                 for side in itertools.combinations(parts, r)
-                if any(any(values) for *_, values in side)), key=size)
+                if any(any(values) for _, values in side)), key=size)

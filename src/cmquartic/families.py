@@ -19,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import mpmath
 
-from .arith import (_TRIAL_LIMIT, Factorization, _cofactor_exponents, is_prime, is_squarefree,
+from .arith import (_TRIAL_LIMIT, Factorization, _cofactor_exponents, _sqrt_mod_p, is_prime,
                     primes_in_progression)
 from . import biquadratic as bq
 from . import cyclic_quartic as cq
@@ -78,10 +78,7 @@ def _sqrt_minus_one_roots(bound: int) -> Iterator[tuple[int, int]]:
         if prime[p]:
             prime[p * p::2 * p] = bytes(len(range(p * p, bound + 1, 2 * p)))
     for p in itertools.compress(range(5, bound + 1, 4), prime[5::4]):
-        c = 2  # c^((p-1)/4) squares to -1 exactly when c is a non-residue
-        while (r := pow(c, p >> 2, p)) * r % p != p - 1:
-            c += 1
-        yield p, r
+        yield p, _sqrt_mod_p(p - 1, p)
 
 
 def sieve_t(t_min: int, t_max: int, residue: int) -> SieveReport:
@@ -161,7 +158,10 @@ def regulator_target(M: float, residue: int, precision_bits: int = 128) -> tuple
         floor = int(mpmath.floor(bound))
     # start at the last t = residue (mod 8) with t <= floor(e^M), in exact integers
     t = floor - (floor - residue) % 8
-    while t <= bound or not is_squarefree(t * t + 1):
+    # t^2+1 is square-free exactly when it is the radicand of K+ = Q(sqrt(t^2+1)),
+    # read through the field memo: one factorization per t, and the regulator
+    # below reuses the last K+
+    while t <= bound or quadratic.quadratic_field(t * t + 1).radicand != t * t + 1:
         t += 8
     reg = quadratic.regulator(quadratic.quadratic_field(t * t + 1), precision_bits)
     if not reg.value > M:

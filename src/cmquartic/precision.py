@@ -30,14 +30,6 @@ class HighPrecReal:
         dps = int(self.precision_bits * 0.30103) + 2
         return mpmath.nstr(self.value, dps, strip_zeros=False)
 
-    def agrees_with(self, other: "HighPrecReal", rel_tol_bits: int) -> bool:
-        """True when the two values match to at least rel_tol_bits significant bits."""
-        with mpmath.workprec(max(self.precision_bits, other.precision_bits) + GUARD_BITS):
-            scale = max(abs(self.value), abs(other.value))
-            if scale == 0:
-                return True
-            return abs(self.value - other.value) <= scale * mpf(2) ** (-rel_tol_bits)
-
     def scaled(self, num: int, den: int) -> "HighPrecReal":
         """Exact rational rescale num/den; the error bound scales along."""
         with mpmath.workprec(self.precision_bits + GUARD_BITS):

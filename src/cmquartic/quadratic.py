@@ -2,11 +2,10 @@
 
 Fundamental discriminants, exact class numbers through reduced binary
 quadratic forms, fundamental units through the continued-fraction (PQa)
-expansion, regulators, and an independent analytic class number oracle.
-Shipped real class numbers come from the form cycles.  Shipped imaginary
-ones come from the B1 values of Kronecker characters (`dirichlet`), so
-the form count `class_number_imaginary` and the analytic formula exist
-as cross-checks.
+expansion, and regulators.  Shipped real class numbers come from the form
+cycles.  Shipped imaginary ones come from the B1 values of Kronecker
+characters (`dirichlet`), so the form count `class_number_imaginary`
+exists as a cross-check.
 
 `quadratic_field` keeps the last FIELD_MEMO_SIZE fields it built, so the
 real quadratic subfield Q(sqrt(t^2+1)) shared by both members of a pair,
@@ -23,10 +22,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import mpmath
-from mpmath import mpf
 
-from .arith import Factorization, factor, kronecker
-from .errors import ConsistencyError, DomainError, PrecisionError
+from .arith import Factorization, factor
+from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal, check_precision_bits, hp_from_value, workprec
 
 
@@ -267,39 +265,3 @@ def regulator(field: QuadraticField, precision_bits: int = 128) -> HighPrecReal:
     with workprec(precision_bits):
         val = mpmath.log((unit.x + unit.y * mpmath.sqrt(unit.radicand)) / unit.denom)
     return hp_from_value(val, precision_bits)
-
-
-def analytic_class_number_oracle(D: int, precision_bits: int = 64) -> int:
-    """Class number by the analytic formula; independent of the form counts.
-
-    Negative D uses the exact weighted character sum; positive D sums
-    -kron(D,a)*log sin(pi a / D) and divides by twice the regulator.
-    The rounding residual must stay within 0.4, with up to 4 automatic
-    precision doublings before giving up.
-    """
-    _require_fundamental(D)
-    if abs(D) > 10**6:
-        raise DomainError(f"|D| = {abs(D)} exceeds the oracle bound 10^6")
-    chi = [kronecker(D, a) for a in range(abs(D))]
-    for attempt in range(5):
-        bits = precision_bits << attempt
-        with workprec(bits):
-            if D < 0:
-                w = 6 if D == -3 else 4 if D == -4 else 2
-                S = sum(a * chi[a] for a in range(1, -D))
-                # L(1, chi) = -pi * S / |D|^(3/2); the 2*pi and sqrt|D| cancel to -w*S/(2|D|)
-                approx = mpf(-w * S) / (2 * -D)
-            else:
-                reg = regulator(QuadraticField(D if D % 4 == 1 else D // 4, D), bits)
-                total = mpf(0)
-                pi_over_d = mpmath.pi / D
-                for a in range(1, D):
-                    if chi[a]:
-                        total -= chi[a] * mpmath.log(mpmath.sin(pi_over_d * a))
-                approx = total / (2 * reg.value)
-            h = int(mpmath.nint(approx))
-            residual = abs(approx - h)
-            if residual <= mpf("0.4") and h >= 1:
-                return h
-    raise PrecisionError(f"analytic class number for D={D} did not settle "
-                         f"(residual {float(residual):.3f})")

@@ -1,5 +1,6 @@
-"""Each test starts and ends with an empty `quadratic_field` memo and an
-empty memo of per-prime-power code tables.
+"""Each test starts and ends with an empty `quadratic_field` memo, an empty
+per-modulus `unit_group` memo and an empty memo of per-prime-power local
+groups.
 
 Counting tests then see cold memos whatever ran before them, and a field
 whose unit or class number came from a monkeypatched function cannot
@@ -11,10 +12,14 @@ import pytest
 from cmquartic import dirichlet, quadratic
 
 
+def _clear_memos():
+    quadratic._field_memo.cache_clear()
+    dirichlet.unit_group.cache_clear()
+    dirichlet._local_table.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def cold_field_memo():
-    quadratic._field_memo.cache_clear()
-    dirichlet._local_table.cache_clear()
+    _clear_memos()
     yield
-    quadratic._field_memo.cache_clear()
-    dirichlet._local_table.cache_clear()
+    _clear_memos()

@@ -29,6 +29,8 @@ from cmquartic.dirichlet import (DirichletCharacter, bernoulli_B1,
 from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import class_number_real, quadratic_field
 
+from oracles import characters_squaring_to, square_parities
+
 
 def test_defining_polynomial():
     assert defining_polynomial(-3, 35) == (1, 0, 7356, 0, 9 * 1225 * 1226)
@@ -388,7 +390,7 @@ def full_filter_candidates(K):
     """Every order-4 character mod f whose square is the quadratic character of K+,
     kept when odd and primitive."""
     fchi = cq._conductor_of_quartic_character(K)
-    return [chi for chi in characters_of_order_dividing_4(fchi, K.kplus.fund_disc)
+    return [chi for chi in characters_squaring_to(fchi, K.kplus.fund_disc)
             if chi.is_odd() and chi.conductor() == fchi]
 
 
@@ -424,11 +426,11 @@ def test_parity_first_candidates_match_the_full_filter_on_the_benchmark_pool():
     for K in benchmark_pool():
         fchi = cq._conductor_of_quartic_character(K)
         D = K.kplus.fund_disc
-        parities = unit_group(fchi).square_parities(D)
+        parities = square_parities(fchi, D)
         full = [chi for chi in characters_of_order_dividing_4(fchi)
                 if parities is not None
                 and all(q % 2 == b for q, b in zip(chi.exponents, parities))]
-        assert characters_of_order_dividing_4(fchi, D) == full, K.label()
+        assert characters_squaring_to(fchi, D) == full, K.label()
         # chi^2 is the character of D != 1, so no candidate has order 1 or 2
         assert all(chi.order == 4 for chi in full), K.label()
         fields += 1

@@ -15,11 +15,14 @@ from cmquartic.dirichlet import (
     I_POWERS,
     bernoulli_B1,
     characters_of_order_dividing_4,
+    components,
     kronecker_character,
     unit_group,
 )
 from cmquartic.errors import DomainError
 from cmquartic.quadratic import class_number_imaginary, is_fundamental_discriminant
+
+from oracles import characters_squaring_to, component_lifts, square_parities
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +34,7 @@ def stepped_logs(f: int) -> dict[int, tuple[int, ...]]:
     the elements reached so far; nothing here reads the code tables.
     """
     logs = {1 % f: ()}
-    for c in unit_group(f).components:
+    for c in components(f):
         rest = f // c.modulus
         lift = next(x for x in range(c.generator, f, c.modulus) if x % rest == 1 % rest)
         stepped = {}
@@ -82,18 +85,23 @@ def _class_sums(table: bytes) -> tuple[list[int], list[int]]:
     return counts, sums
 
 
+def exponent_table(chi: DirichletCharacter) -> bytes:
+    """Byte a is k with chi(a) = i^k, or NONUNIT when chi(a) = 0, for 0 <= a < modulus."""
+    return dirichlet._exponent_table(chi._decode)
+
+
 def grid_B1(chi: DirichletCharacter) -> GaussianRational:
     """O(f) oracle: the half sum sum_{a<f/2} (2a - f) chi(a) of an odd chi, read off
     the exponent table of a < f/2 on a grid."""
     f = chi.modulus
-    counts, sums = _class_sums(chi.exponent_table()[:(f + 1) // 2])
+    counts, sums = _class_sums(exponent_table(chi)[:(f + 1) // 2])
     half = [2 * s - f * c for s, c in zip(sums, counts)]
     return GaussianRational(Fraction(half[0] - half[2], f), Fraction(half[1] - half[3], f))
 
 
 def squares_to_kronecker(chi: DirichletCharacter, D: int) -> bool:
     """chi^2 equals the quadratic character (D|.) on (Z/modulus)^*, by exponent parities."""
-    parities = chi.group.square_parities(D)
+    parities = square_parities(chi.modulus, D)
     return parities is not None and all(
         q % 2 == b for q, b in zip(chi.exponents, parities))
 
@@ -129,20 +137,23 @@ def test_gaussian_rational_arithmetic():
 
 
 def test_unit_group_structure():
-    g5 = unit_group(5)
-    assert [(c.modulus, c.order) for c in g5.components] == [(5, 4)]
-    g16 = unit_group(16)
-    assert [(c.generator, c.order) for c in g16.components] == [(15, 2), (5, 4)]
-    g8 = unit_group(8)
-    assert [(c.generator, c.order) for c in g8.components] == [(7, 2), (5, 2)]
-    g4 = unit_group(4)
-    assert [(c.generator, c.order) for c in g4.components] == [(3, 2)]
-    g2 = unit_group(2)
-    assert g2.components == []
+    assert [(c.modulus, c.order) for c in components(5)] == [(5, 4)]
+    assert [(c.generator, c.order) for c in components(16)] == [(15, 2), (5, 4)]
+    assert [(c.generator, c.order) for c in components(8)] == [(7, 2), (5, 2)]
+    assert [(c.generator, c.order) for c in components(4)] == [(3, 2)]
+    assert components(2) == [] and components(1) == []
+    # one local group per prime power, in increasing order of p, each from
+    # the per-prime-power memo
+    assert [(g.p, g.e, g.modulus) for g in unit_group(720)] == [(2, 4, 16), (3, 2, 9),
+                                                                (5, 1, 5)]
+    assert [(g.p, g.e, g.components) for g in unit_group(2)] == [(2, 1, ())]
+    assert unit_group(1) == ()
+    assert unit_group(80)[1] is unit_group(15)[1] is dirichlet._local_table(5, 1)
+    with pytest.raises(DomainError):
+        unit_group(0)
     # component orders multiply to the group order
     for f in (5, 8, 12, 15, 16, 24, 45, 80, 240, 613):
-        grp = unit_group(f)
-        order = math.prod(c.order for c in grp.components)
+        order = math.prod(c.order for c in components(f))
         phi = sum(1 for a in range(1, f) if math.gcd(a, f) == 1)
         assert order == phi, f
 
@@ -161,11 +172,11 @@ def test_discrete_logs_reproduce_elements():
 def test_unit_group_keeps_one_byte_per_residue():
     tracemalloc.start()
     try:
-        grp = dirichlet.UnitGroup(2 * 100003)
+        grp = unit_group(2 * 100003)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [(c.modulus, c.order) for c in grp.components] == [(100003, 100002)]
+    assert [(c.modulus, c.order) for g in grp for c in g.components] == [(100003, 100002)]
     assert peak < 2_000_000, peak
 
 
@@ -213,8 +224,7 @@ def test_bernoulli_rejects_even_or_trivial():
 
 def test_conductor_of_induced_character():
     # modulus 15 character acting only through the mod-5 component
-    grp = unit_group(15)
-    assert [(c.modulus, c.order) for c in grp.components] == [(3, 2), (5, 4)]
+    assert [(c.modulus, c.order) for c in components(15)] == [(3, 2), (5, 4)]
     chi = DirichletCharacter(15, (0, 1))
     assert chi.conductor() == 5
     chi_full = DirichletCharacter(15, (1, 1))
@@ -253,7 +263,7 @@ def test_bernoulli_table_matches_per_term_sum():
 def test_exponent_table_is_value_exponent():
     for f in (5, 16, 480, 1800, 6032):
         for chi in characters_of_order_dividing_4(f)[::5]:
-            table = chi.exponent_table()
+            table = exponent_table(chi)
             assert len(table) == f
             for a in range(f):
                 k = chi.value_exponent(a)
@@ -264,17 +274,17 @@ def test_exponent_table_folds_in_stages(monkeypatch):
     # 2 * 9 * 5 * 7 * 11 * 13: six prime-power tables, folded 1, 2 and 3 at a time
     f = 90090
     chars = [chi for chi in characters_of_order_dividing_4(f) if chi.order == 4][::97]
-    whole = [chi.exponent_table() for chi in chars]
+    whole = [exponent_table(chi) for chi in chars]
     for fold in (1, 2, 3):
         monkeypatch.setattr(dirichlet, "_FOLD", fold)
-        assert [chi.exponent_table() for chi in chars] == whole
+        assert [exponent_table(chi) for chi in chars] == whole
     # with a non-unit byte of 100 a third table would carry: only folding keeps it exact
     monkeypatch.setattr(dirichlet, "NONUNIT", 100)
     monkeypatch.setattr(dirichlet, "_REDUCE",
                         bytes(x % 4 if x < 100 else 100 for x in range(256)))
     monkeypatch.setattr(dirichlet, "_FOLD", 2)
     for chi, table in zip(chars, whole):
-        assert chi.exponent_table() == table.replace(bytes([NONUNIT]), bytes([100]))
+        assert exponent_table(chi) == table.replace(bytes([NONUNIT]), bytes([100]))
         for a in range(0, f, 7):
             k = chi.value_exponent(a)
             assert table[a] == (NONUNIT if k is None else k)
@@ -285,7 +295,7 @@ def test_bernoulli_eight_prime_powers():
     f = 9699690
     chi = DirichletCharacter(f, (0, 1, 0, 0, 0, 2, 0))  # quartic at 5, quadratic at 17
     assert chi.is_odd() and chi.conductor() == 85
-    table = chi.exponent_table()
+    table = exponent_table(chi)
     rng = random.Random(20261018)
     for a in (rng.randrange(f) for _ in range(10_000)):
         k = chi.value_exponent(a)
@@ -308,18 +318,17 @@ def test_conductor_matches_divisor_scan():
 
 def test_component_lifts_and_square_parities():
     for f in (5, 16, 240, 1040, 6032):
-        grp = unit_group(f)
-        n = len(grp.components)
-        for j, g in enumerate(grp.component_lifts):
+        n = len(components(f))
+        for j, g in enumerate(component_lifts(f)):
             assert stepped_logs(f)[g] == tuple(int(i == j) for i in range(n))
         for D in (5, 8, -4, 13, 104, 40):
             for chi in characters_of_order_dividing_4(f):
                 # chi^2 = (D|.) at every component lift, value by value
                 expected = all(I_POWERS[2 * chi.value_exponent(g) % 4].re == kronecker(D, g)
-                               for g in grp.component_lifts)
+                               for g in component_lifts(f))
                 assert squares_to_kronecker(chi, D) == expected, (f, D, chi.exponents)
             # the parity-first enumeration keeps exactly these characters, in order
-            assert characters_of_order_dividing_4(f, D) == [
+            assert characters_squaring_to(f, D) == [
                 chi for chi in characters_of_order_dividing_4(f) if squares_to_kronecker(chi, D)]
 
 
@@ -337,7 +346,7 @@ def _draw_odd_character(hypothesis, data, max_primes: int) -> DirichletCharacter
     f = math.prod(data.draw(st.sampled_from(_PRIME_POWERS[p])) for p in primes)
     hypothesis.assume(f <= 20_000)
     exps = tuple(data.draw(st.sampled_from((0, 1, 2, 3) if c.order % 4 == 0 else (0, 2)))
-                 for c in unit_group(f).components)
+                 for c in components(f))
     chi = DirichletCharacter(f, exps)
     hypothesis.assume(chi.order > 1 and chi.is_odd())
     return chi
@@ -359,7 +368,7 @@ def test_split_B1_matches_reference_on_random_moduli():
             assert bernoulli_B1(chi) == reference_B1(chi) == grid_B1(chi), chi
         finally:
             stepped_logs.cache_clear()
-        trivial_parts.append(not all(any(values) for *_, values in chi._decode))
+        trivial_parts.append(not all(any(values) for _, values in chi._decode))
 
     check()
     assert any(trivial_parts) and not all(trivial_parts)
@@ -404,9 +413,9 @@ def _split_kind(chi: DirichletCharacter) -> tuple[bool, bool]:
     """(lambda trivial, some unit x of the loop side has c_x = 0) for chi's B1 split."""
     side = dirichlet._loop_side(chi._decode)
     rest = [part for part in chi._decode if part not in side]
-    m = math.prod(pe for pe, *_ in side)
+    m = math.prod(g.modulus for g, _ in side)
     n = chi.modulus // m
-    trivial = not any(any(values) for *_, values in rest)
+    trivial = not any(any(values) for _, values in rest)
     # c_x = x * m^-1 mod n is 0 exactly when n divides x
     zero_point = n > 1 and any(math.gcd(x, m) == 1 for x in range(n, m, n))
     return trivial, zero_point
@@ -448,7 +457,7 @@ def _block_kinds(chi: DirichletCharacter, block: int) -> set[str]:
     """
     side = dirichlet._loop_side(chi._decode)
     lam = dirichlet._exponent_table([part for part in chi._decode if part not in side])
-    m = math.prod(pe for pe, *_ in side)
+    m = math.prod(g.modulus for g, _ in side)
     n = len(lam)
     kind = "quartic" if 1 in lam or 3 in lam else "real" if 2 in lam else "trivial"
     if n <= block:

@@ -20,6 +20,8 @@ from cmquartic.families import (
 )
 from cmquartic.precision import hp_from_value
 
+from oracles import agrees_with
+
 
 def brute_force_sieve(lo, hi, residue):
     out = []
@@ -40,6 +42,14 @@ def test_sieve_examples():
     assert sieve_t(41, 40, 5).t_values == ()
     assert sieve_t(1, 2, 3).t_values == ()
     assert sieve_t(1, 100, 3).t_values[:4] == (3, 11, 19, 27)
+
+
+def test_sqrt_minus_one_roots_cover_every_prime_1_mod_4():
+    from cmquartic.families import _sqrt_minus_one_roots
+
+    roots = dict(_sqrt_minus_one_roots(5000))
+    assert sorted(roots) == [p for p in range(5, 5001, 4) if is_prime(p)]
+    assert all(r * r % p == p - 1 for p, r in roots.items())
 
 
 def test_sieve_against_brute_force():
@@ -174,6 +184,21 @@ def test_regulator_target_large_M_starts_at_e_to_the_M():
     assert t > bound and reg.value > 30
     skipped = range(math.floor(bound) + 1, t)
     assert all(not is_squarefree(u * u + 1) for u in skipped if u % 8 == 5)
+
+
+def test_regulator_target_factors_each_scanned_t_once(monkeypatch):
+    # square-freeness is read from K+ through the quadratic field memo, so the
+    # regulator of the t found reuses the scan's factorization of t^2+1
+    from cmquartic import arith, quadratic
+
+    calls = [_count_calls(monkeypatch, module, "factor") for module in (arith, quadratic)]
+    for M, t_found in ((6, 405), (20, 485165197)):
+        for module_calls in calls:
+            module_calls.clear()
+        t, _ = regulator_target(M, 5)
+        assert t == t_found
+        factored = [args[0] for module_calls in calls for args in module_calls]
+        assert t * t + 1 in factored and len(factored) == len(set(factored)), factored
 
 
 def test_regulator_target_rejects_M_above_the_bound():
@@ -312,7 +337,7 @@ def test_residues_agree_for_example_pairs():
     rep = biquadratic_pair_report(5, 29, with_class_number=True)
     # equal h for this pair as well: residues then agree to working precision
     if rep.class_a == rep.class_b:
-        assert rep.residue_a.agrees_with(rep.residue_b, 120)
+        assert agrees_with(rep.residue_a, rep.residue_b, 120)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -352,7 +377,6 @@ def test_biquadratic_pair_finds_each_primitive_root_once(monkeypatch):
     from cmquartic import dirichlet
 
     calls = _count_calls(monkeypatch, dirichlet, "_primitive_root")
-    dirichlet.unit_group.cache_clear()
     rep = biquadratic_pair_report(5, 29, with_class_number=True)
     assert rep.class_a and rep.class_b
     assert sorted(calls) == [(13,), (29,)]

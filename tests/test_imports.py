@@ -1,6 +1,7 @@
-"""Every name a package module imports is used (standard library `ast` only),
-the CLI never loads numpy, sympy or, at start-up, concurrent.futures, and
-every function the benchmark's tracer wraps exists."""
+"""Every name a package module imports is used and every module-level
+function or class is used or exported (standard library `ast` only), the CLI
+never loads numpy, sympy or, at start-up, concurrent.futures, and every hook
+of the benchmark's tracer exists."""
 
 import ast
 import importlib.util
@@ -8,9 +9,12 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import cmquartic
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cmquartic"
@@ -62,13 +66,70 @@ def test_cli_and_class_number_load_neither_numpy_nor_sympy():
     assert out.split("\n")[:2] == ["[]", "[]"]
 
 
-def test_every_function_the_tracer_wraps_is_a_module_function():
-    # `perfbench/run.py --trace 1` fails to install when a wrapped name is gone
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_function_the_tracer_wraps_is_a_module_function():
+    # `perfbench/run.py --trace 1` fails to install when a wrapped name is gone
+    tracer = _load_tracer()
     for module_name, names in tracer.WRAPPED.items():
         module = importlib.import_module(f"cmquartic.{module_name}")
         for name in names:
             assert inspect.isfunction(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_unit_group_memo_has_the_cache_info_the_tracer_reads():
+    # the tracer's other hook: it reads `dirichlet.unit_group.cache_info()`
+    # for the memo's lookups and hit fraction
+    from cmquartic import dirichlet
+
+    assert callable(getattr(dirichlet.unit_group, "cache_info", None))
+    info = dirichlet.unit_group.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each identifier is read, as a Name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(sources: dict[str, str], kept: set[str]) -> list[str]:
+    """Module-level defs and classes, as module.name, that no code outside their
+    own body reads, across all `sources`, and that are not in `kept`.
+
+    Reads are matched by name, so a read of a same-named definition in
+    another module counts too.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and total[node.name] == _references(node)[node.name]
+                    and node.name not in kept and f"{module}.{node.name}" not in kept):
+                unused.append(f"{module}.{node.name}")
+    return unused
+
+
+def test_checker_reports_an_unreferenced_definition():
+    sources = {"a": "def f():\n    return f()\n\ndef g():\n    pass\n\nclass C:\n    pass\n",
+               "b": "from .a import g\ng()\n"}
+    assert unreferenced_definitions(sources, set()) == ["a.f", "a.C"]
+    assert unreferenced_definitions(sources, {"C", "a.f"}) == []
+
+
+def test_every_definition_is_used_exported_or_traced():
+    # code nothing uses gets deleted: a module-level def or class is read
+    # elsewhere in the package, exported from `cmquartic`, or wrapped by the
+    # benchmark's tracer
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    traced = {f"{module}.{name}" for module, names in _load_tracer().WRAPPED.items()
+              for name in names}
+    assert unreferenced_definitions(sources, set(cmquartic.__all__) | traced) == []

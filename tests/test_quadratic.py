@@ -10,7 +10,6 @@ from cmquartic.quadratic import (
     QuadraticField,
     QuadraticUnit,
     _floor_quotient,
-    analytic_class_number_oracle,
     class_number_imaginary,
     class_number_real,
     fundamental_unit,
@@ -19,6 +18,7 @@ from cmquartic.quadratic import (
     quadratic_field,
     regulator,
 )
+from oracles import analytic_class_number_oracle
 
 
 def fundamental_discriminants(bound):
