@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Factorization
-from .dirichlet import I_POWERS
 from .errors import ConsistencyError
 from .precision import HighPrecReal
 from . import quadratic
@@ -76,14 +75,22 @@ def relative_class_number(b1_values, Q: int, w: int) -> int:
     Washington, Introduction to Cyclotomic Fields, Thm 4.17.  `b1_values`
     holds B1 of every odd character: chi and its conjugate for a cyclic
     quartic field, the Kronecker characters of the two imaginary quadratic
-    subfields for a biquadratic one.
+    subfields for a biquadratic one.  The product is taken as a Gaussian
+    integer a + b*i over the product d of the values' denominators, so h^-
+    is one integer division.
     """
-    prod = math.prod(b1_values, start=I_POWERS[0])
-    if prod.im != 0:
+    a, b, d = 1, 0, 1
+    for v in b1_values:
+        re, im = v.re, v.im
+        den = math.lcm(re.denominator, im.denominator)
+        x, y = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+        a, b, d = a * x - b * y, a * y + b * x, d * den
+    if b != 0:
         raise ConsistencyError("the product of the B1 values is not real")
-    h = Fraction(Q * w, (-2) ** len(b1_values)) * prod.re
-    if h.denominator != 1 or h <= 0:
+    num, den = Q * w * a, d * (-2) ** len(b1_values)
+    h, rem = divmod(num, den)
+    if rem or h <= 0:
         raise ConsistencyError(
-            f"relative class number {h} is not a positive integer "
+            f"relative class number {Fraction(num, den)} is not a positive integer "
             f"(wrong characters, Q or w)")
-    return int(h)
+    return h

@@ -11,17 +11,18 @@ its primitive root once.  A character is stored as one quarter-turn
 exponent per component, so every value is a power of i and all
 downstream sums stay in Q(i) exactly.
 
-B1 sums never visit residues one by one in Python.  The modulus f is
-split by CRT into coprime parts m * n, chi into psi (mod m) times lambda
-(mod n), and each part's exponents are one small `bytes` table, built
-from the per-prime-power code tables by repetition (CRT periodicity) and
-big-integer addition.  The Python loop runs over the units of the smaller
-part m, only those below m/2 when lambda is nontrivial, and reads the
-prefix sum of lambda at each point by one list index.  When lambda's
-table has n <= 2^16 residues its prefix is one `itertools.accumulate`
-list, read in a single pass; beyond that the points are sorted and the
-prefix is built one block of 2^16 residues at a time.  Either way memory
-is m + n bytes plus at most one block of ints.
+B1 sums loop over the units of one part m of f, never over all f
+residues.  The modulus f is split by CRT into coprime parts m * n, chi
+into psi (mod m) times lambda (mod n), and each part's exponents are one
+small `bytes` table, built from the per-prime-power code tables by
+repetition (CRT periodicity) and big-integer addition.  The Python loop
+runs over the units of the smaller part m, only those below m/2 when
+lambda is nontrivial, and reads the prefix sum of lambda at each point
+by one list index.  When lambda's table has n <= 2^16 residues its
+prefix is one `itertools.accumulate` list, read in a single pass; beyond
+that the points are sorted and the prefix is built one block of 2^16
+residues at a time.  Either way memory is m + n bytes plus at most one
+block of ints.
 """
 
 from __future__ import annotations
@@ -97,12 +98,9 @@ class LocalGroup(NamedTuple):
 
     p: int
     e: int
+    modulus: int  # p^e
     components: tuple[CyclicComponent, ...]
     codes: bytes
-
-    @property
-    def modulus(self) -> int:
-        return len(self.codes)  # p^e
 
 
 #: exponent-table byte of a residue that shares a factor with the modulus
@@ -152,9 +150,9 @@ def _local_table(p: int, e: int) -> LocalGroup:
     if p == 2 and e <= 2:
         codes[1] = 0
         if e == 1:
-            return LocalGroup(p, e, (), bytes(codes))
+            return LocalGroup(p, e, pe, (), bytes(codes))
         codes[3] = 1
-        return LocalGroup(p, e, (CyclicComponent(4, 3, 2),), bytes(codes))
+        return LocalGroup(p, e, pe, (CyclicComponent(4, 3, 2),), bytes(codes))
     if p == 2:
         half = pe >> 2  # order of 5 mod 2^e
         v = 1
@@ -162,7 +160,8 @@ def _local_table(p: int, e: int) -> LocalGroup:
             codes[v] = (beta & 3) << 2
             codes[pe - v] = (beta & 3) << 2 | 1
             v = v * 5 % pe
-        return LocalGroup(p, e, (CyclicComponent(pe, pe - 1, 2), CyclicComponent(pe, 5, half)),
+        return LocalGroup(p, e, pe,
+                          (CyclicComponent(pe, pe - 1, 2), CyclicComponent(pe, 5, half)),
                           bytes(codes))
     g = _primitive_root(p)
     if e > 1 and pow(g, p - 1, p * p) == 1:
@@ -172,7 +171,7 @@ def _local_table(p: int, e: int) -> LocalGroup:
     for k in range(order):
         codes[v] = k & 3
         v = v * g % pe
-    return LocalGroup(p, e, (CyclicComponent(pe, g, order),), bytes(codes))
+    return LocalGroup(p, e, pe, (CyclicComponent(pe, g, order),), bytes(codes))
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +250,7 @@ class DirichletCharacter:
         for j = 1.
         """
         cond = 1
-        for (p, e, comps, codes), values in self._decode:
+        for (p, e, _, comps, codes), values in self._decode:
             j = e
             # chi at the lift of g (g mod p^e, 1 elsewhere) is its local value at g
             while j > 1 and not values[codes[1 + p**(j - 1)]]:
@@ -448,13 +447,21 @@ def _loop_side(parts):
     exponent tables then take m + n bytes, and the prefix sums of lambda
     at most one block of ints on top: all n of them when n <= _BLOCK,
     else _BLOCK at a time.
+
+    Sides are bit masks over `parts`, each m one product from the side
+    without its lowest part.  The moduli are coprime, so distinct sides
+    have distinct m and the least one is unique.
     """
-    f = math.prod(g.modulus for g, _ in parts)
-
-    def size(side) -> tuple[int, int]:
-        m = math.prod(g.modulus for g, _ in side)
-        return max(m, f // m), m
-
-    return min((side for r in range(1, len(parts) + 1)
-                for side in itertools.combinations(parts, r)
-                if any(any(values) for _, values in side)), key=size)
+    moduli = [g.modulus for g, _ in parts]
+    nontrivial = sum(1 << i for i, (_, values) in enumerate(parts) if any(values))
+    f = math.prod(moduli)
+    sizes, best, best_mask = [1], None, 0
+    for mask in range(1, 1 << len(parts)):
+        low = mask & -mask
+        m = sizes[mask ^ low] * moduli[low.bit_length() - 1]
+        sizes.append(m)
+        if mask & nontrivial:
+            size = (max(m, f // m), m)
+            if best is None or size < best:
+                best, best_mask = size, mask
+    return tuple(part for i, part in enumerate(parts) if best_mask >> i & 1)

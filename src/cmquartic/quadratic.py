@@ -10,9 +10,9 @@ exists as a cross-check.
 `quadratic_field` keeps the last FIELD_MEMO_SIZE fields it built, so the
 real quadratic subfield Q(sqrt(t^2+1)) shared by both members of a pair,
 a family and both field kinds is built once per t.  A memoized field
-caches only exact values: the factorization of its discriminant, its
-fundamental unit and, for a real field, its class number.  Regulators
-depend on the precision and are computed per call.
+caches the factorization of its discriminant, its fundamental unit and,
+for a real field, its class number and its regulator at each precision
+asked for, so what K+ fixes is computed once and lives as long as K+.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class QuadraticField:
     """Square-free radicand plus the fundamental discriminant it induces.
 
     `disc_factors`, the factorization of `fund_disc`, and for a real field
-    its fundamental `unit` and `class_number`, are computed once, on first use.
+    its fundamental `unit` and `class_number`, are computed once, on first use;
+    `regulators` holds what `regulator` computed, by precision.
     """
 
     radicand: int
@@ -49,6 +50,7 @@ class QuadraticField:
     disc_factors = cached_property(lambda self: factor(self.fund_disc))
     unit = cached_property(lambda self: fundamental_unit(self))
     class_number = cached_property(lambda self: class_number_real(self))
+    regulators = cached_property(lambda self: {})
 
 
 @dataclass(frozen=True)
@@ -259,9 +261,12 @@ def class_number_real(field: QuadraticField) -> int:
 
 
 def regulator(field: QuadraticField, precision_bits: int = 128) -> HighPrecReal:
-    """log of the fundamental unit, with a stated error bound."""
+    """log of the fundamental unit, with a stated error bound; once per field and precision."""
     check_precision_bits(precision_bits)
-    unit = field.unit
-    with workprec(precision_bits):
-        val = mpmath.log((unit.x + unit.y * mpmath.sqrt(unit.radicand)) / unit.denom)
-    return hp_from_value(val, precision_bits)
+    reg = field.regulators.get(precision_bits)
+    if reg is None:
+        unit = field.unit
+        with workprec(precision_bits):
+            val = mpmath.log((unit.x + unit.y * mpmath.sqrt(unit.radicand)) / unit.denom)
+        reg = field.regulators[precision_bits] = hp_from_value(val, precision_bits)
+    return reg

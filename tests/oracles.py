@@ -1,6 +1,7 @@
 """Independent routes that only the tests use: an analytic class number, a
-tolerance check on high-precision reals, and a parity-first enumeration of
-the characters that square to a quadratic character.
+tolerance check on high-precision reals, a parity-first enumeration of
+the characters that square to a quadratic character, h^- as a product of
+Gaussian rationals, and the B1 split chosen by a search over every side.
 
 Nothing in `cmquartic` calls these, so they live beside the tests that
 cross-check the shipped routes with them.
@@ -8,12 +9,16 @@ cross-check the shipped routes with them.
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
+
 import mpmath
 from mpmath import mpf
 
 from cmquartic.arith import kronecker
-from cmquartic.dirichlet import DirichletCharacter, components, unit_group
-from cmquartic.errors import DomainError, PrecisionError
+from cmquartic.dirichlet import I_POWERS, DirichletCharacter, components, unit_group
+from cmquartic.errors import ConsistencyError, DomainError, PrecisionError
 from cmquartic.precision import GUARD_BITS, HighPrecReal, workprec
 from cmquartic.quadratic import QuadraticField, is_fundamental_discriminant, regulator
 
@@ -102,3 +107,38 @@ def characters_squaring_to(f: int, D: int) -> list[DirichletCharacter]:
         step = 1 if comp.order % 4 == 0 else 2 if comp.order % 2 == 0 else 4
         vectors = [v + (q,) for v in vectors for q in range(0, 4, step) if q % 2 == parity]
     return [DirichletCharacter(f, v) for v in vectors]
+
+
+def relative_class_number_by_fractions(b1_values, Q: int, w: int) -> int:
+    """h^- = Q * w * prod(-B1/2), with the product taken in Gaussian rationals.
+
+    The reference for `cmfield.relative_class_number`, which takes the
+    product in Gaussian integers over one denominator; both raise the same
+    errors with the same messages.
+    """
+    prod = math.prod(b1_values, start=I_POWERS[0])
+    if prod.im != 0:
+        raise ConsistencyError("the product of the B1 values is not real")
+    h = Fraction(Q * w, (-2) ** len(b1_values)) * prod.re
+    if h.denominator != 1 or h <= 0:
+        raise ConsistencyError(
+            f"relative class number {h} is not a positive integer "
+            f"(wrong characters, Q or w)")
+    return int(h)
+
+
+def loop_side_by_combinations(parts):
+    """The side `dirichlet._loop_side` picks, by `min` over `itertools.combinations`.
+
+    Of the sides on which psi is nontrivial, the first with the least
+    (max(m, f/m), m), in order of size and then of position in `parts`.
+    """
+    f = math.prod(g.modulus for g, _ in parts)
+
+    def size(side) -> tuple[int, int]:
+        m = math.prod(g.modulus for g, _ in side)
+        return max(m, f // m), m
+
+    return min((side for r in range(1, len(parts) + 1)
+                for side in itertools.combinations(parts, r)
+                if any(any(values) for _, values in side)), key=size)

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -24,12 +25,12 @@ from cmquartic.cyclic_quartic import (
     relative_class_number,
     same_field,
 )
-from cmquartic.dirichlet import (DirichletCharacter, bernoulli_B1,
+from cmquartic.dirichlet import (DirichletCharacter, GaussianRational, bernoulli_B1,
                                  characters_of_order_dividing_4, unit_group)
 from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import class_number_real, quadratic_field
 
-from oracles import characters_squaring_to, square_parities
+from oracles import characters_squaring_to, relative_class_number_by_fractions, square_parities
 
 
 def test_defining_polynomial():
@@ -513,6 +514,42 @@ def test_relative_class_number_cyclotomic():
         relative_class_number((b1,), 1, 10)
     with pytest.raises(ConsistencyError):
         relative_class_number((bernoulli_B1(DirichletCharacter(4, (2,))),), 1, 2)
+
+
+def _outcome(route, b1_values, Q, w):
+    try:
+        return route(b1_values, Q, w)
+    except ConsistencyError as exc:
+        return type(exc), str(exc)
+
+
+def test_relative_class_number_matches_the_gaussian_rational_product():
+    # the product in Gaussian integers over one denominator gives the integer,
+    # or the error and message, of the product in Gaussian rationals
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dens = st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12))
+    gaussian = st.builds(lambda a, c, b, d: GaussianRational(Fraction(a, c), Fraction(b, d)),
+                         st.integers(-24, 24), dens, st.integers(-3, 3), dens)
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(gaussian, min_size=1, max_size=4), st.booleans(),
+                      st.sampled_from((1, 2)), st.sampled_from((2, 4, 6, 8, 10, 12)))
+    def check(values, with_conjugates, Q, w):
+        if with_conjugates:  # a real product, as chi and conj(chi) give
+            values = values[:2] + [v.conjugate() for v in values[:2]]
+        expected = _outcome(relative_class_number_by_fractions, values, Q, w)
+        assert _outcome(relative_class_number, values, Q, w) == expected, values
+        if not isinstance(expected, tuple):
+            seen.add("integer")
+        elif "not real" in expected[1]:
+            seen.add("non-real")
+        else:  # "relative class number {h} is not a positive integer ..."
+            seen.add("non-integral" if "/" in expected[1].split()[3] else "non-positive")
+
+    check()
+    assert seen == {"integer", "non-real", "non-integral", "non-positive"}, seen
 
 
 def test_class_number_example_pair():

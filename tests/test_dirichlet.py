@@ -22,7 +22,12 @@ from cmquartic.dirichlet import (
 from cmquartic.errors import DomainError
 from cmquartic.quadratic import class_number_imaginary, is_fundamental_discriminant
 
-from oracles import characters_squaring_to, component_lifts, square_parities
+from oracles import (
+    characters_squaring_to,
+    component_lifts,
+    loop_side_by_combinations,
+    square_parities,
+)
 
 
 @lru_cache(maxsize=None)
@@ -444,6 +449,37 @@ def test_halved_B1_loop_matches_per_term_sum():
 
     check()
     assert {(False, False), (True, False)} <= kinds
+
+
+def test_loop_side_matches_the_search_over_every_side():
+    # the side read off bit masks is the side min() finds over all
+    # combinations, part for part and in order, on 1 to 5 prime powers
+    # and for characters of either parity, trivial on some parts or none
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    for chi in (chi for f in B1_MODULI for chi in characters_of_order_dividing_4(f)
+                if chi.order > 1):
+        assert dirichlet._loop_side(chi._decode) == loop_side_by_combinations(chi._decode), chi
+    seen = set()
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        primes = data.draw(st.lists(st.sampled_from(sorted(_PRIME_POWERS)),
+                                    min_size=1, max_size=5, unique=True))
+        f = math.prod(data.draw(st.sampled_from(_PRIME_POWERS[p])) for p in primes)
+        exps = tuple(data.draw(st.sampled_from((0, 1, 2, 3) if c.order % 4 == 0
+                                               else (0, 2) if c.order % 2 == 0 else (0,)))
+                     for c in components(f))
+        chi = DirichletCharacter(f, exps)
+        hypothesis.assume(chi.order > 1)
+        assert dirichlet._loop_side(chi._decode) == loop_side_by_combinations(chi._decode), chi
+        trivial_parts = sum(not any(values) for _, values in chi._decode)
+        seen.add((len(primes), trivial_parts > 0))
+
+    check()
+    assert {n for n, _ in seen} == {1, 2, 3, 4, 5}
+    assert {trivial for _, trivial in seen} == {False, True}
 
 
 def _block_kinds(chi: DirichletCharacter, block: int) -> set[str]:

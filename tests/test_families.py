@@ -417,6 +417,61 @@ def test_pair_runs_each_field_stage_once_per_field(monkeypatch):
         == (1, 1)
 
 
+def test_regulator_takes_one_log_per_kplus_and_precision(monkeypatch):
+    # reg(K+) is kept on the K+ object, one value per precision, so both
+    # members of a pair, a whole family and both kinds at one t take the
+    # log of the unit of K+ once, and a K+ built anew takes it again
+    from cmquartic import quadratic
+
+    logs = []
+
+    class CountingMpmath:
+        """mpmath as `quadratic` sees it, with every log recorded."""
+
+        def __getattr__(self, name):
+            return getattr(mpmath, name)
+
+        def log(self, x):
+            logs.append(x)
+            return mpmath.log(x)
+
+    monkeypatch.setattr(quadratic, "mpmath", CountingMpmath())
+
+    def cold_logs(run):
+        quadratic._field_memo.cache_clear()
+        logs.clear()
+        run()
+        return len(logs)
+
+    for pair_report in (cyclic_pair_report, biquadratic_pair_report):
+        assert cold_logs(lambda: pair_report(5, 29, with_class_number=True)) == 1, \
+            pair_report.__name__
+    for family in (cyclic_family, biquadratic_family):
+        reports = []
+        assert cold_logs(lambda: reports.extend(family(13, 4, with_class_number=True))) == 1, \
+            family.__name__
+        assert len(reports) == 4 and all(rep.class_a for rep in reports)
+    assert cold_logs(lambda: (cyclic_pair_report(5, 29, with_class_number=True),
+                              biquadratic_pair_report(5, 29, with_class_number=True))) == 1
+
+    # a second precision computes its own value, and each is then read back
+    assert cold_logs(lambda: (cyclic_pair_report(5, 29),
+                              cyclic_pair_report(5, 29, precision_bits=256),
+                              biquadratic_pair_report(5, 29, precision_bits=256),
+                              biquadratic_pair_report(5, 29))) == 2
+    kplus = quadratic.quadratic_field(26)
+    assert sorted(kplus.regulators) == [128, 256]
+    assert kplus.regulators[256].precision_bits == 256
+    # a K+ rebuilt after the memo is emptied holds no regulator and computes it again
+    quadratic._field_memo.cache_clear()
+    rebuilt = quadratic.quadratic_field(26)
+    assert rebuilt is not kplus and "regulators" not in vars(rebuilt)
+    logs.clear()
+    rep = cyclic_pair_report(5, 29)
+    assert len(logs) == 1 and rebuilt.regulators == {128: kplus.regulators[128]}
+    assert rep.regulator == kplus.regulators[128].scaled(2, 1)
+
+
 def _guard_factor(monkeypatch, forbidden):
     """Fail on factor(n) for |n| in the set `forbidden`; return the list of every argument.
 
