@@ -270,16 +270,29 @@ def count_roots_mod_p(s: int, t: int, p: int) -> int:
         raise DomainError(f"p = {p} is not an odd prime", precondition="p odd prime")
     if p >= ROOT_COUNT_CAP:
         raise DomainError(f"p = {p} exceeds the 10^6 evaluation cap")
-    half = p >> 1  # Euler's criterion: a^half is 1 for a nonzero residue a
     m = (t * t + 1) % p
+    return _root_count(s, t, p, m, _sqrt_or_none(m, p))
+
+
+def _sqrt_or_none(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime p: 0 when p divides a, None for a non-residue."""
+    a %= p
+    if a == 0:
+        return 0
+    return _sqrt_mod_p(a, p) if pow(a, p >> 1, p) == 1 else None
+
+
+def _root_count(s: int, t: int, p: int, m: int, r: int | None) -> int:
+    """count_roots_mod_p(s, t, p) given m = t^2+1 mod p and r = `_sqrt_or_none(m, p)`."""
+    half = p >> 1  # Euler's criterion: a^half is 1 for a nonzero residue a
     s %= p
     if s == 0 or m == 0:
         return 1
     if t % p == 0:
         return 3 if pow(2 * s * m, half, p) == 1 else 1
-    if pow(m, half, p) != 1:
+    if r is None:
         return 0
-    return 4 if pow(s * (m + _sqrt_mod_p(m, p)), half, p) == 1 else 0
+    return 4 if pow(s * (m + r), half, p) == 1 else 0
 
 
 def primes_in_progression(start: int, modulus: int, residue: int, count: int) -> list[int]:

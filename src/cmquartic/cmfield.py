@@ -65,8 +65,17 @@ def hasse_index(K, radicands: tuple[int, ...]) -> int:
 
 
 def cm_regulator(K, precision_bits: int) -> HighPrecReal:
-    """2 * reg(K+) / Q, the quartic CM regulator identity."""
-    return quadratic.regulator(K.kplus, precision_bits).scaled(2, K.hasse_q)
+    """2 * reg(K+) / Q, the quartic CM regulator identity.
+
+    Kept on K+ by precision and Q, so the members of a pair or a family,
+    of either kind, rescale reg(K+) once.
+    """
+    key = (precision_bits, K.hasse_q)
+    reg = K.kplus.cm_regulators.get(key)
+    if reg is None:
+        reg = quadratic.regulator(K.kplus, precision_bits).scaled(2, K.hasse_q)
+        K.kplus.cm_regulators[key] = reg
+    return reg
 
 
 def relative_class_number(b1_values, Q: int, w: int) -> int:

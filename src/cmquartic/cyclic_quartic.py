@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .arith import Factorization, count_roots_mod_p, factor, is_prime, squarefree_part
+from .arith import Factorization, _root_count, _sqrt_or_none, factor, is_prime, squarefree_part
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
-from .dirichlet import DirichletCharacter, bernoulli_B1, components
+from .dirichlet import (DirichletCharacter, bernoulli_B1, components, kronecker_character,
+                        twin_bernoulli_B1)
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from .quadratic import QuadraticField, quadratic_field
@@ -159,6 +160,20 @@ def _odd_primes_to(bound: int) -> tuple[int, ...]:
     return tuple(p for p in range(3, bound + 1, 2) if is_prime(p))
 
 
+def _root_table(kplus: QuadraticField) -> tuple[tuple[int, int | None], ...]:
+    """(q, a square root of the radicand of K+ mod q, or None) per odd prime q <= CHECK_BOUND.
+
+    Kept on K+ by bound, so the members of a pair and the pairs of a
+    family work each square root out once.
+    """
+    table = kplus.root_tables.get(CHECK_BOUND)
+    if table is None:
+        r = kplus.radicand
+        table = tuple((q, _sqrt_or_none(r, q)) for q in _odd_primes_to(CHECK_BOUND))
+        kplus.root_tables[CHECK_BOUND] = table
+    return table
+
+
 def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     """The order-4 character cutting out K(s,t), up to complex conjugation.
 
@@ -178,8 +193,12 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     chi is then checked: chi(p) = 1 exactly when the defining polynomial
     has 4 roots mod p, at every odd prime p <= CHECK_BOUND prime to
     2st*m*f, and chi has conductor f, which checks disc(K) = disc(K+) f^2
-    apart from hsw_discriminant.  chi and its conjugate yield identical
-    downstream values; the one with the smaller exponent vector is returned.
+    apart from hsw_discriminant.  Only the square roots of m mod p are
+    shared, read from the table on K+ (`_root_table`, scaled by x for
+    m = x^2 * radicand); each field counts the roots of its own
+    polynomial, one Legendre power per prime, and checks its own
+    conductor.  chi and its conjugate yield identical downstream values;
+    the one with the smaller exponent vector is returned.
     """
     s, t = K.s, K.t
     m = t * t + 1
@@ -206,9 +225,10 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
                        else 1 if (t % 4 == 1) != (s % 2 == 0) else 3)
     chi = DirichletCharacter(f, tuple(exps))
     excluded = 2 * s * t * m * f
-    for p in _odd_primes_to(CHECK_BOUND):
+    x = math.isqrt(m // K.kplus.radicand)  # m = x^2 * radicand
+    for p, r in _root_table(K.kplus):
         if excluded % p:
-            roots = count_roots_mod_p(s, t, p)
+            roots = _root_count(s, t, p, m % p, None if r is None else x * r % p)
             if (chi.value_exponent(p) == 0) != (roots == 4):
                 raise ConsistencyError(
                     f"the character of {K.label()} has chi({p}) = i^{chi.value_exponent(p)}, "
@@ -226,9 +246,24 @@ def class_number(K: CyclicQuarticField) -> int:
     is even: the field contains no 5th, 8th or 12th roots of unity and
     w = 2 is forced.
     """
-    b1 = bernoulli_B1(associated_quartic_character(K))
-    h_minus = relative_class_number((b1, b1.conjugate()), K.hasse_q, 2)
-    return h_minus * K.kplus.class_number
+    return _class_number_from_b1(K, bernoulli_B1(associated_quartic_character(K)))
+
+
+def pair_class_numbers(Ka: CyclicQuarticField, Kb: CyclicQuarticField) -> tuple[int, int]:
+    """(h(Ka), h(Kb)) for the pair K(-p, t), K(-2p, t), both B1 from one pass.
+
+    The members share f and the exponent of chi at every odd prime, so
+    chi_b is chi_a * (8|.) or its conjugate.  Each character is still built
+    and checked on its own; `twin_bernoulli_B1` requires the relation
+    between them and sums both B1 in one pass.
+    """
+    chi_a, chi_b = associated_quartic_character(Ka), associated_quartic_character(Kb)
+    b1_a, b1_b = twin_bernoulli_B1(chi_a, chi_b, kronecker_character(8, chi_a.modulus))
+    return _class_number_from_b1(Ka, b1_a), _class_number_from_b1(Kb, b1_b)
+
+
+def _class_number_from_b1(K: CyclicQuarticField, b1) -> int:
+    return relative_class_number((b1, b1.conjugate()), K.hasse_q, 2) * K.kplus.class_number
 
 
 def field_invariants(K: CyclicQuarticField, precision_bits: int = 128,

@@ -7,7 +7,8 @@ the 2-power part), and its code table of discrete logs mod 4.
 `unit_group` keeps one tuple per modulus over `_local_table`, one bounded
 memo (`LOCAL_MEMO_SIZE`) per prime power, so moduli that share a prime,
 like the Kronecker moduli of a biquadratic pair, build its table and find
-its primitive root once.  A character is stored as one quarter-turn
+its primitive root once.  A prime power above `LOCAL_TABLE_CAP` = 2^25
+is refused with a DomainError before its table is built.  A character is stored as one quarter-turn
 exponent per component, so every value is a power of i and all
 downstream sums stay in Q(i) exactly.
 
@@ -23,6 +24,14 @@ prefix is one `itertools.accumulate` list, read in a single pass; beyond
 that the points are sorted and the prefix is built one block of 2^16
 residues at a time.  Either way memory is m + n bytes plus at most one
 block of ints.
+
+One kernel, `_bernoulli_B1s`, serves one character (`bernoulli_B1`) or a
+pair chi, chi * eps with eps of order 2 at one prime power
+(`twin_bernoulli_B1`), as between the two members of a cyclic quartic
+pair: one split, one loop over x and, on the blocked route, one sorted
+list of points.  The pair does not share its checks: the caller builds
+and checks each character on its own, and the kernel requires
+chi_b = chi_a * eps or its conjugate.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -141,11 +151,21 @@ def components(modulus: int) -> list[CyclicComponent]:
 #: moduli 4p, 8p, 4pm', 8pm' of a biquadratic pair share p
 LOCAL_MEMO_SIZE = 32
 
+#: largest prime power whose code table `_local_table` builds.  The table
+#: takes one byte and one Python step per residue, about 9 s and an 84 MB
+#: peak at the cap on a 2-vCPU Xeon VM, so a larger prime power in a
+#: conductor or a Kronecker modulus is refused as a DomainError before any
+#: step, instead of running for minutes
+LOCAL_TABLE_CAP = 1 << 25
+
 
 @lru_cache(maxsize=LOCAL_MEMO_SIZE)
 def _local_table(p: int, e: int) -> LocalGroup:
     """(Z/p^e)^*: its components and its code table, by stepping each generator."""
     pe = p**e
+    if pe > LOCAL_TABLE_CAP:
+        raise DomainError(f"the prime power {p}^{e} = {pe} exceeds the code-table cap "
+                          f"LOCAL_TABLE_CAP = 2^25", precondition="p^e <= 2^25")
     codes = bytearray([_NONUNIT_CODE]) * pe
     if p == 2 and e <= 2:
         codes[1] = 0
@@ -239,6 +259,13 @@ class DirichletCharacter:
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.modulus, tuple(-q % 4 for q in self.exponents))
 
+    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
+        if other.modulus != self.modulus:
+            raise DomainError(f"characters mod {self.modulus} and mod {other.modulus} "
+                              "do not multiply", precondition="one modulus")
+        return DirichletCharacter(self.modulus, tuple(
+            (q + r) % 4 for q, r in zip(self.exponents, other.exponents)))
+
     def conductor(self) -> int:
         """Smallest f' | modulus through which the character factors.
 
@@ -294,16 +321,24 @@ def characters_of_order_dividing_4(modulus: int) -> list[DirichletCharacter]:
     return [DirichletCharacter(modulus, v) for v in vectors]
 
 
-def kronecker_character(D: int) -> DirichletCharacter:
-    """The Kronecker character (D|.) of a fundamental discriminant D, as a character mod |D|.
+def kronecker_character(D: int, modulus: int | None = None) -> DirichletCharacter:
+    """The Kronecker character (D|.) of a fundamental discriminant D, as a character
+    mod |D|, or mod `modulus` when given, a multiple of |D|.
 
     Its exponent is 2 on each component whose lift has (D|lift) = -1 and 0
     elsewhere.  The lift of a component generator g mod p^e is g mod p^e and
     1 mod f/p^e: with r = f/p^e, r * (r^-1 mod p^e) is 1 mod p^e and 0 mod r.
+    At a prime p of f that does not divide D the lift is 1 mod |D|, so the
+    exponents there are 0.
     """
-    f = abs(D)
+    f = abs(D) if modulus is None else modulus
+    if f % D:
+        raise DomainError(f"{D} does not divide the modulus {f}", precondition="D | modulus")
     exps = []
     for g in unit_group(f):
+        if D % g.p:
+            exps += [0] * len(g.components)
+            continue
         r = f // g.modulus
         unit = r * pow(r, -1, g.modulus)
         exps += [2 if kronecker(D, (1 + (c.generator - 1) * unit) % f) == -1 else 0
@@ -316,6 +351,42 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
 
     Defined here only for odd characters; for even nontrivial characters
     the sum vanishes and the caller is told so instead of receiving 0.
+    One character through the kernel `_bernoulli_B1s`, which says how the
+    sum is taken.
+    """
+    return _bernoulli_B1s((chi,))[0]
+
+
+def twin_bernoulli_B1(chi_a: DirichletCharacter, chi_b: DirichletCharacter,
+                      eps: DirichletCharacter) -> tuple[GaussianRational, GaussianRational]:
+    """(B1(chi_a), B1(chi_b)) from one pass, where chi_b is chi_a * eps or its conjugate.
+
+    eps has order 2 and is nontrivial at one prime power of the modulus
+    only, like (8|.) between the members of a cyclic quartic pair.  chi_b
+    is built and checked apart from chi_a by the caller, so a chi_b that
+    is neither chi_a * eps nor its conjugate is a ConsistencyError, and
+    B1(conj chi) = conj B1(chi) covers the conjugate.
+    """
+    twin = chi_a * eps
+    conjugate = chi_b != twin
+    if conjugate and chi_b != twin.conjugate():
+        raise ConsistencyError(f"chi_b with exponents {chi_b.exponents} is neither chi_a * eps "
+                               f"{twin.exponents} nor its conjugate")
+    twin = twin if conjugate else chi_b  # chi_b has its maps already
+    # eps is nontrivial exactly at the prime powers where chi_a * eps differs from chi_a
+    at = [i for i, (a, b) in enumerate(zip(chi_a._decode, twin._decode)) if a[1] != b[1]]
+    if eps.order != 2 or len(at) != 1:
+        raise DomainError("the twist must have order 2 and be nontrivial at one prime power",
+                          precondition="eps quadratic at one prime power")
+    b1_a, b1_b = _bernoulli_B1s((chi_a, twin), at[0])
+    return b1_a, b1_b.conjugate() if conjugate else b1_b
+
+
+def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...],
+                   at: int | None = None) -> list[GaussianRational]:
+    """[B1(chi)] for chars = (chi,), or [B1(chi), B1(chi * eps)] from one pass for
+    chars = (chi, chi * eps), eps of order 2 and nontrivial only at the prime
+    power `at` of f.
 
     With f = m * n, m and n coprime, chi = psi * lambda for psi mod m and
     lambda mod n.  Write a = x + m*y with x < m, y < n, and let
@@ -334,55 +405,103 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     For trivial lambda the identity fails (some c_x = 0), and every x is
     visited.
 
-    P(c_x) is read by one list index per x.  When lambda's table fits one
-    block (n <= _BLOCK = 2^16, every B1 of the two benchmark pools), the
-    prefix sums of its real part, and of its imaginary part only when
-    lambda takes the values +-i, are one list each, read in a single pass
-    over psi (`_one_block_sums`).  Beyond that the points are sorted and
-    lambda's table is walked one block at a time (`_prefix_class_sums`).
-    The sum stays a Gaussian integer, f * B1 rotated by lambda(m), until
-    one division by f at the end.
+    The twist eps changes one side only.  Both characters take one split,
+    on which both psi are nontrivial, one loop over x and one c_x per x.
+    When eps is on the loop side, lambda is shared and each x is keyed by
+    both psi exponents at once, k_a + 8 k_b, in one byte table; when it is
+    on lambda's side, psi is shared and each of the two lambda tables is
+    walked once.
+
+    P(c_x) is read by one list index per x and prefix column: the real
+    part of each lambda, and its imaginary part only when lambda takes the
+    values +-i.  When lambda's table fits one block (n <= _BLOCK = 2^16,
+    every B1 of the two benchmark pools), each column is one prefix list,
+    read in a single pass over the keys (`_one_block_sums`).  Beyond that
+    the points are sorted once and each column is walked one block at a
+    time (`_prefix_class_sums`).  Each sum stays a Gaussian integer, f * B1
+    rotated by lambda(m), until one division by f at the end.
     """
-    if chi.order == 1:
-        raise DomainError("B1 of the trivial character is not supported",
-                          precondition="chi nontrivial")
-    if not chi.is_odd():
-        raise DomainError("B1 vanishes for even nontrivial characters",
-                          precondition="chi odd")
-    side = _loop_side(chi._decode)
+    for c in chars:
+        if c.order == 1:
+            raise DomainError("B1 of the trivial character is not supported",
+                              precondition="chi nontrivial")
+        if not c.is_odd():
+            raise DomainError("B1 vanishes for even nontrivial characters",
+                              precondition="chi odd")
+    parts = chars[0]._decode
+    twin = chars[1]._decode if at is not None else None
+    side = _loop_side(parts, twin)
     psi = _exponent_table(side)
-    lam = _exponent_table([part for part in chi._decode if part not in side])
-    f, m, n = chi.modulus, len(psi), len(lam)
+    # the prime powers of lambda, one list per distinct lambda
+    lam_sides = [[part for part in parts if part not in side]]
+    # keyed: the twist is on the loop side, and a key holds both psi exponents
+    keyed = at is not None and parts[at] in side
+    if at is not None:
+        # the twin's prime powers on the side where it differs from chi
+        inside = [part in side for part in parts]
+        twin_side = [part for part, i in zip(twin, inside) if i == keyed]
+        if keyed:
+            # byte sums k_a + 8 k_b <= 27 for units, 28 + 8 * 28 for non-units: no carry
+            psi = (int.from_bytes(psi, "little")
+                   + (int.from_bytes(_exponent_table(twin_side), "little") << 3)
+                   ).to_bytes(len(psi), "little")
+        else:
+            lam_sides.append(twin_side)
+    f, m = chars[0].modulus, len(psi)
+    n = f // m
     mbar = pow(m, -1, n)
-    quartic = 1 in lam or 3 in lam
-    trivial = not quartic and 2 not in lam
-    xs = psi if trivial else psi[:(m + 1) // 2]
-    # re[k] + i*im[k] sums P(c_x) over the visited x with psi(x) = i^k; im
-    # is 0 unless lambda takes the values +-i
-    if n <= _BLOCK:
-        re, im = _one_block_sums(xs, mbar, lam, quartic)
-    else:
-        # points (c_x, k) with psi(x) = i^k, sorted by c_x
-        points = [x * mbar % n << 2 | k for x, k in enumerate(xs) if k < 4]
+    # lambda is trivial when each of its prime powers is
+    trivial = [not any(any(values) for _, values in ps) for ps in lam_sides]
+    xs = psi if any(trivial) else psi[:(m + 1) // 2]
+    if n > _BLOCK:
+        width = 5 if keyed else 2  # bits of a key
+        # points (c_x, key) for the x with key < NONUNIT, sorted by c_x and
+        # kept as machine words, so they take 8 bytes each while the lambda
+        # tables are built
+        points = [x * mbar % n << width | k for x, k in enumerate(xs) if k < NONUNIT]
         points.sort()
-        re = _prefix_class_sums(points, lam, _RE)
-        im = _prefix_class_sums(points, lam, _IM) if quartic else [0, 0, 0, 0]
-    # f * sum_x psi(x) P(c_x) = f * sum_k i^k (re[k] + i*im[k]), doubled when halved
-    scale = f if trivial else 2 * f
-    a = scale * (re[0] - re[2] - im[1] + im[3])
-    b = scale * (re[1] - re[3] + im[0] - im[2])
-    if trivial:
-        # S0 * sum_x psi(x) (x - m*c_x), with S0 the number of units mod n
-        shift = [0, 0, 0, 0]
+        points = array("q", points)
+    # per lambda, one table of n bytes at a time: its prefix columns, the real
+    # part and, only when lambda takes the values +-i, the imaginary part,
+    # as prefix lists in one block or as class sums over the blocks
+    columns, kinds = [], []
+    for ps in lam_sides:
+        lam = _exponent_table(ps)
+        quartic = 1 in lam or 3 in lam
+        kinds.append((len(columns), quartic, lam[m % n]))
+        for part in (_RE, _IM)[:1 + quartic]:
+            columns.append(_prefix(lam, part) if n <= _BLOCK
+                           else _prefix_class_sums(points, lam, part, width))
+        del lam
+    sums = _one_block_sums(xs, mbar, columns) if n <= _BLOCK else columns
+    shift = [0] * NONUNIT
+    if any(trivial):
+        # sum_x (x - m*c_x) by key, for S0 * sum_x psi(x) (x - m*c_x)
         for x, k in enumerate(psi):
-            if k < 4:
+            if k < NONUNIT:
                 shift[k] += x - m * (x * mbar % n)
-        s0 = lam.count(0)
-        a += s0 * (shift[0] - shift[2])
-        b += s0 * (shift[1] - shift[3])
-    for _ in range(lam[m % n]):  # times lambda(m) = i^k
-        a, b = -b, a
-    return GaussianRational(Fraction(a, f), Fraction(b, f))
+    scale = f if any(trivial) else 2 * f  # doubled when halved
+    out = []
+    for j in range(len(chars)):
+        lam = 0 if keyed else j
+        col, quartic, rotation = kinds[lam]
+        # re[k] + i*im[k] sums P(c_x) over the visited x with psi_j(x) = i^k
+        re, im, sh = sums[col], sums[col + 1] if quartic else [0] * 4, shift
+        if keyed:  # from the keys k_a + 8 k_b
+            re, im, sh = ([sum(s[8 * k:8 * k + 8] if j else s[k::4]) for k in range(4)]
+                          for s in (re, im, sh))
+        # f * sum_x psi(x) P(c_x) = f * sum_k i^k (re[k] + i*im[k])
+        a = scale * (re[0] - re[2] - im[1] + im[3])
+        b = scale * (re[1] - re[3] + im[0] - im[2])
+        if trivial[lam]:
+            # S0 * sum_x psi(x) (x - m*c_x), with S0 the number of units mod n
+            s0 = math.prod(g.modulus - g.modulus // g.p for g, _ in lam_sides[lam])
+            a += s0 * (sh[0] - sh[2])
+            b += s0 * (sh[1] - sh[3])
+        for _ in range(rotation):  # times lambda(m) = i^k
+            a, b = -b, a
+        out.append(GaussianRational(Fraction(a, f), Fraction(b, f)))
+    return out
 
 
 def _prefix(lam: bytes, part: bytes, initial: int = 0) -> list[int]:
@@ -392,33 +511,43 @@ def _prefix(lam: bytes, part: bytes, initial: int = 0) -> list[int]:
                                      initial=initial))
 
 
-def _one_block_sums(xs: bytes, mbar: int, lam: bytes,
-                    quartic: bool) -> tuple[list[int], list[int]]:
-    """(re, im): re[k] + i*im[k] sums P(c_x) over the x with xs[x] = k < 4, c_x = x*mbar mod n.
+def _one_block_sums(xs: bytes, mbar: int, prefixes: list[list[int]]) -> list[list[int]]:
+    """sums[j][key] = sum of prefixes[j][c_x] over the x with xs[x] = key < NONUNIT,
+    c_x = x*mbar mod n, for one, two or four prefix lists over all n + 1 points.
 
-    One pass over xs, with no list of points: lambda's whole table is one
-    prefix list per part (the imaginary one only when quartic), indexed
-    at c_x.
+    One pass over xs, with no list of points: each column is one list,
+    indexed at c_x.
     """
-    n = len(lam)
-    prefix, re = _prefix(lam, _RE), [0, 0, 0, 0]
-    if not quartic:
+    n = len(prefixes[0]) - 1
+    sums = [[0] * NONUNIT for _ in prefixes]
+    if len(prefixes) == 1:
+        (p0,), (s0,) = prefixes, sums
         for x, k in enumerate(xs):
-            if k < 4:
-                re[k] += prefix[x * mbar % n]
-        return re, [0, 0, 0, 0]
-    prefix_im, im = _prefix(lam, _IM), [0, 0, 0, 0]
-    for x, k in enumerate(xs):
-        if k < 4:
-            c = x * mbar % n
-            re[k] += prefix[c]
-            im[k] += prefix_im[c]
-    return re, im
+            if k < NONUNIT:
+                s0[k] += p0[x * mbar % n]
+    elif len(prefixes) == 2:
+        (p0, p1), (s0, s1) = prefixes, sums
+        for x, k in enumerate(xs):
+            if k < NONUNIT:
+                c = x * mbar % n
+                s0[k] += p0[c]
+                s1[k] += p1[c]
+    else:
+        (p0, p1, p2, p3), (s0, s1, s2, s3) = prefixes, sums
+        for x, k in enumerate(xs):
+            if k < NONUNIT:
+                c = x * mbar % n
+                s0[k] += p0[c]
+                s1[k] += p1[c]
+                s2[k] += p2[c]
+                s3[k] += p3[c]
+    return sums
 
 
-def _prefix_class_sums(points: list[int], lam: bytes, part: bytes) -> list[int]:
-    """sums[k] = sum of P(c) over the sorted points c << 2 | k, P(c) = sum_{u<c} of one part
-    of lambda(u): its real part for part = _RE, its imaginary part for _IM.
+def _prefix_class_sums(points: list[int], lam: bytes, part: bytes, width: int) -> list[int]:
+    """sums[key] = sum of P(c) over the sorted points c << width | key, key < NONUNIT,
+    P(c) = sum_{u<c} of one part of lambda(u): its real part for part = _RE,
+    its imaginary part for _IM.
 
     The route for n > _BLOCK: lam is walked in blocks of _BLOCK residues up
     to the last point.  Each block's prefix sums, from the running total,
@@ -426,22 +555,23 @@ def _prefix_class_sums(points: list[int], lam: bytes, part: bytes) -> list[int]:
     part bytes, read once at every point that falls in the block, so at
     most one block of ints is held at a time.
     """
-    sums, total, i = [0, 0, 0, 0], 0, 0
-    for start in range(0, (points[-1] >> 2) + 1, _BLOCK):
-        end = bisect.bisect_left(points, (start + _BLOCK) << 2, i)
+    sums, total, i, mask = [0] * NONUNIT, 0, 0, (1 << width) - 1
+    for start in range(0, (points[-1] >> width) + 1, _BLOCK):
+        end = bisect.bisect_left(points, (start + _BLOCK) << width, i)
         prefix = _prefix(lam[start:start + _BLOCK], part, total)
         total = prefix[-1]
         for point in points[i:end]:
-            sums[point & 3] += prefix[(point >> 2) - start]
+            sums[point & mask] += prefix[(point >> width) - start]
         i = end
         del prefix  # so the next block's list is not built beside this one
     return sums
 
 
-def _loop_side(parts):
-    """The prime powers of m in the split f = m * n that bernoulli_B1 loops over.
+def _loop_side(parts, twin=None):
+    """The prime powers of m in the split f = m * n that the B1 kernel loops over.
 
-    psi must be nontrivial on m.  Among such sides the split nearest
+    psi must be nontrivial on m, for the parts of chi and, when given, for
+    those of its twist `twin`.  Among such sides the split nearest
     sqrt(f), the least max(m, n), is taken, and of its two sides the
     smaller m, so the Python loop runs over the smaller side.  The two
     exponent tables then take m + n bytes, and the prefix sums of lambda
@@ -453,15 +583,18 @@ def _loop_side(parts):
     have distinct m and the least one is unique.
     """
     moduli = [g.modulus for g, _ in parts]
-    nontrivial = sum(1 << i for i, (_, values) in enumerate(parts) if any(values))
+    need_a = sum(1 << i for i, (_, values) in enumerate(parts) if any(values))
+    need_b = need_a if twin is None else sum(
+        1 << i for i, (_, values) in enumerate(twin) if any(values))
     f = math.prod(moduli)
-    sizes, best, best_mask = [1], None, 0
+    # (max(m, n), m) as the one integer max(m, n) * f + m <= f * f + f, since m <= f
+    sizes, best, best_mask = [1], f * f + f + 1, 0
     for mask in range(1, 1 << len(parts)):
         low = mask & -mask
         m = sizes[mask ^ low] * moduli[low.bit_length() - 1]
         sizes.append(m)
-        if mask & nontrivial:
-            size = (max(m, f // m), m)
-            if best is None or size < best:
+        if mask & need_a and mask & need_b:
+            size = max(m, f // m) * f + m
+            if size < best:
                 best, best_mask = size, mask
     return tuple(part for i, part in enumerate(parts) if best_mask >> i & 1)

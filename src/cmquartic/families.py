@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple
 
 import mpmath
@@ -186,35 +186,47 @@ class _Kind(NamedTuple):
     modulus: int  # p runs over the primes > t^2+1 with p = 1 (mod modulus)
     member: Callable  # (a, t) -> the field at a = -p or -2p
     same: Callable  # (Ka, Kb) -> True when both members are one field
-    invariants: Callable  # (K, precision_bits, with_class_number)
+    invariants: Callable  # (K, precision_bits) -> FieldInvariants with no class number
+    class_numbers: Callable  # (Ka, Kb) -> (h(Ka), h(Kb))
 
 
 _KINDS = {
     "biquadratic": _Kind(4, lambda a, t: bq.biquadratic(a, t * t + 1),
                          lambda Ka, Kb: Ka == Kb,
-                         lambda K, bits, h: bq.field_invariants(K, bits, h)),
+                         lambda K, bits: bq.field_invariants(K, bits),
+                         lambda Ka, Kb: (bq.class_number(Ka), bq.class_number(Kb))),
     "cyclic": _Kind(2, lambda a, t: cq.CyclicQuarticField(a, t),
                     lambda Ka, Kb: cq.same_field(Ka.s, Kb.s, Ka.t),
-                    lambda K, bits, h: cq.field_invariants(K, bits, h)),
+                    lambda K, bits: cq.field_invariants(K, bits),
+                    lambda Ka, Kb: cq.pair_class_numbers(Ka, Kb)),
 }
 
 
 def _pair_report(kind: str, t: int, p: int, precision_bits: int,
                  with_class_number: bool) -> PairReport:
-    """Verified report for the pair of fields of `kind` at -p and -2p."""
+    """Verified report for the pair of fields of `kind` at -p and -2p.
+
+    The members share K+, so reg(K+), 2 reg(K+) / Q and h(K+) are read from
+    it, computed once per t.  Class numbers come from the kind's pair
+    function: for the cyclic kind the square roots of t^2+1 that the
+    character checks read are kept on K+, and both B1 come from one pass,
+    while each member still builds and checks its own character.
+    """
     _require_admissible_t(t)
     m = t * t + 1
-    modulus, member, same, invariants = _KINDS[kind]
+    modulus, member, same, invariants, class_numbers = _KINDS[kind]
     if not is_prime(p) or p <= m or p % modulus != 1:
         need = (f"an odd prime > {m}" if modulus == 2
                 else f"a prime > {m} with p = 1 (mod {modulus})")
         raise DomainError(f"p = {p} is inadmissible for t = {t}: need {need}",
                           code="E_PRIME_INADMISSIBLE")
     Ka, Kb = member(-p, t), member(-2 * p, t)
-    inv_a = invariants(Ka, precision_bits, with_class_number)
-    inv_b = invariants(Kb, precision_bits, with_class_number)
+    inv_a, inv_b = invariants(Ka, precision_bits), invariants(Kb, precision_bits)
     residue_a = residue_b = None
     if with_class_number:
+        class_a, class_b = class_numbers(Ka, Kb)
+        inv_a = replace(inv_a, class_number=class_a)
+        inv_b = replace(inv_b, class_number=class_b)
         residue_a = dedekind_residue(inv_a, precision_bits)
         residue_b = dedekind_residue(inv_b, precision_bits)
     # independent of the PQa route: t^2+1 = 2 (mod 8) is square-free, so

@@ -34,7 +34,11 @@ class QuadraticField:
 
     `disc_factors`, the factorization of `fund_disc`, and for a real field
     its fundamental `unit` and `class_number`, are computed once, on first use;
-    `regulators` holds what `regulator` computed, by precision.
+    `regulators` holds what `regulator` computed, by precision.  As K+ of
+    a quartic CM-field it also holds 2 * reg / Q by (precision, Q) in
+    `cm_regulators` (`cmfield.cm_regulator`), and the square roots of the
+    radicand modulo the odd primes up to a bound, by bound, in
+    `root_tables` (the check on a cyclic quartic field's character).
     """
 
     radicand: int
@@ -51,6 +55,8 @@ class QuadraticField:
     unit = cached_property(lambda self: fundamental_unit(self))
     class_number = cached_property(lambda self: class_number_real(self))
     regulators = cached_property(lambda self: {})
+    cm_regulators = cached_property(lambda self: {})
+    root_tables = cached_property(lambda self: {})
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from cmquartic import cli, families
+from cmquartic import cli, dirichlet, families
 from cmquartic import cyclic_quartic as cq
 from cmquartic.arith import (count_roots_mod_p, factor, is_prime, is_squarefree, kronecker,
                              squarefree_part)
@@ -26,7 +27,8 @@ from cmquartic.cyclic_quartic import (
     same_field,
 )
 from cmquartic.dirichlet import (DirichletCharacter, GaussianRational, bernoulli_B1,
-                                 characters_of_order_dividing_4, unit_group)
+                                 characters_of_order_dividing_4, kronecker_character,
+                                 twin_bernoulli_B1, unit_group)
 from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import class_number_real, quadratic_field
 
@@ -324,11 +326,13 @@ def test_character_soundness_against_root_counts():
 
 def test_wrong_split_after_the_pair_is_settled_is_an_internal_error(monkeypatch, capsys):
     # a root count at 197 that contradicts the constructed character of K(-3,35)
-    def wrong_at_197(s, t, p):
-        n = count_roots_mod_p(s, t, p)
+    real = cq._root_count
+
+    def wrong_at_197(s, t, p, m, r):
+        n = real(s, t, p, m, r)
         return (0 if n == 4 else 4) if p == 197 else n
 
-    monkeypatch.setattr(cq, "count_roots_mod_p", wrong_at_197)
+    monkeypatch.setattr(cq, "_root_count", wrong_at_197)
     code = cli.main(["invariants", "cyclic", "-s", "-3", "-t", "35", "--with-class-number"])
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 3
@@ -351,12 +355,13 @@ def test_wrong_discriminant_is_an_internal_error(monkeypatch, capsys, stray):
 
 def test_check_counts_roots_at_exactly_the_odd_primes_up_to_the_bound(monkeypatch):
     checked = []
+    real = cq._root_count
 
-    def counting(s, t, p):
+    def counting(s, t, p, m, r):
         checked.append(p)
-        return count_roots_mod_p(s, t, p)
+        return real(s, t, p, m, r)
 
-    monkeypatch.setattr(cq, "count_roots_mod_p", counting)
+    monkeypatch.setattr(cq, "_root_count", counting)
     for s, t in ((-3, 35), (-6, 35), (-1, 3), (-817, 157), (-3, 443)):
         checked.clear()
         chi = associated_quartic_character(CyclicQuarticField(s, t))
@@ -368,6 +373,60 @@ def test_check_counts_roots_at_exactly_the_odd_primes_up_to_the_bound(monkeypatc
     rep = families.cyclic_pair_report(5, 29, with_class_number=True)
     assert (rep.class_a, rep.class_b) == (360, 1352)
     assert checked == [3, 3]
+
+
+def test_root_table_on_kplus_gives_count_roots_mod_p_at_every_check_prime():
+    # the square roots of the radicand of K+ are kept on K+, once per bound;
+    # scaled by x for t^2+1 = x^2 * radicand, they give each field the root
+    # count of its own polynomial at every odd q <= CHECK_BOUND
+    rng = random.Random(21)
+    fields = [(-1, 7), (-3, 57), (-6, 57), (-29, 5), (-58, 5)]
+    while len(fields) < 30:
+        s, t = -rng.randrange(1, 400), rng.randrange(1, 2000, 2)
+        if is_squarefree(abs(s) // (abs(s) & -abs(s))) and (s % 4) and math.gcd(s, t * t + 1) == 1:
+            fields.append((s, t))
+    for s, t in fields:
+        K = CyclicQuarticField(s, t)
+        m = t * t + 1
+        table = cq._root_table(K.kplus)
+        assert cq._root_table(K.kplus) is table
+        assert [q for q, _ in table] == [q for q in range(3, CHECK_BOUND + 1, 2) if is_prime(q)]
+        x = math.isqrt(m // K.kplus.radicand)
+        for q, r in table:
+            scaled = None if r is None else x * r % q
+            assert cq._root_count(s, t, q, m % q, scaled) == count_roots_mod_p(s, t, q), (s, t, q)
+
+
+def test_pair_B1_from_one_pass_equals_two_single_passes():
+    # chi_b is the conjugate of chi_a * (8|.), since of a character and its
+    # conjugate the one with exponent 1 on 5 mod 16 is kept; (8|.) falls on
+    # the loop side at t = 13 and on lambda's side at t = 5 and 11
+    sides = set()
+    for t, p in ((5, 29), (5, 31), (5, 37), (5, 41), (11, 127), (11, 131), (13, 173), (13, 179)):
+        chi_a = associated_quartic_character(CyclicQuarticField(-p, t))
+        chi_b = associated_quartic_character(CyclicQuarticField(-2 * p, t))
+        eps = kronecker_character(8, chi_a.modulus)
+        assert twin_bernoulli_B1(chi_a, chi_b, eps) == (bernoulli_B1(chi_a), bernoulli_B1(chi_b))
+        sides.add((chi_b == chi_a * eps, any(g.p == 2 for g, _ in
+                                              dirichlet._loop_side(chi_a._decode))))
+    assert sides == {(False, False), (False, True)}, sides
+
+
+def test_pair_whose_second_character_is_no_twist_of_the_first_is_an_internal_error(
+        monkeypatch, capsys):
+    # member b builds and checks its own character; one that is not
+    # chi_a * (8|.) or its conjugate stops the pair rather than feeding B1
+    real = cq.associated_quartic_character
+
+    def first_for_both(K):
+        return real(CyclicQuarticField(K.s // 2, K.t) if K.s % 2 == 0 else K)
+
+    monkeypatch.setattr(cq, "associated_quartic_character", first_for_both)
+    code = cli.main(["pair", "cyclic", "--t", "5", "--p", "29", "--with-class-number"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 3
+    assert error["code"] == "E_INTERNAL"
+    assert "is neither chi_a * eps" in error["message"]
 
 
 @pytest.mark.parametrize("s, t, checked", [(-817, 157, 257), (-367, 19, 256), (-3, 35, 256)])

@@ -9,6 +9,7 @@ import pytest
 from cmquartic import dirichlet
 from cmquartic.arith import kronecker
 from cmquartic.dirichlet import (
+    LOCAL_TABLE_CAP,
     NONUNIT,
     DirichletCharacter,
     GaussianRational,
@@ -17,9 +18,10 @@ from cmquartic.dirichlet import (
     characters_of_order_dividing_4,
     components,
     kronecker_character,
+    twin_bernoulli_B1,
     unit_group,
 )
-from cmquartic.errors import DomainError
+from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import class_number_imaginary, is_fundamental_discriminant
 
 from oracles import (
@@ -546,3 +548,81 @@ def test_bernoulli_B1_across_prefix_blocks(block, monkeypatch):
         if block > 1:
             wanted.add("short last block")
     assert kinds >= wanted, kinds
+
+
+def _quadratic_twists(f: int) -> list[DirichletCharacter]:
+    """The even characters of order 2 mod f that are nontrivial at exactly one prime power."""
+    return [eps for eps in characters_of_order_dividing_4(f)
+            if eps.order == 2 and not eps.is_odd()
+            and sum(any(values) for _, values in eps._decode) == 1]
+
+
+@pytest.mark.parametrize("block", [7, dirichlet._BLOCK])
+def test_twin_B1_matches_reference_for_random_twists(block, monkeypatch):
+    # B1 of chi and of chi_b = chi * eps or its conjugate from one pass, against
+    # the stepped logs, for random odd chi and twists eps of order 2 at one
+    # prime power: eps falls on the loop side (keys k_a + 8 k_b) and on
+    # lambda's side (two lambda tables); a block of 7 residues sends every
+    # split with n > 7 down the blocked route
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    route = "one block" if block == dirichlet._BLOCK else "blocked"
+    monkeypatch.setattr(dirichlet, "_BLOCK", block)
+    seen = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        chi = _draw_odd_character(hypothesis, data, max_primes=4)
+        twists = _quadratic_twists(chi.modulus)
+        hypothesis.assume(twists)
+        eps = data.draw(st.sampled_from(twists))
+        twin = chi * eps
+        hypothesis.assume(twin.order > 1)
+        chi_b = data.draw(st.sampled_from((twin, twin.conjugate())))
+        try:
+            assert twin_bernoulli_B1(chi, chi_b, eps) == (reference_B1(chi), reference_B1(chi_b))
+        finally:
+            stepped_logs.cache_clear()
+        side = dirichlet._loop_side(chi._decode, twin._decode)
+        at = next(i for i, (_, values) in enumerate(eps._decode) if any(values))
+        n = math.prod(g.modulus for g, _ in chi._decode) // math.prod(g.modulus for g, _ in side)
+        seen.add(("loop side" if chi._decode[at] in side else "lambda side",
+                  "one block" if n <= block else "blocked", chi_b == twin))
+
+    check()
+    assert seen >= {(side, route, same) for side in ("loop side", "lambda side")
+                    for same in (True, False)}, seen
+
+
+def test_twin_B1_requires_a_twist_of_order_2_at_one_prime_power():
+    chi = DirichletCharacter(80, (0, 1, 1))  # on the generators -1 and 5 mod 16, 2 mod 5
+    assert chi.is_odd()
+    eps = kronecker_character(8, 80)
+    assert eps.exponents == (0, 2, 0)
+    assert twin_bernoulli_B1(chi, chi * eps, eps) == (bernoulli_B1(chi), bernoulli_B1(chi * eps))
+    # chi itself is neither chi * eps nor its conjugate
+    with pytest.raises(ConsistencyError, match="neither chi_a \\* eps"):
+        twin_bernoulli_B1(chi, chi, eps)
+    # order 4, and order 2 at two prime powers
+    for bad in (DirichletCharacter(80, (0, 0, 1)), DirichletCharacter(80, (0, 2, 2))):
+        with pytest.raises(DomainError, match="one prime power"):
+            twin_bernoulli_B1(chi, chi * bad, bad)
+
+
+def test_kronecker_character_on_a_multiple_of_its_modulus():
+    for D, f in ((8, 16 * 13 * 29), (-4, 4 * 3 * 5), (5, 5 * 16), (-7, 7 * 9)):
+        chi = kronecker_character(D, f)
+        assert chi.modulus == f and chi.conductor() == abs(D)
+        assert all(chi.value_exponent(a) in (0, 2) and (chi.value_exponent(a) == 0)
+                   == (kronecker(D, a) == 1) for a in range(1, f) if math.gcd(a, f) == 1)
+    with pytest.raises(DomainError):
+        kronecker_character(8, 20)
+
+
+def test_local_table_refuses_a_prime_power_past_the_cap():
+    # a larger prime power would take a Python step per residue: minutes and GBs
+    assert LOCAL_TABLE_CAP == 1 << 25
+    for p, e in ((1000000007, 1), (5813, 2), (2, 26)):
+        with pytest.raises(DomainError, match="LOCAL_TABLE_CAP"):
+            dirichlet._local_table(p, e)

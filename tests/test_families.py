@@ -355,9 +355,9 @@ def _count_calls(monkeypatch, module, name):
 def test_cyclic_pair_computes_each_class_number_once(monkeypatch):
     from cmquartic import cyclic_quartic as cq
 
-    calls = _count_calls(monkeypatch, cq, "bernoulli_B1")
+    calls = _count_calls(monkeypatch, cq, "twin_bernoulli_B1")
     rep = cyclic_pair_report(5, 29, with_class_number=True)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert (rep.class_a, rep.class_b) == (360, 1352)
 
 
@@ -540,6 +540,55 @@ def test_field_memo_is_bounded():
     assert info.currsize == info.maxsize
     quadratic.quadratic_field(26)
     assert quadratic._field_memo.cache_info().hits == info.hits + 1
+
+
+def test_cm_regulator_rescales_once_per_kplus_precision_and_q(monkeypatch):
+    # 2 reg(K+) / Q is kept on K+ by precision and Q: a 4-pair family of
+    # either kind rescales reg(K+) once per Q among its 8 members and per
+    # precision, and running the family again rescales nothing
+    from cmquartic import families, quadratic
+    from cmquartic.precision import HighPrecReal
+
+    rescales = []
+    real = HighPrecReal.scaled
+
+    def counted(self, num, den):
+        rescales.append((self.precision_bits, num, den))
+        return real(self, num, den)
+
+    monkeypatch.setattr(HighPrecReal, "scaled", counted)
+    for kind, family in (("cyclic", cyclic_family), ("biquadratic", biquadratic_family)):
+        quadratic._field_memo.cache_clear()
+        rescales.clear()
+        for bits in (128, 192, 128):
+            reports = family(5, 4, precision_bits=bits, with_class_number=True)
+        members = [families._KINDS[kind].member(a, 5) for rep in reports
+                   for a in (-rep.p, -2 * rep.p)]
+        assert {K.kplus for K in members} == {quadratic.quadratic_field(26)}
+        qs = {K.hasse_q for K in members}
+        assert sorted(rescales) == sorted((bits, 2, q) for bits in (128, 192) for q in qs), kind
+        assert len(reports) == 4 and all(rep.reg_equal for rep in reports)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "cyclic", "--t", "3", "--p", "1000000007", "--with-class-number"],
+    ["pair", "biquad", "--t", "3", "--p", "1000000009", "--with-class-number"],
+])
+def test_a_prime_power_past_the_code_table_cap_exits_2_at_once(argv, capsys):
+    # the p-part of f (cyclic) or of the Kronecker moduli 4p, 8p (biquadratic)
+    # would need a code table of p residues: refused before any is built
+    import json
+    import time
+
+    from cmquartic import cli
+
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 2
+    assert error["code"] == "E_DOMAIN" and "LOCAL_TABLE_CAP" in error["message"]
+    assert elapsed < 1
 
 
 def test_reg_equal_fails_when_the_shipped_regulator_is_wrong(monkeypatch):
