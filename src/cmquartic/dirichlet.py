@@ -25,13 +25,16 @@ that the points are sorted and the prefix is built one block of 2^16
 residues at a time.  Either way memory is m + n bytes plus at most one
 block of ints.
 
-One kernel, `_bernoulli_B1s`, serves one character (`bernoulli_B1`) or a
-pair chi, chi * eps with eps of order 2 at one prime power
-(`twin_bernoulli_B1`), as between the two members of a cyclic quartic
-pair: one split, one loop over x and, on the blocked route, one sorted
-list of points.  The pair does not share its checks: the caller builds
-and checks each character on its own, and the kernel requires
-chi_b = chi_a * eps or its conjugate.
+One kernel, `_bernoulli_B1s`, serves one character (`bernoulli_B1`) or
+two on one modulus: one split, one loop over x and, on the blocked
+route, one sorted list of points.  Two characters share the side they
+agree on, one psi table or one walk of a lambda table, and nothing else
+about them is assumed.  `twin_bernoulli_B1` gives it chi and chi * eps,
+eps of order 2 at one prime power, as between the two members of a
+cyclic quartic pair, which agree everywhere but at eps's prime power.
+The pair does not share its checks: the caller builds and checks each
+character on its own, and `twin_bernoulli_B1` requires chi_b = chi_a *
+eps or its conjugate.
 """
 
 from __future__ import annotations
@@ -51,33 +54,13 @@ from .errors import ConsistencyError, DomainError
 
 @dataclass(frozen=True)
 class GaussianRational:
+    """An exact element re + i*im of Q(i), as `bernoulli_B1` returns it."""
+
     re: Fraction
     im: Fraction
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    @classmethod
-    def from_pair(cls, re, im) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
-
-
-#: the four powers of i as exact Gaussian rationals
-I_POWERS = (
-    GaussianRational.from_pair(1, 0),
-    GaussianRational.from_pair(0, 1),
-    GaussianRational.from_pair(-1, 0),
-    GaussianRational.from_pair(0, -1),
-)
-
-ZERO = GaussianRational.from_pair(0, 0)
 
 
 def _primitive_root(p: int) -> int:
@@ -241,10 +224,6 @@ class DirichletCharacter:
             k += values[code]
         return k % 4
 
-    def __call__(self, a: int) -> GaussianRational:
-        k = self.value_exponent(a)
-        return ZERO if k is None else I_POWERS[k]
-
     @property
     def order(self) -> int:
         if any(q % 2 for q in self.exponents):
@@ -364,29 +343,25 @@ def twin_bernoulli_B1(chi_a: DirichletCharacter, chi_b: DirichletCharacter,
     eps has order 2 and is nontrivial at one prime power of the modulus
     only, like (8|.) between the members of a cyclic quartic pair.  chi_b
     is built and checked apart from chi_a by the caller, so a chi_b that
-    is neither chi_a * eps nor its conjugate is a ConsistencyError, and
-    B1(conj chi) = conj B1(chi) covers the conjugate.
+    is neither chi_a * eps nor its conjugate is a ConsistencyError.  The
+    kernel sums chi_a and chi_a * eps, which differ at one prime power
+    only, and B1(conj chi) = conj B1(chi) covers the conjugate.
     """
     twin = chi_a * eps
     conjugate = chi_b != twin
     if conjugate and chi_b != twin.conjugate():
         raise ConsistencyError(f"chi_b with exponents {chi_b.exponents} is neither chi_a * eps "
                                f"{twin.exponents} nor its conjugate")
-    twin = twin if conjugate else chi_b  # chi_b has its maps already
-    # eps is nontrivial exactly at the prime powers where chi_a * eps differs from chi_a
-    at = [i for i, (a, b) in enumerate(zip(chi_a._decode, twin._decode)) if a[1] != b[1]]
-    if eps.order != 2 or len(at) != 1:
+    if eps.order != 2 or sum(any(values) for _, values in eps._decode) != 1:
         raise DomainError("the twist must have order 2 and be nontrivial at one prime power",
                           precondition="eps quadratic at one prime power")
-    b1_a, b1_b = _bernoulli_B1s((chi_a, twin), at[0])
+    b1_a, b1_b = _bernoulli_B1s((chi_a, twin if conjugate else chi_b))
     return b1_a, b1_b.conjugate() if conjugate else b1_b
 
 
-def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...],
-                   at: int | None = None) -> list[GaussianRational]:
-    """[B1(chi)] for chars = (chi,), or [B1(chi), B1(chi * eps)] from one pass for
-    chars = (chi, chi * eps), eps of order 2 and nontrivial only at the prime
-    power `at` of f.
+def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...]) -> list[GaussianRational]:
+    """[B1(chi) for chi in chars], for one or two odd characters on one modulus,
+    from one split and one loop over x.
 
     With f = m * n, m and n coprime, chi = psi * lambda for psi mod m and
     lambda mod n.  Write a = x + m*y with x < m, y < n, and let
@@ -405,15 +380,17 @@ def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...],
     For trivial lambda the identity fails (some c_x = 0), and every x is
     visited.
 
-    The twist eps changes one side only.  Both characters take one split,
-    on which both psi are nontrivial, one loop over x and one c_x per x.
-    When eps is on the loop side, lambda is shared and each x is keyed by
-    both psi exponents at once, k_a + 8 k_b, in one byte table; when it is
-    on lambda's side, psi is shared and each of the two lambda tables is
-    walked once.
+    Two characters take one split, on which both psi are nontrivial, one
+    loop over x and one c_x per x, and share the side they agree on.  When
+    their psi differ, each x is keyed by both psi exponents at once,
+    k_a + 8 k_b, in one byte table.  Each distinct lambda table is built
+    and walked once, one at a time, and folded into the B1 of every
+    character that reads it right after its walk.  So chi and chi * eps,
+    eps nontrivial at one prime power, key x by both or walk two lambda
+    tables, as eps falls on the loop side or on lambda's side.
 
     P(c_x) is read by one list index per x and prefix column: the real
-    part of each lambda, and its imaginary part only when lambda takes the
+    part of lambda, and its imaginary part only when lambda takes the
     values +-i.  When lambda's table fits one block (n <= _BLOCK = 2^16,
     every B1 of the two benchmark pools), each column is one prefix list,
     read in a single pass over the keys (`_one_block_sums`).  Beyond that
@@ -428,30 +405,24 @@ def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...],
         if not c.is_odd():
             raise DomainError("B1 vanishes for even nontrivial characters",
                               precondition="chi odd")
-    parts = chars[0]._decode
-    twin = chars[1]._decode if at is not None else None
-    side = _loop_side(parts, twin)
-    psi = _exponent_table(side)
-    # the prime powers of lambda, one list per distinct lambda
-    lam_sides = [[part for part in parts if part not in side]]
-    # keyed: the twist is on the loop side, and a key holds both psi exponents
-    keyed = at is not None and parts[at] in side
-    if at is not None:
-        # the twin's prime powers on the side where it differs from chi
-        inside = [part in side for part in parts]
-        twin_side = [part for part, i in zip(twin, inside) if i == keyed]
-        if keyed:
-            # byte sums k_a + 8 k_b <= 27 for units, 28 + 8 * 28 for non-units: no carry
-            psi = (int.from_bytes(psi, "little")
-                   + (int.from_bytes(_exponent_table(twin_side), "little") << 3)
-                   ).to_bytes(len(psi), "little")
-        else:
-            lam_sides.append(twin_side)
+    decodes = [c._decode for c in chars]
+    side = _loop_side(*decodes)
+    inside = [part in side for part in decodes[0]]
+    # per character, (its prime powers on the loop side, those on lambda's side)
+    cuts = [([part for part, i in zip(parts, inside) if i],
+             [part for part, i in zip(parts, inside) if not i]) for parts in decodes]
+    psi = _exponent_table(cuts[0][0])
+    keyed = cuts[-1][0] != cuts[0][0]
+    if keyed:
+        # byte sums k_a + 8 k_b <= 27 for units, 28 + 8 * 28 for non-units: no carry
+        psi = (int.from_bytes(psi, "little")
+               + (int.from_bytes(_exponent_table(cuts[1][0]), "little") << 3)
+               ).to_bytes(len(psi), "little")
     f, m = chars[0].modulus, len(psi)
     n = f // m
     mbar = pow(m, -1, n)
     # lambda is trivial when each of its prime powers is
-    trivial = [not any(any(values) for _, values in ps) for ps in lam_sides]
+    trivial = [not any(any(values) for _, values in lam) for _, lam in cuts]
     xs = psi if any(trivial) else psi[:(m + 1) // 2]
     if n > _BLOCK:
         width = 5 if keyed else 2  # bits of a key
@@ -461,19 +432,6 @@ def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...],
         points = [x * mbar % n << width | k for x, k in enumerate(xs) if k < NONUNIT]
         points.sort()
         points = array("q", points)
-    # per lambda, one table of n bytes at a time: its prefix columns, the real
-    # part and, only when lambda takes the values +-i, the imaginary part,
-    # as prefix lists in one block or as class sums over the blocks
-    columns, kinds = [], []
-    for ps in lam_sides:
-        lam = _exponent_table(ps)
-        quartic = 1 in lam or 3 in lam
-        kinds.append((len(columns), quartic, lam[m % n]))
-        for part in (_RE, _IM)[:1 + quartic]:
-            columns.append(_prefix(lam, part) if n <= _BLOCK
-                           else _prefix_class_sums(points, lam, part, width))
-        del lam
-    sums = _one_block_sums(xs, mbar, columns) if n <= _BLOCK else columns
     shift = [0] * NONUNIT
     if any(trivial):
         # sum_x (x - m*c_x) by key, for S0 * sum_x psi(x) (x - m*c_x)
@@ -481,21 +439,30 @@ def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...],
             if k < NONUNIT:
                 shift[k] += x - m * (x * mbar % n)
     scale = f if any(trivial) else 2 * f  # doubled when halved
-    out = []
-    for j in range(len(chars)):
-        lam = 0 if keyed else j
-        col, quartic, rotation = kinds[lam]
+    out, walked = [], None
+    for j, (_, lam_parts) in enumerate(cuts):
+        if lam_parts != walked:
+            # lambda's prefix columns, the real part and, only when lambda
+            # takes the values +-i, the imaginary part, as prefix lists in
+            # one block or as class sums over the blocks
+            walked, lam = lam_parts, _exponent_table(lam_parts)
+            quartic, rotation = 1 in lam or 3 in lam, lam[m % n]
+            columns = [_prefix(lam, part) if n <= _BLOCK
+                       else _prefix_class_sums(points, lam, part, width)
+                       for part in (_RE, _IM)[:1 + quartic]]
+            del lam
+            sums = _one_block_sums(xs, mbar, columns) if n <= _BLOCK else columns
         # re[k] + i*im[k] sums P(c_x) over the visited x with psi_j(x) = i^k
-        re, im, sh = sums[col], sums[col + 1] if quartic else [0] * 4, shift
+        re, im, sh = sums[0], sums[1] if quartic else [0] * 4, shift
         if keyed:  # from the keys k_a + 8 k_b
             re, im, sh = ([sum(s[8 * k:8 * k + 8] if j else s[k::4]) for k in range(4)]
                           for s in (re, im, sh))
         # f * sum_x psi(x) P(c_x) = f * sum_k i^k (re[k] + i*im[k])
         a = scale * (re[0] - re[2] - im[1] + im[3])
         b = scale * (re[1] - re[3] + im[0] - im[2])
-        if trivial[lam]:
+        if trivial[j]:
             # S0 * sum_x psi(x) (x - m*c_x), with S0 the number of units mod n
-            s0 = math.prod(g.modulus - g.modulus // g.p for g, _ in lam_sides[lam])
+            s0 = math.prod(g.modulus - g.modulus // g.p for g, _ in lam_parts)
             a += s0 * (sh[0] - sh[2])
             b += s0 * (sh[1] - sh[3])
         for _ in range(rotation):  # times lambda(m) = i^k
@@ -513,7 +480,8 @@ def _prefix(lam: bytes, part: bytes, initial: int = 0) -> list[int]:
 
 def _one_block_sums(xs: bytes, mbar: int, prefixes: list[list[int]]) -> list[list[int]]:
     """sums[j][key] = sum of prefixes[j][c_x] over the x with xs[x] = key < NONUNIT,
-    c_x = x*mbar mod n, for one, two or four prefix lists over all n + 1 points.
+    c_x = x*mbar mod n, for one or two prefix lists over all n + 1 points: the
+    real part of one lambda and, when it takes the values +-i, its imaginary part.
 
     One pass over xs, with no list of points: each column is one list,
     indexed at c_x.
@@ -525,22 +493,13 @@ def _one_block_sums(xs: bytes, mbar: int, prefixes: list[list[int]]) -> list[lis
         for x, k in enumerate(xs):
             if k < NONUNIT:
                 s0[k] += p0[x * mbar % n]
-    elif len(prefixes) == 2:
+    else:
         (p0, p1), (s0, s1) = prefixes, sums
         for x, k in enumerate(xs):
             if k < NONUNIT:
                 c = x * mbar % n
                 s0[k] += p0[c]
                 s1[k] += p1[c]
-    else:
-        (p0, p1, p2, p3), (s0, s1, s2, s3) = prefixes, sums
-        for x, k in enumerate(xs):
-            if k < NONUNIT:
-                c = x * mbar % n
-                s0[k] += p0[c]
-                s1[k] += p1[c]
-                s2[k] += p2[c]
-                s3[k] += p3[c]
     return sums
 
 
@@ -567,25 +526,26 @@ def _prefix_class_sums(points: list[int], lam: bytes, part: bytes, width: int) -
     return sums
 
 
-def _loop_side(parts, twin=None):
+def _loop_side(*decodes):
     """The prime powers of m in the split f = m * n that the B1 kernel loops over.
 
-    psi must be nontrivial on m, for the parts of chi and, when given, for
-    those of its twist `twin`.  Among such sides the split nearest
-    sqrt(f), the least max(m, n), is taken, and of its two sides the
-    smaller m, so the Python loop runs over the smaller side.  The two
-    exponent tables then take m + n bytes, and the prefix sums of lambda
-    at most one block of ints on top: all n of them when n <= _BLOCK,
-    else _BLOCK at a time.
+    `decodes` are the `_decode` lists of one or two characters on one
+    modulus, and psi must be nontrivial on m for each.  Among such sides
+    the split nearest sqrt(f), the least max(m, n), is taken, and of its
+    two sides the smaller m, so the Python loop runs over the smaller
+    side.  The two exponent tables then take m + n bytes, and the prefix
+    sums of lambda at most one block of ints on top: all n of them when
+    n <= _BLOCK, else _BLOCK at a time.
 
-    Sides are bit masks over `parts`, each m one product from the side
-    without its lowest part.  The moduli are coprime, so distinct sides
+    Sides are bit masks over the prime powers, each m one product from
+    the side without its lowest part, and the side is returned as parts
+    of the first character.  The moduli are coprime, so distinct sides
     have distinct m and the least one is unique.
     """
+    parts = decodes[0]
     moduli = [g.modulus for g, _ in parts]
-    need_a = sum(1 << i for i, (_, values) in enumerate(parts) if any(values))
-    need_b = need_a if twin is None else sum(
-        1 << i for i, (_, values) in enumerate(twin) if any(values))
+    need_a, need_b = (sum(1 << i for i, (_, values) in enumerate(d) if any(values))
+                      for d in (parts, decodes[-1]))
     f = math.prod(moduli)
     # (max(m, n), m) as the one integer max(m, n) * f + m <= f * f + f, since m <= f
     sizes, best, best_mask = [1], f * f + f + 1, 0

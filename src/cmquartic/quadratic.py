@@ -7,12 +7,12 @@ cycles.  Shipped imaginary ones come from the B1 values of Kronecker
 characters (`dirichlet`), so the form count `class_number_imaginary`
 exists as a cross-check.
 
-`quadratic_field` keeps the last FIELD_MEMO_SIZE fields it built, so the
-real quadratic subfield Q(sqrt(t^2+1)) shared by both members of a pair,
-a family and both field kinds is built once per t.  A memoized field
-caches the factorization of its discriminant, its fundamental unit and,
-for a real field, its class number and its regulator at each precision
-asked for, so what K+ fixes is computed once and lives as long as K+.
+`quadratic_field` keeps the last FIELD_MEMO_SIZE real fields it built, so
+the real quadratic subfield Q(sqrt(t^2+1)) shared by both members of a
+pair, a family and both field kinds is built once per t.  A field caches
+the factorization of its discriminant, its fundamental unit and, for a
+real field, its class number and its regulator at each precision asked
+for, so what K+ fixes is computed once and lives as long as K+.
 """
 
 from __future__ import annotations
@@ -70,25 +70,30 @@ class QuadraticUnit:
     norm: int
 
 
-#: fields kept by `quadratic_field`: one pair or family step needs K+ and a few
-#: imaginary subfields, and a bound keeps a long run from growing
+#: real fields kept by `quadratic_field`: every pair or family step at one t
+#: reads K+, and a bound keeps a long run from growing
 FIELD_MEMO_SIZE = 16
 
 
 def quadratic_field(m: int) -> QuadraticField:
     """Field of sqrt(m); the radicand is normalized to its square-free part.
 
-    One of the last FIELD_MEMO_SIZE fields built, when m was asked for then.
+    For m > 0, one of the last FIELD_MEMO_SIZE real fields built, when m
+    was asked for then.  An imaginary field is built anew: the imaginary
+    subfields of a pair are read by that pair only, and kept they would
+    evict K+.
     """
     if m in (0, 1):
         raise DomainError(f"m = {m} does not define a quadratic field", code="E_PARAM_ZERO")
-    return _field_memo(m)
+    return _field_memo(m) if m > 0 else _new_field(m)
 
 
-@lru_cache(maxsize=FIELD_MEMO_SIZE)
-def _field_memo(m: int) -> QuadraticField:
+def _new_field(m: int) -> QuadraticField:
     f = factor(m)
     return _field_of(f.sign, {p for p, e in f.factors if e & 1})
+
+
+_field_memo = lru_cache(maxsize=FIELD_MEMO_SIZE)(_new_field)
 
 
 def _field_of(sign: int, primes: set[int]) -> QuadraticField:

@@ -1,7 +1,8 @@
 """Independent routes that only the tests use: an analytic class number, a
 tolerance check on high-precision reals, a parity-first enumeration of
-the characters that square to a quadratic character, h^- as a product of
-Gaussian rationals, and the B1 split chosen by a search over every side.
+the characters that square to a quadratic character, arithmetic in Q(i)
+and h^- as a product of Gaussian rationals, and the B1 split chosen by a
+search over every side.
 
 Nothing in `cmquartic` calls these, so they live beside the tests that
 cross-check the shipped routes with them.
@@ -17,7 +18,7 @@ import mpmath
 from mpmath import mpf
 
 from cmquartic.arith import kronecker
-from cmquartic.dirichlet import I_POWERS, DirichletCharacter, components, unit_group
+from cmquartic.dirichlet import DirichletCharacter, GaussianRational, components, unit_group
 from cmquartic.errors import ConsistencyError, DomainError, PrecisionError
 from cmquartic.precision import GUARD_BITS, HighPrecReal, workprec
 from cmquartic.quadratic import QuadraticField, is_fundamental_discriminant, regulator
@@ -109,6 +110,28 @@ def characters_squaring_to(f: int, D: int) -> list[DirichletCharacter]:
     return [DirichletCharacter(f, v) for v in vectors]
 
 
+#: the four powers of i as exact Gaussian rationals
+I_POWERS = tuple(GaussianRational(Fraction(re), Fraction(im))
+                 for re, im in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+
+
+def gaussian_sum(*values: GaussianRational) -> GaussianRational:
+    return GaussianRational(sum(z.re for z in values), sum(z.im for z in values))
+
+
+def gaussian_product(*values: GaussianRational) -> GaussianRational:
+    prod = I_POWERS[0]
+    for z in values:
+        prod = GaussianRational(prod.re * z.re - prod.im * z.im, prod.re * z.im + prod.im * z.re)
+    return prod
+
+
+def character_value(chi: DirichletCharacter, a: int) -> GaussianRational:
+    """chi(a) as a Gaussian rational: i^k from `value_exponent`, or 0."""
+    k = chi.value_exponent(a)
+    return GaussianRational(Fraction(0), Fraction(0)) if k is None else I_POWERS[k]
+
+
 def relative_class_number_by_fractions(b1_values, Q: int, w: int) -> int:
     """h^- = Q * w * prod(-B1/2), with the product taken in Gaussian rationals.
 
@@ -116,7 +139,7 @@ def relative_class_number_by_fractions(b1_values, Q: int, w: int) -> int:
     product in Gaussian integers over one denominator; both raise the same
     errors with the same messages.
     """
-    prod = math.prod(b1_values, start=I_POWERS[0])
+    prod = gaussian_product(*b1_values)
     if prod.im != 0:
         raise ConsistencyError("the product of the B1 values is not real")
     h = Fraction(Q * w, (-2) ** len(b1_values)) * prod.re

@@ -13,7 +13,6 @@ from cmquartic.dirichlet import (
     NONUNIT,
     DirichletCharacter,
     GaussianRational,
-    I_POWERS,
     bernoulli_B1,
     characters_of_order_dividing_4,
     components,
@@ -25,8 +24,12 @@ from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import class_number_imaginary, is_fundamental_discriminant
 
 from oracles import (
+    I_POWERS,
+    character_value,
     characters_squaring_to,
     component_lifts,
+    gaussian_product,
+    gaussian_sum,
     loop_side_by_combinations,
     square_parities,
 )
@@ -135,12 +138,12 @@ B1_MODULI = (3, 4, 5, 8, 16, 32, 30, 60, 120, 240, 480, 195, 390, 819,
 
 def test_gaussian_rational_arithmetic():
     i = I_POWERS[1]
-    assert i * i == I_POWERS[2]
-    assert i * i * i == I_POWERS[3]
-    assert i * I_POWERS[3] == I_POWERS[0]
+    assert gaussian_product(i, i) == I_POWERS[2]
+    assert gaussian_product(i, i, i) == I_POWERS[3]
+    assert gaussian_product(i, I_POWERS[3]) == I_POWERS[0]
     z = GaussianRational(Fraction(2, 3), Fraction(-1, 5))
     assert z.conjugate().conjugate() == z
-    assert (z + z.conjugate()).im == 0
+    assert gaussian_sum(z, z.conjugate()).im == 0
 
 
 def test_unit_group_structure():
@@ -202,9 +205,9 @@ def test_character_values_multiplicative():
 
 def test_quartic_character_mod_5():
     chi = DirichletCharacter(5, (1,))
-    assert chi(2) == I_POWERS[1]
-    assert chi(4) == I_POWERS[2]
-    assert chi(3) == I_POWERS[3]
+    assert character_value(chi, 2) == I_POWERS[1]
+    assert character_value(chi, 4) == I_POWERS[2]
+    assert character_value(chi, 3) == I_POWERS[3]
     assert chi.order == 4
     assert chi.is_odd()
     assert chi.conductor() == 5
@@ -311,8 +314,9 @@ def test_bernoulli_eight_prime_powers():
     primitive = DirichletCharacter(85, (1, 2))
     expected = reference_B1(primitive)
     for p in (2, 3, 7, 11, 13, 19):
-        assert primitive(p) != I_POWERS[0]
-        expected = expected * (I_POWERS[0] + I_POWERS[2] * primitive(p))
+        assert character_value(primitive, p) != I_POWERS[0]
+        expected = gaussian_product(expected, gaussian_sum(
+            I_POWERS[0], gaussian_product(I_POWERS[2], character_value(primitive, p))))
     assert bernoulli_B1(chi) == expected == grid_B1(chi)
 
 
@@ -344,14 +348,17 @@ _PRIME_POWERS = {2: (2, 4, 8, 16, 32), 3: (3, 9, 27), 5: (5, 25), 7: (7, 49),
                  11: (11,), 13: (13,), 17: (17,), 29: (29,), 37: (37,)}
 
 
-def _draw_odd_character(hypothesis, data, max_primes: int) -> DirichletCharacter:
-    """An odd nontrivial character on a modulus f <= 20,000 built from 2 to
-    `max_primes` of the prime powers above, with random exponents."""
+def _draw_odd_character(hypothesis, data, max_primes: int,
+                        f: int | None = None) -> DirichletCharacter:
+    """An odd nontrivial character with random exponents, on the modulus f when
+    given, else on a modulus f <= 20,000 built from 2 to `max_primes` of the
+    prime powers above."""
     st = hypothesis.strategies
-    primes = data.draw(st.lists(st.sampled_from(sorted(_PRIME_POWERS)),
-                                min_size=2, max_size=max_primes, unique=True))
-    f = math.prod(data.draw(st.sampled_from(_PRIME_POWERS[p])) for p in primes)
-    hypothesis.assume(f <= 20_000)
+    if f is None:
+        primes = data.draw(st.lists(st.sampled_from(sorted(_PRIME_POWERS)),
+                                    min_size=2, max_size=max_primes, unique=True))
+        f = math.prod(data.draw(st.sampled_from(_PRIME_POWERS[p])) for p in primes)
+        hypothesis.assume(f <= 20_000)
     exps = tuple(data.draw(st.sampled_from((0, 1, 2, 3) if c.order % 4 == 0 else (0, 2)))
                  for c in components(f))
     chi = DirichletCharacter(f, exps)
@@ -562,13 +569,21 @@ def test_twin_B1_matches_reference_for_random_twists(block, monkeypatch):
     # B1 of chi and of chi_b = chi * eps or its conjugate from one pass, against
     # the stepped logs, for random odd chi and twists eps of order 2 at one
     # prime power: eps falls on the loop side (keys k_a + 8 k_b) and on
-    # lambda's side (two lambda tables); a block of 7 residues sends every
-    # split with n > 7 down the blocked route
+    # lambda's side (two lambda tables).  The kernel itself takes any two odd
+    # characters on one modulus, drawn independently: they agree on the loop
+    # side or not, and on lambda's side or not.  A block of 7 residues sends
+    # every split with n > 7 down the blocked route
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     route = "one block" if block == dirichlet._BLOCK else "blocked"
     monkeypatch.setattr(dirichlet, "_BLOCK", block)
-    seen = set()
+    seen, pairs = set(), set()
+
+    def split(chi, chi_b):
+        """(the loop side of the pair's split as parts of chi, its route)."""
+        side = dirichlet._loop_side(chi._decode, chi_b._decode)
+        n = chi.modulus // math.prod(g.modulus for g, _ in side)
+        return side, "one block" if n <= block else "blocked"
 
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.data())
@@ -584,15 +599,34 @@ def test_twin_B1_matches_reference_for_random_twists(block, monkeypatch):
             assert twin_bernoulli_B1(chi, chi_b, eps) == (reference_B1(chi), reference_B1(chi_b))
         finally:
             stepped_logs.cache_clear()
-        side = dirichlet._loop_side(chi._decode, twin._decode)
+        side, at_route = split(chi, twin)
         at = next(i for i, (_, values) in enumerate(eps._decode) if any(values))
-        n = math.prod(g.modulus for g, _ in chi._decode) // math.prod(g.modulus for g, _ in side)
-        seen.add(("loop side" if chi._decode[at] in side else "lambda side",
-                  "one block" if n <= block else "blocked", chi_b == twin))
+        seen.add(("loop side" if chi._decode[at] in side else "lambda side", at_route,
+                  chi_b == twin))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check_pair(data):
+        chi = _draw_odd_character(hypothesis, data, max_primes=3)
+        chi_b = _draw_odd_character(hypothesis, data, max_primes=3, f=chi.modulus)
+        try:
+            assert dirichlet._bernoulli_B1s((chi, chi_b)) == [reference_B1(chi),
+                                                              reference_B1(chi_b)]
+        finally:
+            stepped_logs.cache_clear()
+        side, pair_route = split(chi, chi_b)
+        agree = [(part in side, part == part_b)
+                 for part, part_b in zip(chi._decode, chi_b._decode)]
+        pairs.add((all(same for inside, same in agree if inside),
+                   all(same for inside, same in agree if not inside), pair_route))
 
     check()
     assert seen >= {(side, route, same) for side in ("loop side", "lambda side")
                     for same in (True, False)}, seen
+    check_pair()
+    # (loop sides equal, lambda sides equal), each way on this route
+    assert pairs >= {(loop, lam, route) for loop in (True, False)
+                     for lam in (True, False)}, pairs
 
 
 def test_twin_B1_requires_a_twist_of_order_2_at_one_prime_power():

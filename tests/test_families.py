@@ -530,16 +530,39 @@ def test_family_factors_t_squared_plus_one_once(monkeypatch):
             assert seen.count(t * t + 1) == 1, (family.__name__, t)
 
 
+#: admissible t: 3 or 5 (mod 8) with t^2+1 square-free
+_ADMISSIBLE_T = (5, 11, 13, 19, 21, 27, 29, 35, 37, 45, 51, 53, 59, 61, 67, 69, 75, 77, 83, 85)
+
+
 def test_field_memo_is_bounded():
-    # 40 pairs ask for 81 distinct fields; K+ is asked for by every pair and stays
+    # pairs at 20 values of t ask for 20 real fields, one K+ each; the memo
+    # keeps the last FIELD_MEMO_SIZE of them, and the last K+ stays
     from cmquartic import quadratic
 
-    biquadratic_family(5, 40)
+    for t in _ADMISSIBLE_T:
+        assert is_squarefree(t * t + 1) and t % 8 in (3, 5)
+        biquadratic_family(t, 1)
     info = quadratic._field_memo.cache_info()
     assert info.maxsize == quadratic.FIELD_MEMO_SIZE
     assert info.currsize == info.maxsize
-    quadratic.quadratic_field(26)
+    quadratic.quadratic_field(85 * 85 + 1)
     assert quadratic._field_memo.cache_info().hits == info.hits + 1
+
+
+def test_kplus_stays_in_the_memo_across_pairs_at_other_t(monkeypatch):
+    # each biquadratic pair's imaginary subfields Q(sqrt(-p)), Q(sqrt(-2p)) are
+    # built anew, so they cannot evict K+: pairs at t = 5, then a pair at each
+    # of 8 other t, then t = 5 again compute h(K+) once per t
+    from cmquartic import quadratic
+
+    class_numbers = _count_calls(monkeypatch, quadratic, "class_number_real")
+    others = _ADMISSIBLE_T[1:9]
+    biquadratic_family(5, 2, with_class_number=True)
+    for t in others:
+        biquadratic_family(t, 1, with_class_number=True)
+    reports = biquadratic_family(5, 2, with_class_number=True)
+    assert all(rep.class_a and rep.class_b for rep in reports)
+    assert [F.radicand for (F,) in class_numbers] == [t * t + 1 for t in (5, *others)]
 
 
 def test_cm_regulator_rescales_once_per_kplus_precision_and_q(monkeypatch):
