@@ -25,7 +25,6 @@ from .errors import (
     CMQuarticError,
     ConsistencyError,
     DomainError,
-    PrecisionError,
 )
 from .families import (
     FamilyReport,
@@ -64,7 +63,6 @@ __all__ = [
     "GaussianRational",
     "HighPrecReal",
     "PairReport",
-    "PrecisionError",
     "QuadraticField",
     "QuadraticUnit",
     "SieveReport",

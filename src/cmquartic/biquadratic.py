@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import Factorization, squarefree_part
+from .arith import Factorization, is_squarefree
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
 from .dirichlet import bernoulli_B1, kronecker_character
 from .errors import ConsistencyError, DomainError
@@ -128,7 +128,7 @@ def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:
     for name, m in (("m1", m1), ("m2", m2)):
         if m <= 1:
             raise DomainError(f"{name} = {m} must exceed 1", precondition=f"{name} > 1")
-        if squarefree_part(m).cofactor != 1:
+        if not is_squarefree(m):
             raise DomainError(f"{name} = {m} is not square-free",
                               precondition=f"{name} square-free")
         if m % 4 != 1:

@@ -28,7 +28,7 @@ from . import biquadratic as bq
 from . import cyclic_quartic as cq
 from . import families
 from .arith import Factorization
-from .errors import ConsistencyError, DomainError, PrecisionError
+from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 
 SCHEMA_VERSION = "cmq/1"
@@ -259,9 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args)
     except DomainError as exc:
         _emit_error(exc.code, str(exc), exc.precondition)
-        return 2
-    except PrecisionError as exc:
-        _emit_error(exc.code, str(exc), None)
         return 2
     except ConsistencyError as exc:
         _emit_error(exc.code, str(exc), None)

@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .arith import Factorization, _root_count, _sqrt_or_none, factor, is_prime, squarefree_part
+from .arith import (Factorization, _root_count, _sqrt_or_none, factor, is_prime, is_squarefree,
+                    squarefree_part)
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
-from .dirichlet import (DirichletCharacter, bernoulli_B1, components, kronecker_character,
-                        twin_bernoulli_B1)
+from .dirichlet import (DirichletCharacter, _bernoulli_B1s, bernoulli_B1, components,
+                        kronecker_character)
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from .quadratic import QuadraticField, quadratic_field
@@ -109,7 +110,7 @@ def discriminant(K: CyclicQuarticField) -> Factorization:
             f"t = {t} is even: the radical form violates congruence condition (a)/(b) "
             "(c = 2 mod 8 requires t odd)", code="E_T_INADMISSIBLE",
             precondition="t odd")
-    if squarefree_part(s).cofactor != 1:
+    if not is_squarefree(s):
         raise DomainError(f"s = {s} is not square-free (nor twice a square-free odd number)",
                           precondition="s square-free")
     m_full = t * t + 1
@@ -253,12 +254,18 @@ def pair_class_numbers(Ka: CyclicQuarticField, Kb: CyclicQuarticField) -> tuple[
     """(h(Ka), h(Kb)) for the pair K(-p, t), K(-2p, t), both B1 from one pass.
 
     The members share f and the exponent of chi at every odd prime, so
-    chi_b is chi_a * (8|.) or its conjugate.  Each character is still built
-    and checked on its own; `twin_bernoulli_B1` requires the relation
-    between them and sums both B1 in one pass.
+    chi_b is chi_a * eps or its conjugate, with eps = (8|.) mod f (Hardy,
+    Hudson, Richman, Williams and Holtz, 1986).  Each character is still
+    built and checked on its own, and a chi_b that is neither is a
+    ConsistencyError.  One kernel pass sums chi_a and chi_a * eps: h reads
+    B1 only through B1 * conj(B1), so the conjugate gives the same h.
     """
     chi_a, chi_b = associated_quartic_character(Ka), associated_quartic_character(Kb)
-    b1_a, b1_b = twin_bernoulli_B1(chi_a, chi_b, kronecker_character(8, chi_a.modulus))
+    twin = chi_a * kronecker_character(8, chi_a.modulus)
+    if chi_b not in (twin, twin.conjugate()):
+        raise ConsistencyError(f"chi_b with exponents {chi_b.exponents} is neither chi_a * eps "
+                               f"{twin.exponents} nor its conjugate")
+    b1_a, b1_b = _bernoulli_B1s((chi_a, twin))
     return _class_number_from_b1(Ka, b1_a), _class_number_from_b1(Kb, b1_b)
 
 

@@ -29,12 +29,9 @@ One kernel, `_bernoulli_B1s`, serves one character (`bernoulli_B1`) or
 two on one modulus: one split, one loop over x and, on the blocked
 route, one sorted list of points.  Two characters share the side they
 agree on, one psi table or one walk of a lambda table, and nothing else
-about them is assumed.  `twin_bernoulli_B1` gives it chi and chi * eps,
-eps of order 2 at one prime power, as between the two members of a
-cyclic quartic pair, which agree everywhere but at eps's prime power.
-The pair does not share its checks: the caller builds and checks each
-character on its own, and `twin_bernoulli_B1` requires chi_b = chi_a *
-eps or its conjugate.
+about them is assumed: a caller that pairs two characters, like
+`cyclic_quartic.pair_class_numbers`, checks how they relate before it
+calls the kernel.
 """
 
 from __future__ import annotations
@@ -334,29 +331,6 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     sum is taken.
     """
     return _bernoulli_B1s((chi,))[0]
-
-
-def twin_bernoulli_B1(chi_a: DirichletCharacter, chi_b: DirichletCharacter,
-                      eps: DirichletCharacter) -> tuple[GaussianRational, GaussianRational]:
-    """(B1(chi_a), B1(chi_b)) from one pass, where chi_b is chi_a * eps or its conjugate.
-
-    eps has order 2 and is nontrivial at one prime power of the modulus
-    only, like (8|.) between the members of a cyclic quartic pair.  chi_b
-    is built and checked apart from chi_a by the caller, so a chi_b that
-    is neither chi_a * eps nor its conjugate is a ConsistencyError.  The
-    kernel sums chi_a and chi_a * eps, which differ at one prime power
-    only, and B1(conj chi) = conj B1(chi) covers the conjugate.
-    """
-    twin = chi_a * eps
-    conjugate = chi_b != twin
-    if conjugate and chi_b != twin.conjugate():
-        raise ConsistencyError(f"chi_b with exponents {chi_b.exponents} is neither chi_a * eps "
-                               f"{twin.exponents} nor its conjugate")
-    if eps.order != 2 or sum(any(values) for _, values in eps._decode) != 1:
-        raise DomainError("the twist must have order 2 and be nontrivial at one prime power",
-                          precondition="eps quadratic at one prime power")
-    b1_a, b1_b = _bernoulli_B1s((chi_a, twin if conjugate else chi_b))
-    return b1_a, b1_b.conjugate() if conjugate else b1_b
 
 
 def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...]) -> list[GaussianRational]:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by every module.
 
-Exit-code contract of the CLI: DomainError family and PrecisionError
--> 2, ConsistencyError and any unexpected exception -> 3, verification
+Exit-code contract of the CLI: DomainError family -> 2,
+ConsistencyError and any unexpected exception -> 3, verification
 mismatch -> 1.  No search takes a budget: a search that fails to settle
 its answer (such as the character selection of a cyclic quartic field)
 is a ConsistencyError.
@@ -21,12 +21,6 @@ class DomainError(CMQuarticError, ValueError):
         super().__init__(message)
         self.code = code
         self.precondition = precondition
-
-
-class PrecisionError(CMQuarticError, ArithmeticError):
-    """A floating-point result could not be rounded safely."""
-
-    code = "E_PRECISION"
 
 
 class ConsistencyError(CMQuarticError, AssertionError):

@@ -44,9 +44,6 @@ class QuadraticField:
     radicand: int
     fund_disc: int
 
-    def label(self) -> str:
-        return f"Q(sqrt({self.radicand}))"
-
     def radicand_primes(self) -> set[int]:
         """The primes of the radicand: those of odd exponent in the discriminant."""
         return {p for p, e in self.disc_factors.factors if e & 1}
@@ -218,19 +215,15 @@ def narrow_class_number_real(D: int) -> int:
     return cycles
 
 
-def _floor_quotient(P: int, Q: int, sq: int) -> int:
-    """floor((P + sqrt(m)) / Q) given sq = isqrt(m), exact for irrational sqrt(m)."""
-    if Q > 0:
-        return (P + sq) // Q
-    return (P + sq + 1) // Q
-
-
 def fundamental_unit(field: QuadraticField) -> QuadraticUnit:
     """Fundamental unit > 1 of the maximal order, by the PQa expansion.
 
     Expands w = sqrt(m) (m = 2, 3 mod 4) or w = (1 + sqrt(m))/2 (m = 1 mod 4)
-    as (P + sqrt(m))/Q.  The first return of Q to its starting value 1 or 2
-    ends the period, and p - q*conj(w) is the unit for the last convergent p/q.
+    as (P + sqrt(m))/Q.  Q starts at 1 or 2 and stays positive, since every
+    complete quotient after the first is reduced, so the partial quotient
+    floor((P + sqrt(m))/Q) is (P + isqrt(m)) // Q.  The first return of Q
+    to its starting value ends the period, and p - q*conj(w) is the unit
+    for the last convergent p/q.
     """
     m = field.radicand
     if m <= 1:
@@ -242,7 +235,7 @@ def fundamental_unit(field: QuadraticField) -> QuadraticUnit:
     p1, p0 = 1, 0
     q1, q0 = 0, 1
     while True:
-        a = _floor_quotient(P, Q, sq)
+        a = (P + sq) // Q
         p1, p0 = a * p1 + p0, p1
         q1, q0 = a * q1 + q0, q1
         P = a * Q - P

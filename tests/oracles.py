@@ -19,7 +19,7 @@ from mpmath import mpf
 
 from cmquartic.arith import kronecker
 from cmquartic.dirichlet import DirichletCharacter, GaussianRational, components, unit_group
-from cmquartic.errors import ConsistencyError, DomainError, PrecisionError
+from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.precision import GUARD_BITS, HighPrecReal, workprec
 from cmquartic.quadratic import QuadraticField, is_fundamental_discriminant, regulator
 
@@ -58,8 +58,8 @@ def analytic_class_number_oracle(D: int, precision_bits: int = 64) -> int:
             residual = abs(approx - h)
             if residual <= mpf("0.4") and h >= 1:
                 return h
-    raise PrecisionError(f"analytic class number for D={D} did not settle "
-                         f"(residual {float(residual):.3f})")
+    raise ArithmeticError(f"analytic class number for D={D} did not settle "
+                          f"(residual {float(residual):.3f})")
 
 
 def agrees_with(x: HighPrecReal, y: HighPrecReal, rel_tol_bits: int) -> bool:

@@ -27,8 +27,7 @@ from cmquartic.cyclic_quartic import (
     same_field,
 )
 from cmquartic.dirichlet import (DirichletCharacter, GaussianRational, bernoulli_B1,
-                                 characters_of_order_dividing_4, kronecker_character,
-                                 twin_bernoulli_B1, unit_group)
+                                 characters_of_order_dividing_4, kronecker_character, unit_group)
 from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import class_number_real, quadratic_field
 
@@ -405,10 +404,13 @@ def test_pair_B1_from_one_pass_equals_two_single_passes():
     for t, p in ((5, 29), (5, 31), (5, 37), (5, 41), (11, 127), (11, 131), (13, 173), (13, 179)):
         chi_a = associated_quartic_character(CyclicQuarticField(-p, t))
         chi_b = associated_quartic_character(CyclicQuarticField(-2 * p, t))
-        eps = kronecker_character(8, chi_a.modulus)
-        assert twin_bernoulli_B1(chi_a, chi_b, eps) == (bernoulli_B1(chi_a), bernoulli_B1(chi_b))
-        sides.add((chi_b == chi_a * eps, any(g.p == 2 for g, _ in
-                                              dirichlet._loop_side(chi_a._decode))))
+        twin = chi_a * kronecker_character(8, chi_a.modulus)
+        b1_a, b1_twin = dirichlet._bernoulli_B1s((chi_a, twin))
+        assert b1_a == bernoulli_B1(chi_a)
+        # B1(conj chi) = conj B1(chi)
+        assert (b1_twin if chi_b == twin else b1_twin.conjugate()) == bernoulli_B1(chi_b)
+        sides.add((chi_b == twin, any(g.p == 2 for g, _ in
+                                      dirichlet._loop_side(chi_a._decode))))
     assert sides == {(False, False), (False, True)}, sides
 
 

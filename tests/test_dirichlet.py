@@ -17,10 +17,9 @@ from cmquartic.dirichlet import (
     characters_of_order_dividing_4,
     components,
     kronecker_character,
-    twin_bernoulli_B1,
     unit_group,
 )
-from cmquartic.errors import ConsistencyError, DomainError
+from cmquartic.errors import DomainError
 from cmquartic.quadratic import class_number_imaginary, is_fundamental_discriminant
 
 from oracles import (
@@ -201,6 +200,9 @@ def test_character_values_multiplicative():
                         assert vab is None
                     else:
                         assert vab == (va + vb) % 4
+    # characters multiply only on one modulus
+    with pytest.raises(DomainError, match="do not multiply"):
+        DirichletCharacter(5, (1,)) * DirichletCharacter(16, (0, 1))
 
 
 def test_quartic_character_mod_5():
@@ -596,7 +598,10 @@ def test_twin_B1_matches_reference_for_random_twists(block, monkeypatch):
         hypothesis.assume(twin.order > 1)
         chi_b = data.draw(st.sampled_from((twin, twin.conjugate())))
         try:
-            assert twin_bernoulli_B1(chi, chi_b, eps) == (reference_B1(chi), reference_B1(chi_b))
+            b1, b1_twin = dirichlet._bernoulli_B1s((chi, twin))
+            assert b1 == reference_B1(chi)
+            # B1(conj chi) = conj B1(chi)
+            assert (b1_twin if chi_b == twin else b1_twin.conjugate()) == reference_B1(chi_b)
         finally:
             stepped_logs.cache_clear()
         side, at_route = split(chi, twin)
@@ -627,21 +632,6 @@ def test_twin_B1_matches_reference_for_random_twists(block, monkeypatch):
     # (loop sides equal, lambda sides equal), each way on this route
     assert pairs >= {(loop, lam, route) for loop in (True, False)
                      for lam in (True, False)}, pairs
-
-
-def test_twin_B1_requires_a_twist_of_order_2_at_one_prime_power():
-    chi = DirichletCharacter(80, (0, 1, 1))  # on the generators -1 and 5 mod 16, 2 mod 5
-    assert chi.is_odd()
-    eps = kronecker_character(8, 80)
-    assert eps.exponents == (0, 2, 0)
-    assert twin_bernoulli_B1(chi, chi * eps, eps) == (bernoulli_B1(chi), bernoulli_B1(chi * eps))
-    # chi itself is neither chi * eps nor its conjugate
-    with pytest.raises(ConsistencyError, match="neither chi_a \\* eps"):
-        twin_bernoulli_B1(chi, chi, eps)
-    # order 4, and order 2 at two prime powers
-    for bad in (DirichletCharacter(80, (0, 0, 1)), DirichletCharacter(80, (0, 2, 2))):
-        with pytest.raises(DomainError, match="one prime power"):
-            twin_bernoulli_B1(chi, chi * bad, bad)
 
 
 def test_kronecker_character_on_a_multiple_of_its_modulus():

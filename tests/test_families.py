@@ -355,7 +355,7 @@ def _count_calls(monkeypatch, module, name):
 def test_cyclic_pair_computes_each_class_number_once(monkeypatch):
     from cmquartic import cyclic_quartic as cq
 
-    calls = _count_calls(monkeypatch, cq, "twin_bernoulli_B1")
+    calls = _count_calls(monkeypatch, cq, "_bernoulli_B1s")
     rep = cyclic_pair_report(5, 29, with_class_number=True)
     assert len(calls) == 1
     assert (rep.class_a, rep.class_b) == (360, 1352)

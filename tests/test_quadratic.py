@@ -9,7 +9,6 @@ from cmquartic.errors import DomainError
 from cmquartic.quadratic import (
     QuadraticField,
     QuadraticUnit,
-    _floor_quotient,
     class_number_imaginary,
     class_number_real,
     fundamental_unit,
@@ -139,7 +138,7 @@ def reference_unit(m):
     states = []
     while (P, Q) not in seen:
         seen[(P, Q)] = len(partials)
-        a = _floor_quotient(P, Q, sq)
+        a = (P + sq) // Q
         partials.append(a)
         states.append((P, Q))
         P = a * Q - P
