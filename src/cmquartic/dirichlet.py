@@ -20,10 +20,14 @@ repetition (CRT periodicity) and big-integer addition.  The Python loop
 runs over the units of the smaller part m, only those below m/2 when
 lambda is nontrivial, and reads the prefix sum of lambda at each point
 by one list index.  When lambda's table has n <= 2^16 residues its
-prefix is one `itertools.accumulate` list, read in a single pass; beyond
-that the points are sorted and the prefix is built one block of 2^16
-residues at a time.  Either way memory is m + n bytes plus at most one
-block of ints.
+prefix is one `itertools.accumulate` list per column, read in a single
+pass and kept with lambda's table in a bounded memo (`LAMBDA_MEMO_SIZE`
+= 16 lambda sides), since the members of a pair and the pairs at one t
+read the same lambda at 2 and at the primes of t^2 + 1.  Beyond that the
+points are sorted and the prefix is built one block of 2^16 residues at
+a time, and memory is m + n bytes plus at most one block of ints.  On
+the one-block route it is m bytes plus the memo, at worst 16 entries of
+at most two lists of 65,537 ints and a table of at most 65,536 bytes.
 
 One kernel, `_bernoulli_B1s`, serves one character (`bernoulli_B1`) or
 two on one modulus: one split, one loop over x and, on the blocked
@@ -418,14 +422,19 @@ def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...]) -> list[GaussianRation
         if lam_parts != walked:
             # lambda's prefix columns, the real part and, only when lambda
             # takes the values +-i, the imaginary part, as prefix lists in
-            # one block or as class sums over the blocks
-            walked, lam = lam_parts, _exponent_table(lam_parts)
-            quartic, rotation = 1 in lam or 3 in lam, lam[m % n]
-            columns = [_prefix(lam, part) if n <= _BLOCK
-                       else _prefix_class_sums(points, lam, part, width)
-                       for part in (_RE, _IM)[:1 + quartic]]
+            # one block, kept per lambda by `_lambda_columns`, or as class
+            # sums over the blocks
+            walked = lam_parts
+            if n <= _BLOCK:
+                lam, quartic, columns = _lambda_columns(tuple(lam_parts))
+                sums = _one_block_sums(xs, mbar, columns)
+            else:
+                lam = _exponent_table(lam_parts)
+                quartic = 1 in lam or 3 in lam
+                sums = [_prefix_class_sums(points, lam, part, width)
+                        for part in (_RE, _IM)[:1 + quartic]]
+            rotation = lam[m % n]
             del lam
-            sums = _one_block_sums(xs, mbar, columns) if n <= _BLOCK else columns
         # re[k] + i*im[k] sums P(c_x) over the visited x with psi_j(x) = i^k
         re, im, sh = sums[0], sums[1] if quartic else [0] * 4, shift
         if keyed:  # from the keys k_a + 8 k_b
@@ -443,6 +452,28 @@ def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...]) -> list[GaussianRation
             a, b = -b, a
         out.append(GaussianRational(Fraction(a, f), Fraction(b, f)))
     return out
+
+
+#: lambda sides whose one-block prefix columns `_lambda_columns` keeps: the
+#: pairs at one t share K+, so the members of a pair and the pairs of a
+#: family read the same lambda at 2 and at the primes of t^2 + 1
+LAMBDA_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=LAMBDA_MEMO_SIZE)
+def _lambda_columns(lam_parts: tuple) -> tuple[bytes, bool, list[list[int]]]:
+    """(lambda's exponent table, whether lambda takes the values +-i, its prefix
+    columns) for a lambda table of n <= _BLOCK residues.
+
+    `lam_parts` are lambda's (local group, values) pairs, so the key is each
+    prime power's modulus and value map: (8|.) and (-8|.) share the modulus
+    8 and differ in their values.  The columns are the prefix lists of the
+    real part and, when lambda is quartic, of the imaginary part, each
+    n + 1 ints that callers only read.
+    """
+    lam = _exponent_table(lam_parts)
+    quartic = 1 in lam or 3 in lam
+    return lam, quartic, [_prefix(lam, part) for part in (_RE, _IM)[:1 + quartic]]
 
 
 def _prefix(lam: bytes, part: bytes, initial: int = 0) -> list[int]:
@@ -509,7 +540,8 @@ def _loop_side(*decodes):
     two sides the smaller m, so the Python loop runs over the smaller
     side.  The two exponent tables then take m + n bytes, and the prefix
     sums of lambda at most one block of ints on top: all n of them when
-    n <= _BLOCK, else _BLOCK at a time.
+    n <= _BLOCK, kept with lambda's table in the `_lambda_columns` memo,
+    else _BLOCK at a time.
 
     Sides are bit masks over the prime powers, each m one product from
     the side without its lowest part, and the side is returned as parts

@@ -9,6 +9,7 @@ import pytest
 from cmquartic import dirichlet
 from cmquartic.arith import kronecker
 from cmquartic.dirichlet import (
+    LAMBDA_MEMO_SIZE,
     LOCAL_TABLE_CAP,
     NONUNIT,
     DirichletCharacter,
@@ -632,6 +633,47 @@ def test_twin_B1_matches_reference_for_random_twists(block, monkeypatch):
     # (loop sides equal, lambda sides equal), each way on this route
     assert pairs >= {(loop, lam, route) for loop in (True, False)
                      for lam in (True, False)}, pairs
+
+
+def test_B1_through_the_lambda_memo_cold_warm_and_evicted():
+    # the one-block lambda columns are kept per lambda side, keyed by each
+    # prime power's modulus and value map: odd characters on one modulus
+    # often share lambda's moduli and differ in its values, so a key on the
+    # moduli alone would hand one lambda's prefix lists to another.  Every
+    # odd character of B1_MODULI, alone and with the next one on its
+    # modulus, against the stepped logs: with the memo emptied before each
+    # call, then twice in turn, through more distinct lambda sides than the
+    # memo keeps
+    memo = dirichlet._lambda_columns
+    chars = [chi for f in B1_MODULI for chi in odd_nontrivial(f)]
+    expected = {chi: reference_B1(chi) for chi in chars}
+    calls = [(chi,) for chi in chars] + [
+        (chi, chi_b) for chi, chi_b in zip(chars, chars[1:]) if chi.modulus == chi_b.modulus]
+    sides, kinds = set(), set()
+    for chis in calls:
+        side = dirichlet._loop_side(*(chi._decode for chi in chis))
+        inside = [part in side for part in chis[0]._decode]
+        for chi in chis:
+            lam = tuple(part for part, i in zip(chi._decode, inside) if not i)
+            table = dirichlet._exponent_table(lam)
+            assert len(table) <= dirichlet._BLOCK
+            sides.add(lam)
+            kinds.add("quartic" if 1 in table or 3 in table else "real" if 2 in table
+                      else "trivial")
+    assert kinds == {"trivial", "real", "quartic"}
+    assert len(sides) > LAMBDA_MEMO_SIZE
+    for chis in calls:
+        memo.cache_clear()
+        assert dirichlet._bernoulli_B1s(chis) == [expected[chi] for chi in chis], chis
+    memo.cache_clear()
+    for _ in range(2):
+        for chis in calls:
+            assert dirichlet._bernoulli_B1s(chis) == [expected[chi] for chi in chis], chis
+            assert memo.cache_info().currsize <= LAMBDA_MEMO_SIZE
+    info = memo.cache_info()
+    # warm calls read the memo, and evicted sides were built again
+    assert info.maxsize == LAMBDA_MEMO_SIZE and info.currsize == LAMBDA_MEMO_SIZE
+    assert info.hits > 0 and info.misses > len(sides)
 
 
 def test_kronecker_character_on_a_multiple_of_its_modulus():

@@ -382,6 +382,20 @@ def test_biquadratic_pair_finds_each_primitive_root_once(monkeypatch):
     assert sorted(calls) == [(13,), (29,)]
 
 
+def test_biquadratic_family_builds_each_lambda_prefix_once(monkeypatch):
+    # the pairs at one t share K+, so their Kronecker characters share lambda
+    # sides: (-4p|.) and (-8p|.) read lambda = (.|p), and (-8pm'|.) and
+    # (-4pm'|.) read lambda on 8m' and 4m', fixed by t alone.  Each distinct
+    # lambda table's prefix list is built once: 10 over the 8 pairs at t = 61
+    from cmquartic import dirichlet
+
+    calls = _count_calls(monkeypatch, dirichlet, "_prefix")
+    reports = biquadratic_family(61, 8, with_class_number=True)
+    assert all(rep.class_a and rep.class_b for rep in reports)
+    assert all(len(lam) <= dirichlet._BLOCK for lam, _ in calls)
+    assert len(calls) == len(set(calls)) == 10
+
+
 def test_pair_runs_each_field_stage_once_per_field(monkeypatch):
     # disc(K), K+ and Q are built once per field and read from the field
     # object; K+ comes from the quadratic field memo, so its unit and h(K+)
