@@ -67,15 +67,11 @@ def hasse_index(K, radicands: tuple[int, ...]) -> int:
 def cm_regulator(K, precision_bits: int) -> HighPrecReal:
     """2 * reg(K+) / Q, the quartic CM regulator identity.
 
-    Kept on K+ by precision and Q, so the members of a pair or a family,
-    of either kind, rescale reg(K+) once.
+    Q is 1 or 2, so this is reg(K+) doubled, exactly, or reg(K+) itself,
+    read from K+ at each precision.
     """
-    key = (precision_bits, K.hasse_q)
-    reg = K.kplus.cm_regulators.get(key)
-    if reg is None:
-        reg = quadratic.regulator(K.kplus, precision_bits).scaled(2, K.hasse_q)
-        K.kplus.cm_regulators[key] = reg
-    return reg
+    reg = quadratic.regulator(K.kplus, precision_bits)
+    return reg if K.hasse_q == 2 else reg.doubled()
 
 
 def relative_class_number(b1_values, Q: int, w: int) -> int:

@@ -21,7 +21,7 @@ from .dirichlet import (DirichletCharacter, _bernoulli_B1s, bernoulli_B1, compon
                         kronecker_character)
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
-from .quadratic import QuadraticField, quadratic_field
+from .quadratic import FIELD_MEMO_SIZE, QuadraticField, quadratic_field
 
 
 @dataclass(frozen=True)
@@ -161,18 +161,14 @@ def _odd_primes_to(bound: int) -> tuple[int, ...]:
     return tuple(p for p in range(3, bound + 1, 2) if is_prime(p))
 
 
-def _root_table(kplus: QuadraticField) -> tuple[tuple[int, int | None], ...]:
-    """(q, a square root of the radicand of K+ mod q, or None) per odd prime q <= CHECK_BOUND.
+@lru_cache(maxsize=FIELD_MEMO_SIZE)
+def _root_table(radicand: int, bound: int) -> tuple[tuple[int, int | None], ...]:
+    """(q, a square root of the radicand mod q, or None) per odd prime q <= bound.
 
-    Kept on K+ by bound, so the members of a pair and the pairs of a
-    family work each square root out once.
+    Kept for as many radicands as the K+ memo keeps, so the members of a
+    pair and the pairs of a family work each square root out once.
     """
-    table = kplus.root_tables.get(CHECK_BOUND)
-    if table is None:
-        r = kplus.radicand
-        table = tuple((q, _sqrt_or_none(r, q)) for q in _odd_primes_to(CHECK_BOUND))
-        kplus.root_tables[CHECK_BOUND] = table
-    return table
+    return tuple((q, _sqrt_or_none(radicand, q)) for q in _odd_primes_to(bound))
 
 
 def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
@@ -195,9 +191,9 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     has 4 roots mod p, at every odd prime p <= CHECK_BOUND prime to
     2st*m*f, and chi has conductor f, which checks disc(K) = disc(K+) f^2
     apart from hsw_discriminant.  Only the square roots of m mod p are
-    shared, read from the table on K+ (`_root_table`, scaled by x for
-    m = x^2 * radicand); each field counts the roots of its own
-    polynomial, one Legendre power per prime, and checks its own
+    shared, read from the table of the radicand of K+ (`_root_table`,
+    scaled by x for m = x^2 * radicand); each field counts the roots of
+    its own polynomial, one Legendre power per prime, and checks its own
     conductor.  chi and its conjugate yield identical downstream values;
     the one with the smaller exponent vector is returned.
     """
@@ -227,7 +223,7 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     chi = DirichletCharacter(f, tuple(exps))
     excluded = 2 * s * t * m * f
     x = math.isqrt(m // K.kplus.radicand)  # m = x^2 * radicand
-    for p, r in _root_table(K.kplus):
+    for p, r in _root_table(K.kplus.radicand, CHECK_BOUND):
         if excluded % p:
             roots = _root_count(s, t, p, m % p, None if r is None else x * r % p)
             if (chi.value_exponent(p) == 0) != (roots == 4):

@@ -4,13 +4,16 @@ The unit group modulo f is the tuple of its local groups (Z/p^e)^*, one
 per prime power p^e of f.  Each local group holds its cyclic components,
 with deterministic generators (smallest primitive roots; -1 and 5 for
 the 2-power part), and its code table of discrete logs mod 4.
-`unit_group` keeps one tuple per modulus over `_local_table`, one bounded
-memo (`LOCAL_MEMO_SIZE`) per prime power, so moduli that share a prime,
-like the Kronecker moduli of a biquadratic pair, build its table and find
-its primitive root once.  A prime power above `LOCAL_TABLE_CAP` = 2^25
-is refused with a DomainError before its table is built.  A character is stored as one quarter-turn
-exponent per component, so every value is a power of i and all
-downstream sums stay in Q(i) exactly.
+`unit_group` keeps one tuple per modulus over `_local_table`, which keeps
+one local group per prime power, so moduli that share a prime, like the
+Kronecker moduli of a biquadratic pair, build its table and find its
+primitive root once.  Neither memo is bounded: every local group is held
+by the tuple of some modulus, so a bound on the per-prime-power memo
+would free nothing and could only rebuild a table still alive.  A prime
+power above `LOCAL_TABLE_CAP` = 2^25 is refused with a DomainError before
+its table is built.  A character is stored as one quarter-turn exponent
+per component, so every value is a power of i and all downstream sums
+stay in Q(i) exactly.
 
 B1 sums loop over the units of one part m of f, never over all f
 residues.  The modulus f is split by CRT into coprime parts m * n, chi
@@ -131,10 +134,6 @@ def components(modulus: int) -> list[CyclicComponent]:
     return [c for g in unit_group(modulus) for c in g.components]
 
 
-#: prime powers whose local group `_local_table` keeps: the four Kronecker
-#: moduli 4p, 8p, 4pm', 8pm' of a biquadratic pair share p
-LOCAL_MEMO_SIZE = 32
-
 #: largest prime power whose code table `_local_table` builds.  The table
 #: takes one byte and one Python step per residue, about 9 s and an 84 MB
 #: peak at the cap on a 2-vCPU Xeon VM, so a larger prime power in a
@@ -143,9 +142,14 @@ LOCAL_MEMO_SIZE = 32
 LOCAL_TABLE_CAP = 1 << 25
 
 
-@lru_cache(maxsize=LOCAL_MEMO_SIZE)
+@lru_cache(maxsize=None)
 def _local_table(p: int, e: int) -> LocalGroup:
-    """(Z/p^e)^*: its components and its code table, by stepping each generator."""
+    """(Z/p^e)^*: its components and its code table, by stepping each generator.
+
+    Kept per prime power with no bound, like the `unit_group` tuples that
+    hold every local group anyway: the four Kronecker moduli 4p, 8p, 4pm',
+    8pm' of a biquadratic pair share p.
+    """
     pe = p**e
     if pe > LOCAL_TABLE_CAP:
         raise DomainError(f"the prime power {p}^{e} = {pe} exceeds the code-table cap "

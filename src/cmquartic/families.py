@@ -206,11 +206,12 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
                  with_class_number: bool) -> PairReport:
     """Verified report for the pair of fields of `kind` at -p and -2p.
 
-    The members share K+, so reg(K+), 2 reg(K+) / Q and h(K+) are read from
-    it, computed once per t.  Class numbers come from the kind's pair
-    function: for the cyclic kind the square roots of t^2+1 that the
-    character checks read are kept on K+, and both B1 come from one pass,
-    while each member still builds and checks its own character.
+    The members share K+, so reg(K+) and h(K+) are read from it, computed
+    once per t, and 2 reg(K+) / Q is reg(K+) doubled exactly or itself.
+    Class numbers come from the kind's pair function: for the cyclic kind
+    the square roots of t^2+1 that the character checks read are kept per
+    radicand by `cyclic_quartic`, and both B1 come from one pass, while
+    each member still builds and checks its own character.
     """
     _require_admissible_t(t)
     m = t * t + 1
@@ -230,9 +231,10 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
         residue_a = dedekind_residue(inv_a, precision_bits)
         residue_b = dedekind_residue(inv_b, precision_bits)
     # independent of the PQa route: t^2+1 = 2 (mod 8) is square-free, so
-    # t + sqrt(t^2+1) is the fundamental unit of K+ and reg(K) = 2 log of it / Q
+    # |t| + sqrt(t^2+1) is the fundamental unit of K+, for either sign of t,
+    # and reg(K) = 2 log of it / Q
     with workprec(precision_bits):
-        unit_log = mpmath.log(t + mpmath.sqrt(m))
+        unit_log = mpmath.log(abs(t) + mpmath.sqrt(m))
         reg_equal = inv_a.hasse_q == inv_b.hasse_q and all(
             abs(inv.regulator.value - 2 * unit_log / inv.hasse_q) <= inv.regulator.error_bound
             for inv in (inv_a, inv_b))
@@ -293,14 +295,14 @@ def cyclic_family(t: int, count: int, precision_bits: int = 128,
 
 def same_regulator_family(kind: str, t: int, count: int,
                           precision_bits: int = 128) -> FamilyReport:
-    """`count` pairwise-distinct fields sharing the single regulator 2*log(t + sqrt(t^2+1))."""
+    """`count` pairwise-distinct fields sharing the single regulator 2*log(|t| + sqrt(t^2+1))."""
     _require_admissible_t(t)
     if kind not in _KINDS:
         raise DomainError(f"unknown family kind {kind!r}")
     m = t * t + 1
     family = _KINDS[kind]
     primes = primes_in_progression(m + 1, family.modulus, 1, count)
-    reg = quadratic.regulator(quadratic.quadratic_field(m), precision_bits).scaled(2, 1)
+    reg = quadratic.regulator(quadratic.quadratic_field(m), precision_bits).doubled()
     labels: list[str] = []
     seen_discs = set()
     for p in primes:

@@ -30,12 +30,10 @@ class HighPrecReal:
         dps = int(self.precision_bits * 0.30103) + 2
         return mpmath.nstr(self.value, dps, strip_zeros=False)
 
-    def scaled(self, num: int, den: int) -> "HighPrecReal":
-        """Exact rational rescale num/den; the error bound scales along."""
-        with mpmath.workprec(self.precision_bits + GUARD_BITS):
-            value = self.value * num / den
-            err = self.error_bound * abs(mpf(num)) / abs(den)
-        return HighPrecReal(value, err, self.precision_bits)
+    def doubled(self) -> "HighPrecReal":
+        """2 * self, exactly: ldexp moves the binary exponent, and the bound doubles along."""
+        return HighPrecReal(mpmath.ldexp(self.value, 1), mpmath.ldexp(self.error_bound, 1),
+                            self.precision_bits)
 
 
 def check_precision_bits(precision_bits: int) -> None:

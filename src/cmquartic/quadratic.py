@@ -10,9 +10,13 @@ exists as a cross-check.
 `quadratic_field` keeps the last FIELD_MEMO_SIZE real fields it built, so
 the real quadratic subfield Q(sqrt(t^2+1)) shared by both members of a
 pair, a family and both field kinds is built once per t.  A field caches
-the factorization of its discriminant, its fundamental unit and, for a
-real field, its class number and its regulator at each precision asked
-for, so what K+ fixes is computed once and lives as long as K+.
+its own invariants only: the factorization of its discriminant, its
+fundamental unit and, for a real field, its class number and its
+regulator at each precision asked for, so what K+ fixes is computed once
+and lives as long as K+.  What a quartic field derives from K+ is kept by
+the module that derives it, or not kept: 2 reg(K+) / Q is an exact
+doubling or reg(K+) itself (`cmfield.cm_regulator`), and the square roots
+that the cyclic character check reads are `cyclic_quartic`'s.
 """
 
 from __future__ import annotations
@@ -34,11 +38,7 @@ class QuadraticField:
 
     `disc_factors`, the factorization of `fund_disc`, and for a real field
     its fundamental `unit` and `class_number`, are computed once, on first use;
-    `regulators` holds what `regulator` computed, by precision.  As K+ of
-    a quartic CM-field it also holds 2 * reg / Q by (precision, Q) in
-    `cm_regulators` (`cmfield.cm_regulator`), and the square roots of the
-    radicand modulo the odd primes up to a bound, by bound, in
-    `root_tables` (the check on a cyclic quartic field's character).
+    `regulators` holds what `regulator` computed, by precision.
     """
 
     radicand: int
@@ -52,8 +52,6 @@ class QuadraticField:
     unit = cached_property(lambda self: fundamental_unit(self))
     class_number = cached_property(lambda self: class_number_real(self))
     regulators = cached_property(lambda self: {})
-    cm_regulators = cached_property(lambda self: {})
-    root_tables = cached_property(lambda self: {})
 
 
 @dataclass(frozen=True)

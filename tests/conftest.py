@@ -1,22 +1,28 @@
-"""Each test starts and ends with an empty `quadratic_field` memo, an empty
-per-modulus `unit_group` memo, an empty memo of per-prime-power local
-groups and an empty memo of the B1 kernel's one-block lambda columns.
+"""Each test starts and ends with every memo of the package empty: every
+module-level name of a loaded `cmquartic` module that has a
+`cache_clear`, such as the `quadratic_field` memo, the per-modulus
+`unit_group` memo, the per-prime-power local groups, the B1 kernel's
+one-block lambda columns and the cyclic character check's square roots.
+A memo added later is found the same way, with no edit here.
 
 Counting tests then see cold memos whatever ran before them, and a field
 whose unit or class number came from a monkeypatched function cannot
 reach a later test.
 """
 
+import sys
+
 import pytest
 
-from cmquartic import dirichlet, quadratic
+import cmquartic  # noqa: F401  (loads every module that keeps a memo)
 
 
 def _clear_memos():
-    quadratic._field_memo.cache_clear()
-    dirichlet.unit_group.cache_clear()
-    dirichlet._local_table.cache_clear()
-    dirichlet._lambda_columns.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "cmquartic":
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -1,8 +1,8 @@
 """Independent routes that only the tests use: an analytic class number, a
-tolerance check on high-precision reals, a parity-first enumeration of
-the characters that square to a quadratic character, arithmetic in Q(i)
-and h^- as a product of Gaussian rationals, and the B1 split chosen by a
-search over every side.
+tolerance check on high-precision reals and their rational rescale, a
+parity-first enumeration of the characters that square to a quadratic
+character, arithmetic in Q(i) and h^- as a product of Gaussian
+rationals, and the B1 split chosen by a search over every side.
 
 Nothing in `cmquartic` calls these, so they live beside the tests that
 cross-check the shipped routes with them.
@@ -69,6 +69,15 @@ def agrees_with(x: HighPrecReal, y: HighPrecReal, rel_tol_bits: int) -> bool:
         if scale == 0:
             return True
         return abs(x.value - y.value) <= scale * mpf(2) ** (-rel_tol_bits)
+
+
+def rescaled(x: HighPrecReal, num: int, den: int) -> HighPrecReal:
+    """x * num/den under workprec, the error bound scaled along: the general
+    rational rescale that 2 reg(K+) / Q once went through."""
+    with mpmath.workprec(x.precision_bits + GUARD_BITS):
+        value = x.value * num / den
+        err = x.error_bound * abs(mpf(num)) / abs(den)
+    return HighPrecReal(value, err, x.precision_bits)
 
 
 def component_lifts(f: int) -> tuple[int, ...]:

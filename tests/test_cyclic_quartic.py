@@ -29,7 +29,7 @@ from cmquartic.cyclic_quartic import (
 from cmquartic.dirichlet import (DirichletCharacter, GaussianRational, bernoulli_B1,
                                  characters_of_order_dividing_4, kronecker_character, unit_group)
 from cmquartic.errors import ConsistencyError, DomainError
-from cmquartic.quadratic import class_number_real, quadratic_field
+from cmquartic.quadratic import FIELD_MEMO_SIZE, class_number_real, quadratic_field
 
 from oracles import characters_squaring_to, relative_class_number_by_fractions, square_parities
 
@@ -375,7 +375,7 @@ def test_check_counts_roots_at_exactly_the_odd_primes_up_to_the_bound(monkeypatc
 
 
 def test_root_table_on_kplus_gives_count_roots_mod_p_at_every_check_prime():
-    # the square roots of the radicand of K+ are kept on K+, once per bound;
+    # the square roots of the radicand of K+ are kept per (radicand, bound);
     # scaled by x for t^2+1 = x^2 * radicand, they give each field the root
     # count of its own polynomial at every odd q <= CHECK_BOUND
     rng = random.Random(21)
@@ -387,13 +387,16 @@ def test_root_table_on_kplus_gives_count_roots_mod_p_at_every_check_prime():
     for s, t in fields:
         K = CyclicQuarticField(s, t)
         m = t * t + 1
-        table = cq._root_table(K.kplus)
-        assert cq._root_table(K.kplus) is table
+        table = cq._root_table(K.kplus.radicand, CHECK_BOUND)
+        assert cq._root_table(K.kplus.radicand, CHECK_BOUND) is table
         assert [q for q, _ in table] == [q for q in range(3, CHECK_BOUND + 1, 2) if is_prime(q)]
         x = math.isqrt(m // K.kplus.radicand)
         for q, r in table:
             scaled = None if r is None else x * r % q
             assert cq._root_count(s, t, q, m % q, scaled) == count_roots_mod_p(s, t, q), (s, t, q)
+    # more radicands than the memo keeps: it holds as many as the K+ memo
+    info = cq._root_table.cache_info()
+    assert info.maxsize == info.currsize == FIELD_MEMO_SIZE < info.misses
 
 
 def test_pair_B1_from_one_pass_equals_two_single_passes():

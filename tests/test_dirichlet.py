@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 
 from cmquartic import dirichlet
-from cmquartic.arith import kronecker
+from cmquartic.arith import is_prime, kronecker
 from cmquartic.dirichlet import (
     LAMBDA_MEMO_SIZE,
     LOCAL_TABLE_CAP,
@@ -692,3 +692,16 @@ def test_local_table_refuses_a_prime_power_past_the_cap():
     for p, e in ((1000000007, 1), (5813, 2), (2, 26)):
         with pytest.raises(DomainError, match="LOCAL_TABLE_CAP"):
             dirichlet._local_table(p, e)
+
+
+def test_one_code_table_per_prime_power():
+    # unit_group keeps every modulus, and each holds its local groups, so the
+    # per-prime-power memo keeps them all too: after 40 moduli p^2 with
+    # distinct primes, 4 * 3^2 gets the very group of 3^2 built first, and
+    # each of the 41 prime powers has its table built once
+    primes = [p for p in range(3, 200, 2) if is_prime(p)][:40]
+    first = unit_group(primes[0] ** 2)[0]
+    for p in primes[1:]:
+        unit_group(p * p)
+    assert unit_group(4 * primes[0] ** 2)[1] is first
+    assert dirichlet._local_table.cache_info().misses == len(primes) + 1

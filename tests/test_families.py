@@ -20,7 +20,7 @@ from cmquartic.families import (
 )
 from cmquartic.precision import hp_from_value
 
-from oracles import agrees_with
+from oracles import agrees_with, rescaled
 
 
 def brute_force_sieve(lo, hi, residue):
@@ -239,6 +239,20 @@ def test_cyclic_family_first_primes():
     assert cyclic_family(35, 0) == []
     with pytest.raises(DomainError):
         cyclic_family(4, 1)
+
+
+def test_pair_at_negative_t_is_the_pair_at_t():
+    # both kinds depend on t^2 only, and the fundamental unit of K+ is
+    # |t| + sqrt(t^2+1) for either sign: every flag holds at t = -5, and the
+    # record is the one at t = 5 apart from t and the labels
+    from dataclasses import replace
+
+    for pair_report in (cyclic_pair_report, biquadratic_pair_report):
+        rep, mirror = (pair_report(t, 29, with_class_number=True) for t in (5, -5))
+        assert mirror.all_flags_true(), mirror.kind
+        assert replace(mirror, t=5, field_a=rep.field_a, field_b=rep.field_b) == rep
+    for family in (cyclic_family, biquadratic_family):
+        assert all(rep.all_flags_true() for rep in family(-3, 2)), family.__name__
 
 
 def test_pair_admissibility():
@@ -483,7 +497,7 @@ def test_regulator_takes_one_log_per_kplus_and_precision(monkeypatch):
     logs.clear()
     rep = cyclic_pair_report(5, 29)
     assert len(logs) == 1 and rebuilt.regulators == {128: kplus.regulators[128]}
-    assert rep.regulator == kplus.regulators[128].scaled(2, 1)
+    assert rep.regulator == kplus.regulators[128].doubled()
 
 
 def _guard_factor(monkeypatch, forbidden):
@@ -579,32 +593,26 @@ def test_kplus_stays_in_the_memo_across_pairs_at_other_t(monkeypatch):
     assert [F.radicand for (F,) in class_numbers] == [t * t + 1 for t in (5, *others)]
 
 
-def test_cm_regulator_rescales_once_per_kplus_precision_and_q(monkeypatch):
-    # 2 reg(K+) / Q is kept on K+ by precision and Q: a 4-pair family of
-    # either kind rescales reg(K+) once per Q among its 8 members and per
-    # precision, and running the family again rescales nothing
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_cm_regulator_equals_the_rational_rescale_of_reg_kplus(bits):
+    # 2 reg(K+) / Q by an exact doubling, or reg(K+) itself, against the
+    # workprec rescale by 2/Q: the same value and error bound, for the Q = 1
+    # members of both families and for Q(zeta12) = B(-1, 3), whose Q is 2
+    from cmquartic import biquadratic as bq
     from cmquartic import families, quadratic
-    from cmquartic.precision import HighPrecReal
+    from cmquartic.cmfield import cm_regulator
 
-    rescales = []
-    real = HighPrecReal.scaled
-
-    def counted(self, num, den):
-        rescales.append((self.precision_bits, num, den))
-        return real(self, num, den)
-
-    monkeypatch.setattr(HighPrecReal, "scaled", counted)
-    for kind, family in (("cyclic", cyclic_family), ("biquadratic", biquadratic_family)):
-        quadratic._field_memo.cache_clear()
-        rescales.clear()
-        for bits in (128, 192, 128):
-            reports = family(5, 4, precision_bits=bits, with_class_number=True)
-        members = [families._KINDS[kind].member(a, 5) for rep in reports
-                   for a in (-rep.p, -2 * rep.p)]
-        assert {K.kplus for K in members} == {quadratic.quadratic_field(26)}
-        qs = {K.hasse_q for K in members}
-        assert sorted(rescales) == sorted((bits, 2, q) for bits in (128, 192) for q in qs), kind
-        assert len(reports) == 4 and all(rep.reg_equal for rep in reports)
+    fields = [bq.biquadratic(-1, 3)] + [families._KINDS[kind].member(a, t)
+                                        for kind in families._KINDS
+                                        for t, p in ((5, 29), (13, 173))
+                                        for a in (-p, -2 * p)]
+    assert [K.hasse_q for K in fields] == [2] + [1] * 8
+    for K in fields:
+        reg = cm_regulator(K, bits)
+        expected = rescaled(quadratic.regulator(K.kplus, bits), 2, K.hasse_q)
+        assert (reg.value, reg.error_bound, reg.precision_bits) == (
+            expected.value, expected.error_bound, bits), K.label()
+        assert reg.to_decimal() == expected.to_decimal()
 
 
 @pytest.mark.parametrize("argv", [
@@ -634,8 +642,8 @@ def test_reg_equal_fails_when_the_shipped_regulator_is_wrong(monkeypatch):
     from cmquartic import quadratic
 
     real = quadratic.regulator
-    monkeypatch.setattr(quadratic, "regulator",
-                        lambda field, precision_bits=128: real(field, precision_bits).scaled(3, 2))
+    monkeypatch.setattr(quadratic, "regulator", lambda field, precision_bits=128:
+                        rescaled(real(field, precision_bits), 3, 2))
     for rep in (biquadratic_pair_report(5, 29), cyclic_pair_report(5, 29)):
         assert rep.reg_equal is False, rep.kind
         assert not rep.all_flags_true()
