@@ -227,11 +227,6 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-#: count_roots_mod_p rejects p at or above this cap; the check on a cyclic
-#: quartic field's character uses only the odd primes up to its CHECK_BOUND
-ROOT_COUNT_CAP = 10**6
-
-
 def _sqrt_mod_p(a: int, p: int) -> int:
     """A square root of a nonzero quadratic residue a modulo an odd prime p (Tonelli-Shanks)."""
     e = ((p - 1) & (1 - p)).bit_length() - 1
@@ -264,12 +259,10 @@ def count_roots_mod_p(s: int, t: int, p: int) -> int:
     with two more roots when 2sm is a residue.  Otherwise there is no Y
     when m is a non-residue; else the two values of Y have product
     s^2 t^2 m, a nonzero square, so both are residues (4 roots) or
-    neither (0).  p must lie below ROOT_COUNT_CAP.
+    neither (0).
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise DomainError(f"p = {p} is not an odd prime", precondition="p odd prime")
-    if p >= ROOT_COUNT_CAP:
-        raise DomainError(f"p = {p} exceeds the 10^6 evaluation cap")
     m = (t * t + 1) % p
     return _root_count(s, t, p, m, _sqrt_or_none(m, p))
 

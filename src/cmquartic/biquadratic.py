@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .arith import Factorization, is_squarefree
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
-from .dirichlet import bernoulli_B1, kronecker_character
+from .dirichlet import DirichletCharacter, bernoulli_B1, kronecker_character
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from .quadratic import QuadraticField, product_field, quadratic_field
@@ -116,6 +116,20 @@ def class_number(K: BiquadraticField) -> int:
                  for F in K.subfields if F.radicand < 0]
     h_minus = relative_class_number(b1_values, K.hasse_q, roots_of_unity_order(K))
     return h_minus * K.kplus.class_number
+
+
+def odd_characters(K: BiquadraticField) -> list[DirichletCharacter]:
+    """(D|.) on lcm(|D|, 8) for the imaginary quadratic subfields of K, by radicand.
+
+    In a pair B(-p, t^2+1), B(-2p, t^2+1), with m' = (t^2+1)/2, every D is
+    even: -8pm' and -4p for the member at -p, -4pm' and -8p for the one at
+    -2p.  So the moduli 8pm' and 8p line the members' characters up in
+    couples, and they have the primes of D, so B1 is that of (D|.) mod |D|.
+    For an odd D the lift would add the prime 2 and change B1, which is why
+    `class_number` reads (D|.) mod |D|.
+    """
+    return [kronecker_character(F.fund_disc, math.lcm(F.fund_disc, 8))
+            for F in K.subfields if F.radicand < 0]
 
 
 def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:

@@ -6,7 +6,9 @@ fundamental unit eps of K+ (Washington, Introduction to Cyclotomic Fields,
 Thm 4.12; Lemmermeyer, Kuroda's class number formula, Acta Arith. 66, 1994):
 Q = 2 exactly when zeta*eps is a square in K for a root of unity zeta.
 Both kinds get h^- from the B1 values of their odd characters through
-`relative_class_number`.
+`relative_class_number`, and a pair of either kind gets both class numbers
+from `pair_class_numbers`: the kind supplies its couples of odd characters,
+and the twist check and the one B1 kernel pass per couple are made here.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Factorization
+from .dirichlet import _bernoulli_B1s, kronecker_character
 from .errors import ConsistencyError
 from .precision import HighPrecReal
 from . import quadratic
@@ -99,3 +102,30 @@ def relative_class_number(b1_values, Q: int, w: int) -> int:
             f"relative class number {Fraction(num, den)} is not a positive integer "
             f"(wrong characters, Q or w)")
     return h
+
+
+def pair_class_numbers(Ka, Kb, couples, w: int) -> tuple[int, int]:
+    """(h(Ka), h(Kb)) for the members at -p and -2p of a pair, from couples of odd characters.
+
+    In both families the member at -2p has the odd characters of the member
+    at -p times eps = (8|.): for K(-p,t), K(-2p,t) by Hardy, Hudson, Richman,
+    Williams and Holtz (1986), and for B(-p,t^2+1), B(-2p,t^2+1), with
+    m' = (t^2+1)/2, since (-8p|n) = (-4p|n)(8|n) and (-4pm'|n) = (-8pm'|n)(8|n)
+    on odd n.  Each couple (chi_a, chi_b) holds an odd character of each
+    member on one modulus, a multiple of 8, and chi_b must be chi_a * eps or
+    its conjugate; anything else is a ConsistencyError.  One kernel pass per
+    couple sums chi_a and chi_a * eps.  A quartic character stands for its
+    conjugate too, whose B1 is the conjugate B1, so h reads a quartic B1 only
+    through B1 * conj(B1) and conj(chi_a * eps) gives the same h.  Both
+    members have w roots of unity.
+    """
+    b1_a, b1_b = [], []
+    for chi_a, chi_b in couples:
+        twin = chi_a * kronecker_character(8, chi_a.modulus)
+        if chi_b not in (twin, twin.conjugate()):
+            raise ConsistencyError(f"chi_b with exponents {chi_b.exponents} is neither "
+                                   f"chi_a * eps {twin.exponents} nor its conjugate")
+        for values, b1 in zip((b1_a, b1_b), _bernoulli_B1s((chi_a, twin))):
+            values += (b1, b1.conjugate()) if chi_a.order == 4 else (b1,)
+    return tuple(relative_class_number(values, K.hasse_q, w) * K.kplus.class_number
+                 for K, values in ((Ka, b1_a), (Kb, b1_b)))

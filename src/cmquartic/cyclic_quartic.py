@@ -17,8 +17,7 @@ from functools import cached_property, lru_cache
 from .arith import (Factorization, _root_count, _sqrt_or_none, factor, is_prime, is_squarefree,
                     squarefree_part)
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
-from .dirichlet import (DirichletCharacter, _bernoulli_B1s, bernoulli_B1, components,
-                        kronecker_character)
+from .dirichlet import DirichletCharacter, bernoulli_B1, components
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from .quadratic import FIELD_MEMO_SIZE, QuadraticField, quadratic_field
@@ -156,19 +155,15 @@ def _conductor_of_quartic_character(K: CyclicQuarticField) -> int:
 CHECK_BOUND = 200
 
 
-@lru_cache(maxsize=None)
-def _odd_primes_to(bound: int) -> tuple[int, ...]:
-    return tuple(p for p in range(3, bound + 1, 2) if is_prime(p))
-
-
 @lru_cache(maxsize=FIELD_MEMO_SIZE)
 def _root_table(radicand: int, bound: int) -> tuple[tuple[int, int | None], ...]:
     """(q, a square root of the radicand mod q, or None) per odd prime q <= bound.
 
     Kept for as many radicands as the K+ memo keeps, so the members of a
-    pair and the pairs of a family work each square root out once.
+    pair and the pairs of a family work each square root out, and find the
+    odd primes up to the bound, once.
     """
-    return tuple((q, _sqrt_or_none(radicand, q)) for q in _odd_primes_to(bound))
+    return tuple((q, _sqrt_or_none(radicand, q)) for q in range(3, bound + 1, 2) if is_prime(q))
 
 
 def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
@@ -243,29 +238,7 @@ def class_number(K: CyclicQuarticField) -> int:
     is even: the field contains no 5th, 8th or 12th roots of unity and
     w = 2 is forced.
     """
-    return _class_number_from_b1(K, bernoulli_B1(associated_quartic_character(K)))
-
-
-def pair_class_numbers(Ka: CyclicQuarticField, Kb: CyclicQuarticField) -> tuple[int, int]:
-    """(h(Ka), h(Kb)) for the pair K(-p, t), K(-2p, t), both B1 from one pass.
-
-    The members share f and the exponent of chi at every odd prime, so
-    chi_b is chi_a * eps or its conjugate, with eps = (8|.) mod f (Hardy,
-    Hudson, Richman, Williams and Holtz, 1986).  Each character is still
-    built and checked on its own, and a chi_b that is neither is a
-    ConsistencyError.  One kernel pass sums chi_a and chi_a * eps: h reads
-    B1 only through B1 * conj(B1), so the conjugate gives the same h.
-    """
-    chi_a, chi_b = associated_quartic_character(Ka), associated_quartic_character(Kb)
-    twin = chi_a * kronecker_character(8, chi_a.modulus)
-    if chi_b not in (twin, twin.conjugate()):
-        raise ConsistencyError(f"chi_b with exponents {chi_b.exponents} is neither chi_a * eps "
-                               f"{twin.exponents} nor its conjugate")
-    b1_a, b1_b = _bernoulli_B1s((chi_a, twin))
-    return _class_number_from_b1(Ka, b1_a), _class_number_from_b1(Kb, b1_b)
-
-
-def _class_number_from_b1(K: CyclicQuarticField, b1) -> int:
+    b1 = bernoulli_B1(associated_quartic_character(K))
     return relative_class_number((b1, b1.conjugate()), K.hasse_q, 2) * K.kplus.class_number
 
 

@@ -36,9 +36,9 @@ One kernel, `_bernoulli_B1s`, serves one character (`bernoulli_B1`) or
 two on one modulus: one split, one loop over x and, on the blocked
 route, one sorted list of points.  Two characters share the side they
 agree on, one psi table or one walk of a lambda table, and nothing else
-about them is assumed: a caller that pairs two characters, like
-`cyclic_quartic.pair_class_numbers`, checks how they relate before it
-calls the kernel.
+about them is assumed: `cmfield.pair_class_numbers`, which pairs the
+odd characters of the two members of a pair of either kind, checks how
+they relate before it calls the kernel.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ def _local_table(p: int, e: int) -> LocalGroup:
     """(Z/p^e)^*: its components and its code table, by stepping each generator.
 
     Kept per prime power with no bound, like the `unit_group` tuples that
-    hold every local group anyway: the four Kronecker moduli 4p, 8p, 4pm',
-    8pm' of a biquadratic pair share p.
+    hold every local group anyway: the Kronecker moduli of a biquadratic
+    pair, 8p and 8pm', or 4p, 8p, 4pm' and 8pm' field by field, share p.
     """
     pe = p**e
     if pe > LOCAL_TABLE_CAP:

@@ -24,7 +24,7 @@ from .arith import (_TRIAL_LIMIT, Factorization, _cofactor_exponents, _sqrt_mod_
 from . import biquadratic as bq
 from . import cyclic_quartic as cq
 from . import quadratic
-from .cmfield import FieldInvariants
+from .cmfield import FieldInvariants, pair_class_numbers
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal, check_precision_bits, hp_from_value, workprec
 
@@ -187,18 +187,19 @@ class _Kind(NamedTuple):
     member: Callable  # (a, t) -> the field at a = -p or -2p
     same: Callable  # (Ka, Kb) -> True when both members are one field
     invariants: Callable  # (K, precision_bits) -> FieldInvariants with no class number
-    class_numbers: Callable  # (Ka, Kb) -> (h(Ka), h(Kb))
+    couples: Callable  # (Ka, Kb) -> couples (chi_a, chi_b) of odd characters on one modulus
 
 
 _KINDS = {
     "biquadratic": _Kind(4, lambda a, t: bq.biquadratic(a, t * t + 1),
                          lambda Ka, Kb: Ka == Kb,
                          lambda K, bits: bq.field_invariants(K, bits),
-                         lambda Ka, Kb: (bq.class_number(Ka), bq.class_number(Kb))),
+                         lambda Ka, Kb: zip(bq.odd_characters(Ka), bq.odd_characters(Kb))),
     "cyclic": _Kind(2, lambda a, t: cq.CyclicQuarticField(a, t),
                     lambda Ka, Kb: cq.same_field(Ka.s, Kb.s, Ka.t),
                     lambda K, bits: cq.field_invariants(K, bits),
-                    lambda Ka, Kb: cq.pair_class_numbers(Ka, Kb)),
+                    lambda Ka, Kb: [(cq.associated_quartic_character(Ka),
+                                     cq.associated_quartic_character(Kb))]),
 }
 
 
@@ -208,14 +209,16 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
 
     The members share K+, so reg(K+) and h(K+) are read from it, computed
     once per t, and 2 reg(K+) / Q is reg(K+) doubled exactly or itself.
-    Class numbers come from the kind's pair function: for the cyclic kind
-    the square roots of t^2+1 that the character checks read are kept per
-    radicand by `cyclic_quartic`, and both B1 come from one pass, while
-    each member still builds and checks its own character.
+    Both class numbers come from `cmfield.pair_class_numbers`, one B1
+    kernel pass per couple of odd characters the kind supplies: the two
+    Kronecker couples on 8p and 8pm' of a biquadratic pair, or the cyclic
+    members' characters, each built and checked on its own, with the check's
+    square roots of t^2+1 kept per radicand by `cyclic_quartic`.  Both
+    members of either kind have w = 2.
     """
     _require_admissible_t(t)
     m = t * t + 1
-    modulus, member, same, invariants, class_numbers = _KINDS[kind]
+    modulus, member, same, invariants, couples = _KINDS[kind]
     if not is_prime(p) or p <= m or p % modulus != 1:
         need = (f"an odd prime > {m}" if modulus == 2
                 else f"a prime > {m} with p = 1 (mod {modulus})")
@@ -225,7 +228,7 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
     inv_a, inv_b = invariants(Ka, precision_bits), invariants(Kb, precision_bits)
     residue_a = residue_b = None
     if with_class_number:
-        class_a, class_b = class_numbers(Ka, Kb)
+        class_a, class_b = pair_class_numbers(Ka, Kb, couples(Ka, Kb), inv_a.roots_of_unity)
         inv_a = replace(inv_a, class_number=class_a)
         inv_b = replace(inv_b, class_number=class_b)
         residue_a = dedekind_residue(inv_a, precision_bits)

@@ -1,9 +1,10 @@
+import json
 import math
 
 import mpmath
 import pytest
 
-from cmquartic.arith import factor, is_prime, is_squarefree
+from cmquartic.arith import factor, is_prime, is_squarefree, primes_in_progression
 from cmquartic.cmfield import FieldInvariants
 from cmquartic.errors import DomainError
 from cmquartic.families import (
@@ -367,26 +368,58 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_cyclic_pair_computes_each_class_number_once(monkeypatch):
-    from cmquartic import cyclic_quartic as cq
+    # the pair step in cmfield sums chi_a and chi_a * (8|.) in one kernel pass
+    from cmquartic import cmfield
 
-    calls = _count_calls(monkeypatch, cq, "_bernoulli_B1s")
+    calls = _count_calls(monkeypatch, cmfield, "_bernoulli_B1s")
     rep = cyclic_pair_report(5, 29, with_class_number=True)
     assert len(calls) == 1
     assert (rep.class_a, rep.class_b) == (360, 1352)
 
 
 def test_biquadratic_pair_computes_each_class_number_once(monkeypatch):
-    from cmquartic import biquadratic as bq
+    # one kernel pass per couple: (-4p|.) with (-8p|.) on 8p, and (-8pm'|.)
+    # with (-4pm'|.) on 8pm'
+    from cmquartic import cmfield
 
-    calls = _count_calls(monkeypatch, bq, "class_number")
+    calls = _count_calls(monkeypatch, cmfield, "_bernoulli_B1s")
     rep = biquadratic_pair_report(5, 29, with_class_number=True)
     assert len(calls) == 2
+    assert [chars[0].modulus for (chars,) in calls] == [8 * 29 * 13, 8 * 29]
     assert rep.residue_a is not None and rep.residue_b is not None
 
 
+@pytest.mark.parametrize("t", [3, 5, 13, 35])
+def test_biquadratic_pair_class_numbers_equal_the_single_field_route(t):
+    # the couples read (D|.) on 8p and 8pm', which have the primes of D, so
+    # B1 and h are those of (D|.) mod |D| that `class_number` reads
+    from cmquartic import biquadratic as bq
+
+    for p in primes_in_progression(t * t + 2, 4, 1, 6):
+        rep = biquadratic_pair_report(t, p, with_class_number=True)
+        members = (bq.biquadratic(-p, t * t + 1), bq.biquadratic(-2 * p, t * t + 1))
+        assert (rep.class_a, rep.class_b) == tuple(map(bq.class_number, members)), (t, p)
+
+
+def test_biquadratic_pair_whose_characters_are_no_twist_is_an_internal_error(
+        monkeypatch, capsys):
+    # member b's characters must be member a's times (8|.); a's own characters
+    # for both stop the pair rather than feeding B1
+    from cmquartic import biquadratic as bq
+    from cmquartic import cli
+
+    real, Ka = bq.odd_characters, bq.biquadratic(-29, 26)
+    monkeypatch.setattr(bq, "odd_characters", lambda K: real(Ka))
+    code = cli.main(["pair", "biquad", "--t", "5", "--p", "29", "--with-class-number"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 3
+    assert error["code"] == "E_INTERNAL"
+    assert "is neither chi_a * eps" in error["message"]
+
+
 def test_biquadratic_pair_finds_each_primitive_root_once(monkeypatch):
-    # the Kronecker moduli of B(-29, 26) and B(-58, 26) are 4p, 8pm', 8p and
-    # 4pm' with p = 29, m' = 13: they share the code tables of 29 and 13, so
+    # the couples of B(-29, 26) and B(-58, 26) are on the Kronecker moduli
+    # 8pm' and 8p with p = 29, m' = 13: they share the code table of 29, so
     # p - 1 is factored for a primitive root once per prime, not per modulus
     from cmquartic import dirichlet
 
@@ -399,7 +432,7 @@ def test_biquadratic_pair_finds_each_primitive_root_once(monkeypatch):
 def test_biquadratic_family_builds_each_lambda_prefix_once(monkeypatch):
     # the pairs at one t share K+, so their Kronecker characters share lambda
     # sides: (-4p|.) and (-8p|.) read lambda = (.|p), and (-8pm'|.) and
-    # (-4pm'|.) read lambda on 8m' and 4m', fixed by t alone.  Each distinct
+    # (-4pm'|.) read two lambda on 8m', fixed by t alone.  Each distinct
     # lambda table's prefix list is built once: 10 over the 8 pairs at t = 61
     from cmquartic import dirichlet
 
@@ -620,7 +653,7 @@ def test_cm_regulator_equals_the_rational_rescale_of_reg_kplus(bits):
     ["pair", "biquad", "--t", "3", "--p", "1000000009", "--with-class-number"],
 ])
 def test_a_prime_power_past_the_code_table_cap_exits_2_at_once(argv, capsys):
-    # the p-part of f (cyclic) or of the Kronecker moduli 4p, 8p (biquadratic)
+    # the p-part of f (cyclic) or of the Kronecker moduli 8p, 8pm' (biquadratic)
     # would need a code table of p residues: refused before any is built
     import json
     import time

@@ -133,3 +133,23 @@ def test_every_definition_is_used_exported_or_traced():
     traced = {f"{module}.{name}" for module, names in _load_tracer().WRAPPED.items()
               for name in names}
     assert unreferenced_definitions(sources, set(cmquartic.__all__) | traced) == []
+
+
+def modules_calling(sources: dict[str, str], name: str) -> set[str]:
+    """The modules in `sources` that call `name`, as a bare name or as an attribute."""
+    return {module for module, source in sources.items() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name}
+
+
+def test_checker_reports_a_call_by_name_or_by_attribute():
+    sources = {"a": "f(1)\n", "b": "import m\nm.f(2)\n", "c": "g = f\ng(3)\n"}
+    assert modules_calling(sources, "f") == {"a", "b"}
+
+
+def test_only_dirichlet_and_cmfield_call_the_B1_kernel():
+    # one owner of the pair step: a field kind supplies its characters, and
+    # `cmfield.pair_class_numbers` checks and sums them; `bernoulli_B1` is
+    # the kernel for one character
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert modules_calling(sources, "_bernoulli_B1s") == {"dirichlet", "cmfield"}
