@@ -39,12 +39,6 @@ class Factorization:
             n *= p**e
         return n
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def __mul__(self, other: "Factorization") -> "Factorization":
         if self.sign == 0 or other.sign == 0:
             return Factorization(0, ())

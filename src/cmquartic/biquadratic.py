@@ -4,8 +4,8 @@ A biquadratic field is determined by its three quadratic subfields, so
 the canonical representation is the set of them, sorted by radicand.  The
 module computes discriminants by the conductor-discriminant product, regulators
 through the maximal real subfield, the Hasse unit index from its unit, and
-class numbers as h^- * h(K+), with h^- from the B1 values of the Kronecker
-characters of the two imaginary quadratic subfields.
+class numbers as h^- * h(K+), with h^- from the Kronecker characters of the
+two imaginary quadratic subfields, `odd_characters`, which a pair reads too.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .arith import Factorization, is_squarefree
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
-from .dirichlet import DirichletCharacter, bernoulli_B1, kronecker_character
+from .dirichlet import DirichletCharacter, kronecker_character
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from .quadratic import QuadraticField, product_field, quadratic_field
@@ -106,30 +106,30 @@ def roots_of_unity_order(K: BiquadraticField) -> int:
     return 2
 
 
+def odd_characters(K: BiquadraticField) -> list[DirichletCharacter]:
+    """(D|.) for the imaginary quadratic subfields of K, by radicand: on |D| for
+    an odd D, on lcm(|D|, 8) for an even one.
+
+    In a pair B(-p, t^2+1), B(-2p, t^2+1), with m' = (t^2+1)/2, every D is
+    even: -8pm' and -4p for the member at -p, -4pm' and -8p for the one at
+    -2p.  So the moduli 8pm' and 8p line the members' characters up in
+    couples, and they have the primes of D, so B1 is that of (D|.) mod |D|.
+    For an odd D the lift to 8|D| would add the prime 2 and change B1, so
+    an odd D is read on |D|.
+    """
+    return [kronecker_character(D, abs(D) if D % 2 else math.lcm(D, 8))
+            for D in (F.fund_disc for F in K.subfields if F.radicand < 0)]
+
+
 def class_number(K: BiquadraticField) -> int:
     """h(K) = h^- * h(K+), with h^- over the odd characters (D1|.) and (D2|.).
 
     D1, D2 are the discriminants of the imaginary quadratic subfields;
     since -B1((D|.))/2 = h(D)/w(D), this is Q * w * h1 * h2 * h(K+) / (w1 * w2).
     """
-    b1_values = [bernoulli_B1(kronecker_character(F.fund_disc))
-                 for F in K.subfields if F.radicand < 0]
-    h_minus = relative_class_number(b1_values, K.hasse_q, roots_of_unity_order(K))
+    (h_minus,) = relative_class_number([(chi,) for chi in odd_characters(K)], (K.hasse_q,),
+                                       roots_of_unity_order(K))
     return h_minus * K.kplus.class_number
-
-
-def odd_characters(K: BiquadraticField) -> list[DirichletCharacter]:
-    """(D|.) on lcm(|D|, 8) for the imaginary quadratic subfields of K, by radicand.
-
-    In a pair B(-p, t^2+1), B(-2p, t^2+1), with m' = (t^2+1)/2, every D is
-    even: -8pm' and -4p for the member at -p, -4pm' and -8p for the one at
-    -2p.  So the moduli 8pm' and 8p line the members' characters up in
-    couples, and they have the primes of D, so B1 is that of (D|.) mod |D|.
-    For an odd D the lift would add the prime 2 and change B1, which is why
-    `class_number` reads (D|.) mod |D|.
-    """
-    return [kronecker_character(F.fund_disc, math.lcm(F.fund_disc, 8))
-            for F in K.subfields if F.radicand < 0]
 
 
 def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:

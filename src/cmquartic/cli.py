@@ -29,7 +29,7 @@ from . import cyclic_quartic as cq
 from . import families
 from .arith import Factorization
 from .errors import ConsistencyError, DomainError
-from .precision import HighPrecReal
+from .precision import MIN_PRECISION_BITS, HighPrecReal
 
 SCHEMA_VERSION = "cmq/1"
 
@@ -252,8 +252,10 @@ def _run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "precision_bits", 64) < 64 or getattr(args, "jobs", 1) < 1:
-        _emit_error("E_CONFIG", "precision_bits >= 64 and jobs >= 1 required", None)
+    if (getattr(args, "precision_bits", MIN_PRECISION_BITS) < MIN_PRECISION_BITS
+            or getattr(args, "jobs", 1) < 1):
+        _emit_error("E_CONFIG", f"precision_bits >= {MIN_PRECISION_BITS} and jobs >= 1 required",
+                    None)
         return 2
     try:
         return _run(args)

@@ -5,17 +5,19 @@ The functions take a field with `disc`, `kplus`, `hasse_q` and `label()`.
 fundamental unit eps of K+ (Washington, Introduction to Cyclotomic Fields,
 Thm 4.12; Lemmermeyer, Kuroda's class number formula, Acta Arith. 66, 1994):
 Q = 2 exactly when zeta*eps is a square in K for a root of unity zeta.
-Both kinds get h^- from the B1 values of their odd characters through
-`relative_class_number`, and a pair of either kind gets both class numbers
-from `pair_class_numbers`: the kind supplies its couples of odd characters,
-and the twist check and the one B1 kernel pass per couple are made here.
+Each kind supplies the odd characters of a field, `odd_characters(K)`, and
+`relative_class_number` reads h^- from them, for one field or for both
+members of a pair, from f * B1 as Gaussian integers: it is the one place
+outside `dirichlet` that knows the form of B1.  A pair of either kind gets
+both class numbers from `pair_class_numbers`, which couples the members'
+characters, checks the twist between them and passes them on as one group
+per couple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import Factorization
 from .dirichlet import _bernoulli_B1s, kronecker_character
@@ -77,31 +79,36 @@ def cm_regulator(K, precision_bits: int) -> HighPrecReal:
     return reg if K.hasse_q == 2 else reg.doubled()
 
 
-def relative_class_number(b1_values, Q: int, w: int) -> int:
-    """h^- = Q * w * prod(-B1/2) over the odd characters of K, a positive integer.
+def relative_class_number(groups, Q: tuple[int, ...], w: int) -> tuple[int, ...]:
+    """h^- = Q * w * prod(-B1(chi)/2) over the odd characters chi of each field.
 
-    Washington, Introduction to Cyclotomic Fields, Thm 4.17.  `b1_values`
-    holds B1 of every odd character: chi and its conjugate for a cyclic
-    quartic field, the Kronecker characters of the two imaginary quadratic
-    subfields for a biquadratic one.  The product is taken as a Gaussian
-    integer a + b*i over the product d of the values' denominators, so h^-
-    is one integer division.
+    Washington, Introduction to Cyclotomic Fields, Thm 4.17.  Each group in
+    `groups` holds one odd character of each field on one modulus f, and one
+    kernel pass per group gives f * B1 = a + b*i of each.  A quartic chi
+    stands for chi and conj chi, whose B1 is conj B1, so it contributes
+    (a^2 + b^2) / (2f)^2; a real chi must have b = 0 and contributes
+    -a / (2f).  h^- is then one integer division per field, and must be a
+    positive integer.  `Q` holds each field's Hasse unit index; the fields
+    share w.
     """
-    a, b, d = 1, 0, 1
-    for v in b1_values:
-        re, im = v.re, v.im
-        den = math.lcm(re.denominator, im.denominator)
-        x, y = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
-        a, b, d = a * x - b * y, a * y + b * x, d * den
-    if b != 0:
-        raise ConsistencyError("the product of the B1 values is not real")
-    num, den = Q * w * a, d * (-2) ** len(b1_values)
-    h, rem = divmod(num, den)
-    if rem or h <= 0:
-        raise ConsistencyError(
-            f"relative class number {Fraction(num, den)} is not a positive integer "
-            f"(wrong characters, Q or w)")
-    return h
+    nums, dens = [q * w for q in Q], [1] * len(Q)
+    for chars in groups:
+        f = chars[0].modulus
+        for j, (chi, (a, b)) in enumerate(zip(chars, _bernoulli_B1s(chars), strict=True)):
+            if chi.order != 4 and b:
+                raise ConsistencyError("the product of the B1 values is not real")
+            nums[j] *= a * a + b * b if chi.order == 4 else -a
+            dens[j] *= 4 * f * f if chi.order == 4 else 2 * f
+    h_minus = []
+    for num, den in zip(nums, dens):
+        h, rem = divmod(num, den)
+        if rem or h <= 0:
+            g = math.gcd(num, den)
+            value = num // g if g == den else f"{num // g}/{den // g}"
+            raise ConsistencyError(f"relative class number {value} is not a positive integer "
+                                   f"(wrong characters, Q or w)")
+        h_minus.append(h)
+    return tuple(h_minus)
 
 
 def pair_class_numbers(Ka, Kb, couples, w: int) -> tuple[int, int]:
@@ -113,19 +120,18 @@ def pair_class_numbers(Ka, Kb, couples, w: int) -> tuple[int, int]:
     m' = (t^2+1)/2, since (-8p|n) = (-4p|n)(8|n) and (-4pm'|n) = (-8pm'|n)(8|n)
     on odd n.  Each couple (chi_a, chi_b) holds an odd character of each
     member on one modulus, a multiple of 8, and chi_b must be chi_a * eps or
-    its conjugate; anything else is a ConsistencyError.  One kernel pass per
-    couple sums chi_a and chi_a * eps.  A quartic character stands for its
-    conjugate too, whose B1 is the conjugate B1, so h reads a quartic B1 only
-    through B1 * conj(B1) and conj(chi_a * eps) gives the same h.  Both
-    members have w roots of unity.
+    its conjugate; anything else is a ConsistencyError.  h^- of both then
+    comes from `relative_class_number`, one kernel pass per couple over
+    chi_a and chi_a * eps: conj(chi_a * eps) gives the same h, since a
+    quartic character stands for its conjugate too.  Both members have w
+    roots of unity.
     """
-    b1_a, b1_b = [], []
+    groups = []
     for chi_a, chi_b in couples:
         twin = chi_a * kronecker_character(8, chi_a.modulus)
         if chi_b not in (twin, twin.conjugate()):
             raise ConsistencyError(f"chi_b with exponents {chi_b.exponents} is neither "
                                    f"chi_a * eps {twin.exponents} nor its conjugate")
-        for values, b1 in zip((b1_a, b1_b), _bernoulli_B1s((chi_a, twin))):
-            values += (b1, b1.conjugate()) if chi_a.order == 4 else (b1,)
-    return tuple(relative_class_number(values, K.hasse_q, w) * K.kplus.class_number
-                 for K, values in ((Ka, b1_a), (Kb, b1_b)))
+        groups.append((chi_a, twin))
+    h_minus = relative_class_number(groups, (Ka.hasse_q, Kb.hasse_q), w)
+    return tuple(h * K.kplus.class_number for h, K in zip(h_minus, (Ka, Kb)))

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from .arith import (Factorization, _root_count, _sqrt_or_none, factor, is_prime, is_squarefree,
                     squarefree_part)
 from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
-from .dirichlet import DirichletCharacter, bernoulli_B1, components
+from .dirichlet import DirichletCharacter, components
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal
 from .quadratic import FIELD_MEMO_SIZE, QuadraticField, quadratic_field
@@ -231,15 +231,20 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     return min(chi, chi.conjugate(), key=lambda c: c.exponents)
 
 
+def odd_characters(K: CyclicQuarticField) -> list[DirichletCharacter]:
+    """[chi], the associated quartic character, which stands for chi and conj chi."""
+    return [associated_quartic_character(K)]
+
+
 def class_number(K: CyclicQuarticField) -> int:
-    """h(K) = h^- * h(K+), with h^- from B1(chi) and B1(conj chi) = conj B1(chi); exact.
+    """h(K) = h^- * h(K+), with h^- from chi and conj chi; exact.
 
     On the supported domain t is odd, so the quadratic subfield radicand
     is even: the field contains no 5th, 8th or 12th roots of unity and
     w = 2 is forced.
     """
-    b1 = bernoulli_B1(associated_quartic_character(K))
-    return relative_class_number((b1, b1.conjugate()), K.hasse_q, 2) * K.kplus.class_number
+    (h_minus,) = relative_class_number([(chi,) for chi in odd_characters(K)], (K.hasse_q,), 2)
+    return h_minus * K.kplus.class_number
 
 
 def field_invariants(K: CyclicQuarticField, precision_bits: int = 128,

@@ -32,13 +32,14 @@ a time, and memory is m + n bytes plus at most one block of ints.  On
 the one-block route it is m bytes plus the memo, at worst 16 entries of
 at most two lists of 65,537 ints and a table of at most 65,536 bytes.
 
-One kernel, `_bernoulli_B1s`, serves one character (`bernoulli_B1`) or
-two on one modulus: one split, one loop over x and, on the blocked
-route, one sorted list of points.  Two characters share the side they
-agree on, one psi table or one walk of a lambda table, and nothing else
-about them is assumed: `cmfield.pair_class_numbers`, which pairs the
-odd characters of the two members of a pair of either kind, checks how
-they relate before it calls the kernel.
+One kernel, `_bernoulli_B1s`, takes one character or two on one modulus
+f and returns f * B1 of each as a Gaussian integer (a, b): one split, one
+loop over x and, on the blocked route, one sorted list of points.  Two
+characters share the side they agree on, one psi table or one walk of a
+lambda table, and nothing else about them is assumed.  Its one caller
+outside this module is `cmfield.relative_class_number`, which reads h^-
+of a field, or of both members of a pair, from those integers;
+`bernoulli_B1` divides by f for a single character, as a GaussianRational.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ _NONUNIT_CODE = 255
 #: more can only come from a non-unit, since units add at most 9 * 3
 _FOLD = 9
 _REDUCE = bytes(x % 4 if x < NONUNIT else NONUNIT for x in range(256))
-#: residues of lambda's table per prefix block in bernoulli_B1; a table of at
+#: residues of lambda's table per prefix block in the B1 kernel; a table of at
 #: most this many residues is read from one prefix list with no sort
 _BLOCK = 1 << 16
 #: lambda's exponent byte to the real or the imaginary part of i^k, as a signed byte
@@ -210,7 +211,7 @@ class DirichletCharacter:
         """Per prime power: (its local group, values).
 
         values[code] is the k with chi = i^k at that prime power on the
-        residues of that code; value_exponent, conductor and bernoulli_B1
+        residues of that code; value_exponent, conductor and the B1 kernel
         all read chi through these maps.
         """
         out, j = [], 0
@@ -305,9 +306,9 @@ def characters_of_order_dividing_4(modulus: int) -> list[DirichletCharacter]:
     return [DirichletCharacter(modulus, v) for v in vectors]
 
 
-def kronecker_character(D: int, modulus: int | None = None) -> DirichletCharacter:
+def kronecker_character(D: int, f: int) -> DirichletCharacter:
     """The Kronecker character (D|.) of a fundamental discriminant D, as a character
-    mod |D|, or mod `modulus` when given, a multiple of |D|.
+    mod f, a multiple of |D|.
 
     Its exponent is 2 on each component whose lift has (D|lift) = -1 and 0
     elsewhere.  The lift of a component generator g mod p^e is g mod p^e and
@@ -315,7 +316,6 @@ def kronecker_character(D: int, modulus: int | None = None) -> DirichletCharacte
     At a prime p of f that does not divide D the lift is 1 mod |D|, so the
     exponents there are 0.
     """
-    f = abs(D) if modulus is None else modulus
     if f % D:
         raise DomainError(f"{D} does not divide the modulus {f}", precondition="D | modulus")
     exps = []
@@ -335,15 +335,16 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
 
     Defined here only for odd characters; for even nontrivial characters
     the sum vanishes and the caller is told so instead of receiving 0.
-    One character through the kernel `_bernoulli_B1s`, which says how the
-    sum is taken.
+    It divides by f the Gaussian integer f * B1 of the kernel
+    `_bernoulli_B1s`, which says how the sum is taken.
     """
-    return _bernoulli_B1s((chi,))[0]
+    [(a, b)] = _bernoulli_B1s((chi,))
+    return GaussianRational(Fraction(a, chi.modulus), Fraction(b, chi.modulus))
 
 
-def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...]) -> list[GaussianRational]:
-    """[B1(chi) for chi in chars], for one or two odd characters on one modulus,
-    from one split and one loop over x.
+def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...]) -> list[tuple[int, int]]:
+    """[f * B1(chi) for chi in chars] as Gaussian integers (a, b), a + b*i, for one
+    or two odd characters on one modulus f, from one split and one loop over x.
 
     With f = m * n, m and n coprime, chi = psi * lambda for psi mod m and
     lambda mod n.  Write a = x + m*y with x < m, y < n, and let
@@ -377,8 +378,8 @@ def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...]) -> list[GaussianRation
     every B1 of the two benchmark pools), each column is one prefix list,
     read in a single pass over the keys (`_one_block_sums`).  Beyond that
     the points are sorted once and each column is walked one block at a
-    time (`_prefix_class_sums`).  Each sum stays a Gaussian integer, f * B1
-    rotated by lambda(m), until one division by f at the end.
+    time (`_prefix_class_sums`).  Each sum is a Gaussian integer, and f * B1
+    is the last of them rotated by lambda(m): no division is made.
     """
     for c in chars:
         if c.order == 1:
@@ -454,7 +455,7 @@ def _bernoulli_B1s(chars: tuple[DirichletCharacter, ...]) -> list[GaussianRation
             b += s0 * (sh[1] - sh[3])
         for _ in range(rotation):  # times lambda(m) = i^k
             a, b = -b, a
-        out.append(GaussianRational(Fraction(a, f), Fraction(b, f)))
+        out.append((a, b))
     return out
 
 

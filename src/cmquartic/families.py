@@ -15,6 +15,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, replace
+from types import ModuleType
 from typing import Callable, Iterator, NamedTuple
 
 import mpmath
@@ -53,9 +54,6 @@ class PairReport:
     class_b: int | None = None
     residue_a: HighPrecReal | None = None
     residue_b: HighPrecReal | None = None
-
-    def all_flags_true(self) -> bool:
-        return self.distinct and self.disc_equal and self.reg_equal
 
 
 @dataclass(frozen=True)
@@ -186,20 +184,14 @@ class _Kind(NamedTuple):
     modulus: int  # p runs over the primes > t^2+1 with p = 1 (mod modulus)
     member: Callable  # (a, t) -> the field at a = -p or -2p
     same: Callable  # (Ka, Kb) -> True when both members are one field
-    invariants: Callable  # (K, precision_bits) -> FieldInvariants with no class number
-    couples: Callable  # (Ka, Kb) -> couples (chi_a, chi_b) of odd characters on one modulus
+    fields: ModuleType  # the field module: field_invariants and odd_characters
 
 
 _KINDS = {
     "biquadratic": _Kind(4, lambda a, t: bq.biquadratic(a, t * t + 1),
-                         lambda Ka, Kb: Ka == Kb,
-                         lambda K, bits: bq.field_invariants(K, bits),
-                         lambda Ka, Kb: zip(bq.odd_characters(Ka), bq.odd_characters(Kb))),
+                         lambda Ka, Kb: Ka == Kb, bq),
     "cyclic": _Kind(2, lambda a, t: cq.CyclicQuarticField(a, t),
-                    lambda Ka, Kb: cq.same_field(Ka.s, Kb.s, Ka.t),
-                    lambda K, bits: cq.field_invariants(K, bits),
-                    lambda Ka, Kb: [(cq.associated_quartic_character(Ka),
-                                     cq.associated_quartic_character(Kb))]),
+                    lambda Ka, Kb: cq.same_field(Ka.s, Kb.s, Ka.t), cq),
 }
 
 
@@ -210,25 +202,27 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
     The members share K+, so reg(K+) and h(K+) are read from it, computed
     once per t, and 2 reg(K+) / Q is reg(K+) doubled exactly or itself.
     Both class numbers come from `cmfield.pair_class_numbers`, one B1
-    kernel pass per couple of odd characters the kind supplies: the two
-    Kronecker couples on 8p and 8pm' of a biquadratic pair, or the cyclic
-    members' characters, each built and checked on its own, with the check's
-    square roots of t^2+1 kept per radicand by `cyclic_quartic`.  Both
-    members of either kind have w = 2.
+    kernel pass per couple of odd characters: each member's
+    `odd_characters`, the ones its single-field `class_number` reads,
+    zipped in order.  These are the two Kronecker couples on 8p and 8pm' of
+    a biquadratic pair, or the cyclic members' characters, each built and
+    checked on its own, with the check's square roots of t^2+1 kept per
+    radicand by `cyclic_quartic`.  Both members of either kind have w = 2.
     """
     _require_admissible_t(t)
     m = t * t + 1
-    modulus, member, same, invariants, couples = _KINDS[kind]
+    modulus, member, same, fields = _KINDS[kind]
     if not is_prime(p) or p <= m or p % modulus != 1:
         need = (f"an odd prime > {m}" if modulus == 2
                 else f"a prime > {m} with p = 1 (mod {modulus})")
         raise DomainError(f"p = {p} is inadmissible for t = {t}: need {need}",
                           code="E_PRIME_INADMISSIBLE")
     Ka, Kb = member(-p, t), member(-2 * p, t)
-    inv_a, inv_b = invariants(Ka, precision_bits), invariants(Kb, precision_bits)
+    inv_a, inv_b = (fields.field_invariants(K, precision_bits) for K in (Ka, Kb))
     residue_a = residue_b = None
     if with_class_number:
-        class_a, class_b = pair_class_numbers(Ka, Kb, couples(Ka, Kb), inv_a.roots_of_unity)
+        couples = zip(fields.odd_characters(Ka), fields.odd_characters(Kb), strict=True)
+        class_a, class_b = pair_class_numbers(Ka, Kb, couples, inv_a.roots_of_unity)
         inv_a = replace(inv_a, class_number=class_a)
         inv_b = replace(inv_b, class_number=class_b)
         residue_a = dedekind_residue(inv_a, precision_bits)

@@ -40,7 +40,7 @@ def check_precision_bits(precision_bits: int) -> None:
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(
             f"precision_bits {precision_bits} < minimum {MIN_PRECISION_BITS}",
-            precondition="precision_bits >= 64",
+            precondition=f"precision_bits >= {MIN_PRECISION_BITS}",
         )
 
 

@@ -2,7 +2,9 @@
 tolerance check on high-precision reals and their rational rescale, a
 parity-first enumeration of the characters that square to a quadratic
 character, arithmetic in Q(i) and h^- as a product of Gaussian
-rationals, and the B1 split chosen by a search over every side.
+rationals, the B1 split chosen by a search over every side, and two
+readers of results: a prime's exponent in a factorization and whether a
+pair report's flags all hold.
 
 Nothing in `cmquartic` calls these, so they live beside the tests that
 cross-check the shipped routes with them.
@@ -17,9 +19,10 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from cmquartic.arith import kronecker
+from cmquartic.arith import Factorization, kronecker
 from cmquartic.dirichlet import DirichletCharacter, GaussianRational, components, unit_group
 from cmquartic.errors import ConsistencyError, DomainError
+from cmquartic.families import PairReport
 from cmquartic.precision import GUARD_BITS, HighPrecReal, workprec
 from cmquartic.quadratic import QuadraticField, is_fundamental_discriminant, regulator
 
@@ -157,6 +160,16 @@ def relative_class_number_by_fractions(b1_values, Q: int, w: int) -> int:
             f"relative class number {h} is not a positive integer "
             f"(wrong characters, Q or w)")
     return int(h)
+
+
+def exponent(n: Factorization, p: int) -> int:
+    """The exponent of the prime p in n, 0 when p does not divide it."""
+    return dict(n.factors).get(p, 0)
+
+
+def all_flags_true(rep: PairReport) -> bool:
+    """Whether a pair report says the members are distinct with equal disc and regulator."""
+    return rep.distinct and rep.disc_equal and rep.reg_equal
 
 
 def loop_side_by_combinations(parts):

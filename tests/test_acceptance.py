@@ -23,7 +23,7 @@ from cmquartic.cyclic_quartic import (
     relative_class_number,
     same_field,
 )
-from cmquartic.dirichlet import DirichletCharacter, bernoulli_B1
+from cmquartic.dirichlet import DirichletCharacter
 from cmquartic.errors import DomainError
 from cmquartic.families import (
     biquadratic_family,
@@ -43,7 +43,7 @@ from cmquartic.quadratic import (
     quadratic_field,
 )
 
-from oracles import agrees_with, analytic_class_number_oracle
+from oracles import agrees_with, analytic_class_number_oracle, exponent
 from test_cyclic_quartic import two_adic_distinctness
 
 
@@ -108,8 +108,8 @@ def test_criterion_4_cyclic_pair_property():
             assert len(reports) == 10
             for rep in reports:
                 assert rep.distinct and rep.disc_equal and rep.reg_equal
-                assert rep.disc.exponent(2) == 11
-                assert rep.disc.exponent(rep.p) == 2
+                assert exponent(rep.disc, 2) == 11
+                assert exponent(rep.disc, rep.p) == 2
 
 
 def test_criterion_5_same_regulator_families():
@@ -154,8 +154,7 @@ def test_criterion_8_relative_class_number_sanity():
     with criterion(8, "odd quartic character mod 5 with Q=1, w=10 gives h- = 1", 1.0):
         chi = DirichletCharacter(5, (1,))
         assert chi.order == 4 and chi.is_odd()
-        b1 = bernoulli_B1(chi)
-        assert relative_class_number((b1, b1.conjugate()), 1, 10) == 1
+        assert relative_class_number([(chi,)], (1,), 10) == (1,)
 
 
 def test_criterion_9_residue_cross_check():

@@ -5,7 +5,7 @@ import pytest
 
 from cmquartic.arith import is_squarefree
 from cmquartic.cmfield import relative_class_number
-from cmquartic.dirichlet import bernoulli_B1, kronecker_character
+from cmquartic.dirichlet import kronecker_character
 from cmquartic.biquadratic import (
     BiquadraticField,
     biquadratic,
@@ -132,9 +132,10 @@ def test_hasse_Q_sweep_resolves_every_small_field():
         else:
             unsettled += 1
             q2 += q == 2
-        b1_values = [bernoulli_B1(kronecker_character(quadratic_field(r).fund_disc))
-                     for r in K.radicands if r < 0]
-        assert relative_class_number(b1_values, q, roots_of_unity_order(K)) > 0
+        chars = [(kronecker_character(D, abs(D)),)
+                 for D in (quadratic_field(r).fund_disc for r in K.radicands if r < 0)]
+        (h_minus,) = relative_class_number(chars, (q,), roots_of_unity_order(K))
+        assert h_minus > 0
     assert (len(fields), unsettled, q2) == (1194, 78, 41)
 
 
@@ -210,10 +211,10 @@ def test_class_number_cyclotomic_sanity():
 def test_class_number_requires_resolved_Q():
     # Q(zeta12): its resolved Q = 2 gives h^- = 1; Q = 1 gives h^- = 1/2
     K = biquadratic(-1, 3)
-    b1_values = [bernoulli_B1(kronecker_character(d)) for d in (-4, -3)]
-    assert relative_class_number(b1_values, K.hasse_q, 12) == 1
+    chars = [(kronecker_character(d, abs(d)),) for d in (-4, -3)]
+    assert relative_class_number(chars, (K.hasse_q,), 12) == (1,)
     with pytest.raises(ConsistencyError):
-        relative_class_number(b1_values, 1, 12)
+        relative_class_number(chars, (1,), 12)
 
 
 def test_paper_pair_validation():

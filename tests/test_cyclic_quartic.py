@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cmquartic import cli, dirichlet, families
+from cmquartic import cli, cmfield, dirichlet, families
 from cmquartic import cyclic_quartic as cq
 from cmquartic.arith import (count_roots_mod_p, factor, is_prime, is_squarefree, kronecker,
                              squarefree_part)
@@ -26,12 +26,13 @@ from cmquartic.cyclic_quartic import (
     relative_class_number,
     same_field,
 )
-from cmquartic.dirichlet import (DirichletCharacter, GaussianRational, bernoulli_B1,
+from cmquartic.dirichlet import (DirichletCharacter, GaussianRational,
                                  characters_of_order_dividing_4, kronecker_character, unit_group)
 from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import FIELD_MEMO_SIZE, class_number_real, quadratic_field
 
-from oracles import characters_squaring_to, relative_class_number_by_fractions, square_parities
+from oracles import (characters_squaring_to, exponent, relative_class_number_by_fractions,
+                     square_parities)
 
 
 def test_defining_polynomial():
@@ -189,13 +190,13 @@ def test_discriminant_pairing_sweep():
             assert discriminant(CyclicQuarticField(2 * s, t)) == d
             assert discriminant(CyclicQuarticField(-s, t)) == d
             assert discriminant(CyclicQuarticField(-2 * s, t)) == d
-            assert d.exponent(2) == 11
+            assert exponent(d, 2) == 11
             for p, _ in factor(s).factors:
                 if p != 2:
-                    assert d.exponent(p) == 2, (s, t, p)
+                    assert exponent(d, p) == 2, (s, t, p)
             for q in (3, 7, 11, 19, 23):
                 if s % q and m % q:
-                    assert d.exponent(q) == 0, (s, t, q)
+                    assert exponent(d, q) == 0, (s, t, q)
 
 
 def test_discriminant_shared_across_sign_and_doubling_at_primes():
@@ -210,7 +211,7 @@ def test_discriminant_shared_across_sign_and_doubling_at_primes():
             assert discriminant(CyclicQuarticField(2 * p, t)) == d
             assert discriminant(CyclicQuarticField(-p, t)) == d
             assert discriminant(CyclicQuarticField(-2 * p, t)) == d
-            assert d.exponent(p) == 2
+            assert exponent(d, p) == 2
 
 
 def test_relative_class_number_against_digamma_L_values():
@@ -236,8 +237,7 @@ def test_relative_class_number_against_digamma_L_values():
                 else:
                     im -= psi
             h_analytic = 2 * (re * re + im * im) / f / (4 * mpmath.pi**2)
-            b1 = bernoulli_B1(chi)
-            h_exact = relative_class_number((b1, b1.conjugate()), 1, 2)
+            (h_exact,) = relative_class_number([(chi,)], (1,), 2)
             assert abs(h_analytic - h_exact) < mpmath.mpf("1e-8"), (s, t)
 
 
@@ -408,10 +408,11 @@ def test_pair_B1_from_one_pass_equals_two_single_passes():
         chi_a = associated_quartic_character(CyclicQuarticField(-p, t))
         chi_b = associated_quartic_character(CyclicQuarticField(-2 * p, t))
         twin = chi_a * kronecker_character(8, chi_a.modulus)
-        b1_a, b1_twin = dirichlet._bernoulli_B1s((chi_a, twin))
-        assert b1_a == bernoulli_B1(chi_a)
+        # f * B1 as Gaussian integers (a, b), from the pass over both and from one each
+        b1_a, (a, b) = dirichlet._bernoulli_B1s((chi_a, twin))
+        assert [b1_a] == dirichlet._bernoulli_B1s((chi_a,))
         # B1(conj chi) = conj B1(chi)
-        assert (b1_twin if chi_b == twin else b1_twin.conjugate()) == bernoulli_B1(chi_b)
+        assert [(a, b) if chi_b == twin else (a, -b)] == dirichlet._bernoulli_B1s((chi_b,))
         sides.add((chi_b == twin, any(g.p == 2 for g, _ in
                                       dirichlet._loop_side(chi_a._decode))))
     assert sides == {(False, False), (False, True)}, sides
@@ -571,41 +572,42 @@ def test_constructed_character_matches_the_search_on_random_fields():
 
 
 def test_relative_class_number_cyclotomic():
-    b1 = bernoulli_B1(DirichletCharacter(5, (1,)))
-    assert relative_class_number((b1, b1.conjugate()), 1, 10) == 1
-    # B1(chi) alone is not real, and B1 of (-4|.) alone gives h^- = 1/2
-    with pytest.raises(ConsistencyError):
-        relative_class_number((b1,), 1, 10)
-    with pytest.raises(ConsistencyError):
-        relative_class_number((bernoulli_B1(DirichletCharacter(4, (2,))),), 1, 2)
+    # a quartic chi stands for chi and conj chi: Q(zeta5) has h^- = 1
+    assert relative_class_number([(DirichletCharacter(5, (1,)),)], (1,), 10) == (1,)
+    # B1 of (-4|.) alone gives h^- = 1/2
+    with pytest.raises(ConsistencyError, match="1/2"):
+        relative_class_number([(DirichletCharacter(4, (2,)),)], (1,), 2)
 
 
-def _outcome(route, b1_values, Q, w):
+def _outcome(route, *args):
     try:
-        return route(b1_values, Q, w)
+        return route(*args)
     except ConsistencyError as exc:
         return type(exc), str(exc)
 
 
-def test_relative_class_number_matches_the_gaussian_rational_product():
-    # the product in Gaussian integers over one denominator gives the integer,
-    # or the error and message, of the product in Gaussian rationals
+def test_relative_class_number_matches_the_gaussian_rational_product(monkeypatch):
+    # h^- from f * B1 = a + b*i, one integer division, gives the integer, or
+    # the error and message, of the product of B1 and conj B1 (a quartic
+    # chi) or of B1 alone (a real chi) taken in Gaussian rationals
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    dens = st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12))
-    gaussian = st.builds(lambda a, c, b, d: GaussianRational(Fraction(a, c), Fraction(b, d)),
-                         st.integers(-24, 24), dens, st.integers(-3, 3), dens)
+    drawn = {}  # the kernel's f * B1 of each character
+    monkeypatch.setattr(cmfield, "_bernoulli_B1s", lambda chars: [drawn[chi] for chi in chars])
     seen = set()
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(st.lists(gaussian, min_size=1, max_size=4), st.booleans(),
+    @hypothesis.given(st.integers(-24, 24), st.integers(-3, 3),
+                      st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12)), st.sampled_from((2, 4)),
                       st.sampled_from((1, 2)), st.sampled_from((2, 4, 6, 8, 10, 12)))
-    def check(values, with_conjugates, Q, w):
-        if with_conjugates:  # a real product, as chi and conj(chi) give
-            values = values[:2] + [v.conjugate() for v in values[:2]]
-        expected = _outcome(relative_class_number_by_fractions, values, Q, w)
-        assert _outcome(relative_class_number, values, Q, w) == expected, values
-        if not isinstance(expected, tuple):
+    def check(a, b, f, order, Q, w):
+        chi = DirichletCharacter(f, (1 if order == 4 else 2,))
+        drawn[chi] = (a, b)
+        b1 = GaussianRational(Fraction(a, f), Fraction(b, f))
+        values = [b1, b1.conjugate()] if order == 4 else [b1]
+        expected = _outcome(lambda: (relative_class_number_by_fractions(values, Q, w),))
+        assert _outcome(relative_class_number, [(chi,)], (Q,), w) == expected, (a, b, f, order)
+        if len(expected) == 1:
             seen.add("integer")
         elif "not real" in expected[1]:
             seen.add("non-real")
@@ -622,8 +624,8 @@ def test_class_number_example_pair():
     assert 19400 == 2**3 * 5**2 * 97
     # h = h_minus * h(K+): the real subfield contributes exactly h(4904) = 10
     assert class_number_real(quadratic_field(1226)) == 10
-    b1 = bernoulli_B1(associated_quartic_character(CyclicQuarticField(-3, 35)))
-    assert relative_class_number((b1, b1.conjugate()), 1, 2) == 1940
+    chi = associated_quartic_character(CyclicQuarticField(-3, 35))
+    assert relative_class_number([(chi,)], (1,), 2) == (1940,)
 
 
 def test_class_number_small_member():

@@ -73,6 +73,12 @@ def reference_B1(chi: DirichletCharacter) -> GaussianRational:
     return GaussianRational(Fraction(sums[0] - sums[2], f), Fraction(sums[1] - sums[3], f))
 
 
+def reference_fB1(chi: DirichletCharacter) -> tuple[Fraction, Fraction]:
+    """f * `reference_B1`, as (a, b) for a + b*i: what the kernel `_bernoulli_B1s` returns."""
+    b1 = reference_B1(chi)
+    return b1.re * chi.modulus, b1.im * chi.modulus
+
+
 def _class_sums(table: bytes) -> tuple[list[int], list[int]]:
     """(counts, sums): how many a have table[a] == k, and their sum, for k = 0..3.
 
@@ -393,7 +399,7 @@ def test_split_B1_matches_reference_on_random_moduli():
 
 def test_kronecker_character_values():
     for D in (-3, -4, -8, -7, -84, -840, 5, 8, 12, 40, 1229):
-        chi = kronecker_character(D)
+        chi = kronecker_character(D, abs(D))
         assert chi.modulus == abs(D) and chi.conductor() == abs(D) and chi.order == 2
         assert chi.is_odd() == (D < 0)
         for a in range(abs(D)):
@@ -404,7 +410,7 @@ def test_kronecker_character_values():
 def _imaginary_class_number_from_B1(D: int) -> int:
     """h(D) = -(w/2) * B1((D|.)), w the number of roots of unity of Q(sqrt(D))."""
     w = 6 if D == -3 else 4 if D == -4 else 2
-    b1 = bernoulli_B1(kronecker_character(D))
+    b1 = bernoulli_B1(kronecker_character(D, abs(D)))
     assert b1.im == 0
     h = -w * b1.re / 2
     assert h.denominator == 1
@@ -599,10 +605,10 @@ def test_twin_B1_matches_reference_for_random_twists(block, monkeypatch):
         hypothesis.assume(twin.order > 1)
         chi_b = data.draw(st.sampled_from((twin, twin.conjugate())))
         try:
-            b1, b1_twin = dirichlet._bernoulli_B1s((chi, twin))
-            assert b1 == reference_B1(chi)
+            b1, (a, b) = dirichlet._bernoulli_B1s((chi, twin))
+            assert b1 == reference_fB1(chi)
             # B1(conj chi) = conj B1(chi)
-            assert (b1_twin if chi_b == twin else b1_twin.conjugate()) == reference_B1(chi_b)
+            assert ((a, b) if chi_b == twin else (a, -b)) == reference_fB1(chi_b)
         finally:
             stepped_logs.cache_clear()
         side, at_route = split(chi, twin)
@@ -616,8 +622,8 @@ def test_twin_B1_matches_reference_for_random_twists(block, monkeypatch):
         chi = _draw_odd_character(hypothesis, data, max_primes=3)
         chi_b = _draw_odd_character(hypothesis, data, max_primes=3, f=chi.modulus)
         try:
-            assert dirichlet._bernoulli_B1s((chi, chi_b)) == [reference_B1(chi),
-                                                              reference_B1(chi_b)]
+            assert dirichlet._bernoulli_B1s((chi, chi_b)) == [reference_fB1(chi),
+                                                              reference_fB1(chi_b)]
         finally:
             stepped_logs.cache_clear()
         side, pair_route = split(chi, chi_b)
@@ -646,7 +652,7 @@ def test_B1_through_the_lambda_memo_cold_warm_and_evicted():
     # memo keeps
     memo = dirichlet._lambda_columns
     chars = [chi for f in B1_MODULI for chi in odd_nontrivial(f)]
-    expected = {chi: reference_B1(chi) for chi in chars}
+    expected = {chi: reference_fB1(chi) for chi in chars}
     calls = [(chi,) for chi in chars] + [
         (chi, chi_b) for chi, chi_b in zip(chars, chars[1:]) if chi.modulus == chi_b.modulus]
     sides, kinds = set(), set()

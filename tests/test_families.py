@@ -21,7 +21,7 @@ from cmquartic.families import (
 )
 from cmquartic.precision import hp_from_value
 
-from oracles import agrees_with, rescaled
+from oracles import agrees_with, all_flags_true, rescaled
 
 
 def brute_force_sieve(lo, hi, residue):
@@ -214,10 +214,10 @@ def test_biquadratic_pair_examples():
     rep = biquadratic_pair_report(5, 29)
     assert rep.field_a == "B(-754,-29,26)"
     assert rep.disc.value() == 2**8 * 29**2 * 13**2
-    assert rep.all_flags_true()
+    assert all_flags_true(rep)
     rep = biquadratic_pair_report(3, 13)
     assert rep.p == 13
-    assert rep.all_flags_true()
+    assert all_flags_true(rep)
 
 
 def test_biquadratic_family_first_primes():
@@ -234,7 +234,7 @@ def test_cyclic_family_first_primes():
     assert [r.p for r in fam] == [1229]
     assert fam[0].field_a == "K(-1229,35)"
     assert fam[0].field_b == "K(-2458,35)"
-    assert fam[0].all_flags_true()
+    assert all_flags_true(fam[0])
     fam = cyclic_family(3, 2)
     assert [r.p for r in fam] == [11, 13]
     assert cyclic_family(35, 0) == []
@@ -250,10 +250,10 @@ def test_pair_at_negative_t_is_the_pair_at_t():
 
     for pair_report in (cyclic_pair_report, biquadratic_pair_report):
         rep, mirror = (pair_report(t, 29, with_class_number=True) for t in (5, -5))
-        assert mirror.all_flags_true(), mirror.kind
+        assert all_flags_true(mirror), mirror.kind
         assert replace(mirror, t=5, field_a=rep.field_a, field_b=rep.field_b) == rep
     for family in (cyclic_family, biquadratic_family):
-        assert all(rep.all_flags_true() for rep in family(-3, 2)), family.__name__
+        assert all(all_flags_true(rep) for rep in family(-3, 2)), family.__name__
 
 
 def test_pair_admissibility():
@@ -271,7 +271,7 @@ def test_family_flags_and_regulator_identity():
         with mpmath.workprec(144):
             ref = 2 * mpmath.log(t + mpmath.sqrt(m))
         for rep in biquadratic_family(t, 5) + cyclic_family(t, 5):
-            assert rep.all_flags_true()
+            assert all_flags_true(rep)
             assert rep.regulator.value == ref
 
 
@@ -279,7 +279,7 @@ def test_family_flags_full_grid():
     # first 20 admissible primes for every sieve value used by the examples
     for t in (3, 5, 13, 35):
         for rep in biquadratic_family(t, 20) + cyclic_family(t, 20):
-            assert rep.all_flags_true(), (rep.kind, t, rep.p)
+            assert all_flags_true(rep), (rep.kind, t, rep.p)
 
 
 def test_family_parallel_matches_serial():
@@ -392,13 +392,30 @@ def test_biquadratic_pair_computes_each_class_number_once(monkeypatch):
 @pytest.mark.parametrize("t", [3, 5, 13, 35])
 def test_biquadratic_pair_class_numbers_equal_the_single_field_route(t):
     # the couples read (D|.) on 8p and 8pm', which have the primes of D, so
-    # B1 and h are those of (D|.) mod |D| that `class_number` reads
+    # B1 and h are those of (D|.) mod |D|; `class_number` reads the same
+    # characters one field at a time
     from cmquartic import biquadratic as bq
 
     for p in primes_in_progression(t * t + 2, 4, 1, 6):
         rep = biquadratic_pair_report(t, p, with_class_number=True)
         members = (bq.biquadratic(-p, t * t + 1), bq.biquadratic(-2 * p, t * t + 1))
         assert (rep.class_a, rep.class_b) == tuple(map(bq.class_number, members)), (t, p)
+
+
+@pytest.mark.parametrize("kind", ["biquadratic", "cyclic"])
+def test_single_field_and_pair_read_the_same_odd_characters(monkeypatch, kind):
+    # one source of characters per kind: `odd_characters(K)` feeds the
+    # single-field `class_number` and the pair's couples alike
+    from cmquartic import families
+
+    family = families._KINDS[kind]
+    calls = _count_calls(monkeypatch, family.fields, "odd_characters")
+    Ka, Kb = family.member(-29, 5), family.member(-58, 5)
+    rep = families._pair_report(kind, 5, 29, 128, True)
+    assert calls == [(Ka,), (Kb,)]
+    assert (family.fields.class_number(Ka), family.fields.class_number(Kb)) == (
+        rep.class_a, rep.class_b)
+    assert calls == [(Ka,), (Kb,)] * 2
 
 
 def test_biquadratic_pair_whose_characters_are_no_twist_is_an_internal_error(
@@ -679,7 +696,7 @@ def test_reg_equal_fails_when_the_shipped_regulator_is_wrong(monkeypatch):
                         rescaled(real(field, precision_bits), 3, 2))
     for rep in (biquadratic_pair_report(5, 29), cyclic_pair_report(5, 29)):
         assert rep.reg_equal is False, rep.kind
-        assert not rep.all_flags_true()
+        assert not all_flags_true(rep)
 
 
 def test_distinct_fails_when_the_two_members_are_one_field(monkeypatch):
@@ -694,7 +711,7 @@ def test_distinct_fails_when_the_two_members_are_one_field(monkeypatch):
     for rep in (biquadratic_pair_report(5, 29), cyclic_pair_report(5, 29)):
         assert rep.distinct is False, rep.kind
         assert rep.disc_equal and rep.reg_equal, rep.kind
-        assert not rep.all_flags_true()
+        assert not all_flags_true(rep)
 
 
 def test_disc_equal_fails_when_the_second_members_discriminant_is_wrong(monkeypatch):
@@ -711,4 +728,4 @@ def test_disc_equal_fails_when_the_second_members_discriminant_is_wrong(monkeypa
     for rep in (biquadratic_pair_report(5, p), cyclic_pair_report(5, p)):
         assert rep.disc_equal is False, rep.kind
         assert rep.distinct and rep.reg_equal, rep.kind
-        assert not rep.all_flags_true()
+        assert not all_flags_true(rep)

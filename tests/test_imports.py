@@ -99,22 +99,35 @@ def _references(tree: ast.AST) -> Counter:
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def _definitions(tree: ast.Module):
+    """(name, node) of each module-level def and class, and, as Class.name, of each
+    method and property of a module-level class, dunder methods left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreferenced_definitions(sources: dict[str, str], kept: set[str]) -> list[str]:
-    """Module-level defs and classes, as module.name, that no code outside their
+    """Module-level defs and classes, and the methods and properties of those
+    classes, as module.name or module.Class.name, that no code outside their
     own body reads, across all `sources`, and that are not in `kept`.
 
     Reads are matched by name, so a read of a same-named definition in
-    another module counts too.
+    another module, or of a same-named attribute of another object, counts too.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
     total = sum((_references(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and total[node.name] == _references(node)[node.name]
-                    and node.name not in kept and f"{module}.{node.name}" not in kept):
-                unused.append(f"{module}.{node.name}")
+        for name, node in _definitions(tree):
+            if (total[node.name] == _references(node)[node.name]
+                    and node.name not in kept and f"{module}.{name}" not in kept):
+                unused.append(f"{module}.{name}")
     return unused
 
 
@@ -125,10 +138,19 @@ def test_checker_reports_an_unreferenced_definition():
     assert unreferenced_definitions(sources, {"C", "a.f"}) == []
 
 
+def test_checker_reports_an_unreferenced_method_or_property():
+    sources = {"a": "class C:\n    def __init__(self):\n        self.m()\n"
+                    "    def m(self):\n        pass\n    def n(self):\n        return self.n()\n"
+                    "    @property\n    def p(self):\n        pass\n",
+               "b": "from .a import C\nC()\n"}
+    assert unreferenced_definitions(sources, set()) == ["a.C.n", "a.C.p"]
+    assert unreferenced_definitions(sources, {"a.C.n", "a.C.p"}) == []
+
+
 def test_every_definition_is_used_exported_or_traced():
-    # code nothing uses gets deleted: a module-level def or class is read
-    # elsewhere in the package, exported from `cmquartic`, or wrapped by the
-    # benchmark's tracer
+    # code nothing uses gets deleted: a module-level def or class, or a
+    # method or property of such a class, is read elsewhere in the package,
+    # exported from `cmquartic`, or wrapped by the benchmark's tracer
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     traced = {f"{module}.{name}" for module, names in _load_tracer().WRAPPED.items()
               for name in names}
@@ -148,8 +170,40 @@ def test_checker_reports_a_call_by_name_or_by_attribute():
 
 
 def test_only_dirichlet_and_cmfield_call_the_B1_kernel():
-    # one owner of the pair step: a field kind supplies its characters, and
-    # `cmfield.pair_class_numbers` checks and sums them; `bernoulli_B1` is
-    # the kernel for one character
+    # one class-number step: a field kind supplies its odd characters, and
+    # `cmfield.relative_class_number` reads h^- from the kernel's f * B1, for
+    # a field or a pair; `bernoulli_B1`, B1 of one character as a Gaussian
+    # rational, is for callers outside the package and has none inside it
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert modules_calling(sources, "_bernoulli_B1s") == {"dirichlet", "cmfield"}
+    assert modules_calling(sources, "bernoulli_B1") == set()
+
+
+def test_no_fraction_is_built_on_the_way_to_a_class_number(monkeypatch):
+    # h^- is one integer division of Gaussian-integer norms and real parts;
+    # a Fraction built by dirichlet or cmfield for a single field or a pair
+    # of either kind would be a second form of B1 on that path
+    from fractions import Fraction
+
+    from cmquartic import biquadratic as bq
+    from cmquartic import cmfield, dirichlet, families
+    from cmquartic import cyclic_quartic as cq
+
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for module in (dirichlet, cmfield):
+        monkeypatch.setattr(module, "Fraction", Counted, raising=False)
+    assert cq.class_number(cq.CyclicQuarticField(-29, 5)) > 0
+    assert bq.class_number(bq.biquadratic(-47, 13)) == 25
+    cyclic = families.cyclic_pair_report(5, 29, with_class_number=True)
+    biquad = families.biquadratic_pair_report(5, 29, with_class_number=True)
+    assert (cyclic.class_a, cyclic.class_b) == (360, 1352) and biquad.class_a and biquad.class_b
+    assert built == []
+    # the counter sees the route that still builds them: B1 as a Gaussian rational
+    dirichlet.bernoulli_B1(dirichlet.DirichletCharacter(5, (1,)))
+    assert len(built) == 2
