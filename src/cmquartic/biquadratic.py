@@ -2,10 +2,13 @@
 
 A biquadratic field is determined by its three quadratic subfields, so
 the canonical representation is the set of them, sorted by radicand.  The
-module computes discriminants by the conductor-discriminant product, regulators
-through the maximal real subfield, the Hasse unit index from its unit, and
-class numbers as h^- * h(K+), with h^- from the Kronecker characters of the
-two imaginary quadratic subfields, `odd_characters`, which a pair reads too.
+module computes discriminants by the conductor-discriminant product and
+finds the maximal real subfield; a field supplies its three radicands, its
+roots of unity and, as its odd characters, the Kronecker characters of its
+two imaginary quadratic subfields.  The Hasse unit index, the regulator,
+the class number and the invariant record are the shared stages of
+`cmfield`, bound here as `hasse_Q`, `regulator`, `class_number` and
+`field_invariants`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import Factorization, is_squarefree
-from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
+from . import cmfield
 from .dirichlet import DirichletCharacter, kronecker_character
 from .errors import ConsistencyError, DomainError
-from .precision import HighPrecReal
 from .quadratic import QuadraticField, product_field, quadratic_field
 
 
@@ -37,6 +39,35 @@ class BiquadraticField:
 
     def label(self) -> str:
         return f"B({self.radicands[0]},{self.radicands[1]},{self.radicands[2]})"
+
+    @property
+    def roots_of_unity(self) -> int:
+        """w: 8 for Q(zeta8), 12 for Q(zeta12), 4 or 6 when K holds i or sqrt(-3), else 2."""
+        self.kplus  # rejects a totally real field
+        rads = set(self.radicands)
+        if rads == {-1, 2, -2}:
+            return 8
+        if rads == {-1, 3, -3}:
+            return 12
+        if -1 in rads:
+            return 4
+        if -3 in rads:
+            return 6
+        return 2
+
+    def odd_characters(self) -> list[DirichletCharacter]:
+        """(D|.) for the imaginary quadratic subfields of K, by radicand: on |D| for
+        an odd D, on lcm(|D|, 8) for an even one.
+
+        In a pair B(-p, t^2+1), B(-2p, t^2+1), with m' = (t^2+1)/2, every D is
+        even: -8pm' and -4p for the member at -p, -4pm' and -8p for the one at
+        -2p.  So the moduli 8pm' and 8p line the members' characters up in
+        couples, and they have the primes of D, so B1 is that of (D|.) mod |D|.
+        For an odd D the lift to 8|D| would add the prime 2 and change B1, so
+        an odd D is read on |D|.
+        """
+        return [kronecker_character(D, abs(D) if D % 2 else math.lcm(D, 8))
+                for D in (F.fund_disc for F in self.subfields if F.radicand < 0)]
 
     disc = cached_property(lambda self: discriminant(self))
     kplus = cached_property(lambda self: maximal_real_subfield(self))
@@ -82,54 +113,8 @@ def maximal_real_subfield(K: BiquadraticField) -> QuadraticField:
     return pos[0]
 
 
-def hasse_Q(K: BiquadraticField) -> int:
-    """Q from the unit of K+; sqrt(c) is in K when c is a square times 1 or a radicand."""
-    return hasse_index(K, K.radicands)
-
-
-def regulator(K: BiquadraticField, precision_bits: int = 128) -> HighPrecReal:
-    """2 * reg(K+) / Q, the quartic CM regulator identity."""
-    return cm_regulator(K, precision_bits)
-
-
-def roots_of_unity_order(K: BiquadraticField) -> int:
-    K.kplus  # rejects a totally real field
-    rads = set(K.radicands)
-    if rads == {-1, 2, -2}:
-        return 8
-    if rads == {-1, 3, -3}:
-        return 12
-    if -1 in rads:
-        return 4
-    if -3 in rads:
-        return 6
-    return 2
-
-
-def odd_characters(K: BiquadraticField) -> list[DirichletCharacter]:
-    """(D|.) for the imaginary quadratic subfields of K, by radicand: on |D| for
-    an odd D, on lcm(|D|, 8) for an even one.
-
-    In a pair B(-p, t^2+1), B(-2p, t^2+1), with m' = (t^2+1)/2, every D is
-    even: -8pm' and -4p for the member at -p, -4pm' and -8p for the one at
-    -2p.  So the moduli 8pm' and 8p line the members' characters up in
-    couples, and they have the primes of D, so B1 is that of (D|.) mod |D|.
-    For an odd D the lift to 8|D| would add the prime 2 and change B1, so
-    an odd D is read on |D|.
-    """
-    return [kronecker_character(D, abs(D) if D % 2 else math.lcm(D, 8))
-            for D in (F.fund_disc for F in K.subfields if F.radicand < 0)]
-
-
-def class_number(K: BiquadraticField) -> int:
-    """h(K) = h^- * h(K+), with h^- over the odd characters (D1|.) and (D2|.).
-
-    D1, D2 are the discriminants of the imaginary quadratic subfields;
-    since -B1((D|.))/2 = h(D)/w(D), this is Q * w * h1 * h2 * h(K+) / (w1 * w2).
-    """
-    (h_minus,) = relative_class_number([(chi,) for chi in odd_characters(K)], (K.hasse_q,),
-                                       roots_of_unity_order(K))
-    return h_minus * K.kplus.class_number
+hasse_Q, regulator = cmfield.hasse_index, cmfield.cm_regulator
+class_number, field_invariants = cmfield.class_number, cmfield.field_invariants
 
 
 def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:
@@ -151,15 +136,3 @@ def paper_pair(m1: int, m2: int) -> tuple[BiquadraticField, BiquadraticField]:
     if math.gcd(m1, m2) != 1:
         raise DomainError(f"gcd({m1}, {m2}) != 1", precondition="gcd(m1, m2) = 1")
     return biquadratic(-m1, 2 * m2), biquadratic(-2 * m1, 2 * m2)
-
-
-def field_invariants(K: BiquadraticField, precision_bits: int = 128,
-                     with_class_number: bool = False) -> FieldInvariants:
-    h = class_number(K) if with_class_number else None
-    return FieldInvariants(
-        disc=K.disc,
-        regulator=regulator(K, precision_bits),
-        hasse_q=K.hasse_q,
-        roots_of_unity=roots_of_unity_order(K),
-        class_number=h,
-    )

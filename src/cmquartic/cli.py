@@ -28,6 +28,7 @@ from . import biquadratic as bq
 from . import cyclic_quartic as cq
 from . import families
 from .arith import Factorization
+from .cmfield import field_invariants
 from .errors import ConsistencyError, DomainError
 from .precision import MIN_PRECISION_BITS, HighPrecReal
 
@@ -68,11 +69,8 @@ def _data(x):
 
 def _field(kind: str, x: int, y: int, precision_bits: int, with_class_number: bool):
     """B(x, y) or K(x, y), with its FieldInvariants."""
-    if kind == "biquad":
-        K = bq.biquadratic(x, y)
-        return K, bq.field_invariants(K, precision_bits, with_class_number)
-    K = cq.CyclicQuarticField(x, y)
-    return K, cq.field_invariants(K, precision_bits, with_class_number)
+    K = bq.biquadratic(x, y) if kind == "biquad" else cq.CyclicQuarticField(x, y)
+    return K, field_invariants(K, precision_bits, with_class_number)
 
 
 def cmd_invariants(args):

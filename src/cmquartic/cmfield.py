@@ -1,17 +1,23 @@
-"""What the biquadratic and cyclic quartic CM-fields share past disc(K) and K+.
+"""The invariants of a quartic CM-field, derived once for both kinds.
 
-The functions take a field with `disc`, `kplus`, `hasse_q` and `label()`.
+A field of either kind supplies `disc`, `kplus`, `hasse_q` and `label()`,
+the radicands of its quadratic subfields (`radicands`), its number of roots
+of unity (`roots_of_unity`) and its odd characters (`odd_characters()`);
+this module derives the rest from them, for a biquadratic and a cyclic
+quartic field alike, and the kind modules bind its functions under their
+own names (`hasse_Q`, `regulator`, `class_number`, `field_invariants`).
 `hasse_index` works the Hasse unit index Q = [E_K : W_K E_K+] out from the
 fundamental unit eps of K+ (Washington, Introduction to Cyclotomic Fields,
 Thm 4.12; Lemmermeyer, Kuroda's class number formula, Acta Arith. 66, 1994):
 Q = 2 exactly when zeta*eps is a square in K for a root of unity zeta.
-Each kind supplies the odd characters of a field, `odd_characters(K)`, and
-`relative_class_number` reads h^- from them, for one field or for both
-members of a pair, from f * B1 as Gaussian integers: it is the one place
-outside `dirichlet` that knows the form of B1.  A pair of either kind gets
-both class numbers from `pair_class_numbers`, which couples the members'
-characters, checks the twist between them and passes them on as one group
-per couple.
+`cm_regulator` is reg(K) = 2 reg(K+) / Q.  `relative_class_number` reads
+h^- from the odd characters, for one field or for both members of a pair,
+from f * B1 as Gaussian integers: it is the one place outside `dirichlet`
+that knows the form of B1.  A field gets h = h^- * h(K+) from
+`class_number`, and the members of a pair from `pair_class_numbers`, which
+couples their characters, checks the twist between them and passes them on
+as one group per couple; both form h in `_class_numbers`, from the Q and w
+of the fields.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ def _has_sqrt(c: int, radicands: tuple[int, ...]) -> bool:
     return any(c * r > 0 and math.isqrt(c * r) ** 2 == c * r for r in (1, *radicands))
 
 
-def hasse_index(K, radicands: tuple[int, ...]) -> int:
+def hasse_index(K) -> int:
     """Q in {1, 2} from the fundamental unit eps of K+ and the radicands of K's subfields.
 
     A unit of norm -1 gives Q = 1, since Q = 2 makes eps = eta * conj(eta)
@@ -55,6 +61,7 @@ def hasse_index(K, radicands: tuple[int, ...]) -> int:
     exactly when sqrt(-M) is in K, or i and sqrt(2M) are.  Q = 2 leaves
     K/K+ unramified outside 2, which disc(K)/disc(K+)^2 | 16 checks.
     """
+    radicands = K.radicands
     ratio, rem = divmod(K.disc.value(), K.kplus.fund_disc**2)
     if rem:
         raise ConsistencyError(f"disc(K+)^2 does not divide disc(K) for {K.label()}")
@@ -69,7 +76,7 @@ def hasse_index(K, radicands: tuple[int, ...]) -> int:
     return 2
 
 
-def cm_regulator(K, precision_bits: int) -> HighPrecReal:
+def cm_regulator(K, precision_bits: int = 128) -> HighPrecReal:
     """2 * reg(K+) / Q, the quartic CM regulator identity.
 
     Q is 1 or 2, so this is reg(K+) doubled, exactly, or reg(K+) itself,
@@ -111,27 +118,63 @@ def relative_class_number(groups, Q: tuple[int, ...], w: int) -> tuple[int, ...]
     return tuple(h_minus)
 
 
-def pair_class_numbers(Ka, Kb, couples, w: int) -> tuple[int, int]:
+def _class_numbers(fields, groups) -> tuple[int, ...]:
+    """h = h^- * h(K+) of each of `fields`, with h^- over `groups` of their odd characters.
+
+    Each field's Q is its own, and the fields share w: the members of a
+    pair have the same roots of unity.
+    """
+    Q = tuple(K.hasse_q for K in fields)
+    (w,) = {K.roots_of_unity for K in fields}
+    h_minus = relative_class_number(groups, Q, w)
+    return tuple(h * K.kplus.class_number for h, K in zip(h_minus, fields))
+
+
+def class_number(K) -> int:
+    """h(K) = h^- * h(K+), with h^- over the odd characters of K, one group each.
+
+    For a biquadratic field these are (D1|.) and (D2|.) of its imaginary
+    quadratic subfields, and since -B1((D|.))/2 = h(D)/w(D), h^- is
+    Q * w * h1 * h2 / (w1 * w2); for a cyclic one, chi, which stands for chi
+    and conj chi.
+    """
+    (h,) = _class_numbers((K,), [(chi,) for chi in K.odd_characters()])
+    return h
+
+
+def pair_class_numbers(Ka, Kb) -> tuple[int, int]:
     """(h(Ka), h(Kb)) for the members at -p and -2p of a pair, from couples of odd characters.
 
     In both families the member at -2p has the odd characters of the member
     at -p times eps = (8|.): for K(-p,t), K(-2p,t) by Hardy, Hudson, Richman,
     Williams and Holtz (1986), and for B(-p,t^2+1), B(-2p,t^2+1), with
     m' = (t^2+1)/2, since (-8p|n) = (-4p|n)(8|n) and (-4pm'|n) = (-8pm'|n)(8|n)
-    on odd n.  Each couple (chi_a, chi_b) holds an odd character of each
-    member on one modulus, a multiple of 8, and chi_b must be chi_a * eps or
-    its conjugate; anything else is a ConsistencyError.  h^- of both then
-    comes from `relative_class_number`, one kernel pass per couple over
-    chi_a and chi_a * eps: conj(chi_a * eps) gives the same h, since a
-    quartic character stands for its conjugate too.  Both members have w
-    roots of unity.
+    on odd n.  The members' `odd_characters()`, zipped in order, are couples
+    (chi_a, chi_b) of an odd character of each member on one modulus, a
+    multiple of 8, and chi_b must be chi_a * eps or its conjugate; anything
+    else is a ConsistencyError.  h^- of both then comes from
+    `relative_class_number`, one kernel pass per couple over chi_a and
+    chi_a * eps: conj(chi_a * eps) gives the same h, since a quartic
+    character stands for its conjugate too.
     """
     groups = []
-    for chi_a, chi_b in couples:
+    for chi_a, chi_b in zip(Ka.odd_characters(), Kb.odd_characters(), strict=True):
         twin = chi_a * kronecker_character(8, chi_a.modulus)
         if chi_b not in (twin, twin.conjugate()):
             raise ConsistencyError(f"chi_b with exponents {chi_b.exponents} is neither "
                                    f"chi_a * eps {twin.exponents} nor its conjugate")
         groups.append((chi_a, twin))
-    h_minus = relative_class_number(groups, (Ka.hasse_q, Kb.hasse_q), w)
-    return tuple(h * K.kplus.class_number for h, K in zip(h_minus, (Ka, Kb)))
+    return _class_numbers((Ka, Kb), groups)
+
+
+def field_invariants(K, precision_bits: int = 128,
+                     with_class_number: bool = False) -> FieldInvariants:
+    """disc, reg, Q, w and, when asked for, h of K."""
+    h = class_number(K) if with_class_number else None
+    return FieldInvariants(
+        disc=K.disc,
+        regulator=cm_regulator(K, precision_bits),
+        hasse_q=K.hasse_q,
+        roots_of_unity=K.roots_of_unity,
+        class_number=h,
+    )

@@ -3,9 +3,14 @@
 For nonzero integers s, t this polynomial is irreducible with cyclic
 Galois group; the field is totally real for s > 0 and CM for s < 0.
 The module provides the square-free-part field-equality test, the exact
-discriminant under explicit congruence conditions, regulators through the
-real quadratic subfield, and class numbers through an order-4 character
-and its generalized Bernoulli numbers.
+discriminant under explicit congruence conditions, the real quadratic
+subfield and the order-4 character of the field, checked against the
+defining polynomial and the discriminant.  A field supplies the radicand
+of K+, its only quadratic subfield, w = 2 and that character as its odd
+characters; the Hasse unit index, the regulator, the class number and the
+invariant record are the shared stages of `cmfield`, bound here as
+`hasse_Q`, `regulator`, `class_number` and `field_invariants`, with the
+shared h^- step as `relative_class_number`.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ from functools import cached_property, lru_cache
 
 from .arith import (Factorization, _root_count, _sqrt_or_none, factor, is_prime, is_squarefree,
                     squarefree_part)
-from .cmfield import FieldInvariants, cm_regulator, hasse_index, relative_class_number
+from . import cmfield
 from .dirichlet import DirichletCharacter, components
 from .errors import ConsistencyError, DomainError
-from .precision import HighPrecReal
 from .quadratic import FIELD_MEMO_SIZE, QuadraticField, quadratic_field
 
 
@@ -40,6 +44,24 @@ class CyclicQuarticField:
 
     def label(self) -> str:
         return f"K({self.s},{self.t})"
+
+    @property
+    def radicands(self) -> tuple[int]:
+        """(radicand of K+,): K+ is the only quadratic subfield of a cyclic quartic field."""
+        return (self.kplus.radicand,)
+
+    @property
+    def roots_of_unity(self) -> int:
+        """w = 2, forced on the supported domain.
+
+        t is odd there, so the radicand of K+ is even: K contains no 5th,
+        8th or 12th roots of unity.
+        """
+        return 2
+
+    def odd_characters(self) -> list[DirichletCharacter]:
+        """[chi], the associated quartic character, which stands for chi and conj chi."""
+        return [associated_quartic_character(self)]
 
     disc = cached_property(lambda self: discriminant(self))
     kplus = cached_property(lambda self: maximal_real_subfield(self))
@@ -131,14 +153,9 @@ def maximal_real_subfield(K: CyclicQuarticField) -> QuadraticField:
     return quadratic_field(K.t * K.t + 1)
 
 
-def hasse_Q(K: CyclicQuarticField) -> int:
-    """Q from the unit of K+, whose radicand is the only one of K: 1, as Hasse proved."""
-    return hasse_index(K, (K.kplus.radicand,))
-
-
-def regulator(K: CyclicQuarticField, precision_bits: int = 128) -> HighPrecReal:
-    """2 * reg(K+) / Q for the imaginary members of the family."""
-    return cm_regulator(K, precision_bits)
+hasse_Q, regulator = cmfield.hasse_index, cmfield.cm_regulator
+class_number, field_invariants = cmfield.class_number, cmfield.field_invariants
+relative_class_number = cmfield.relative_class_number
 
 
 def _conductor_of_quartic_character(K: CyclicQuarticField) -> int:
@@ -229,31 +246,3 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
         raise ConsistencyError(f"the character of {K.label()} has conductor "
                                f"{chi.conductor()}, not f = {f}")
     return min(chi, chi.conjugate(), key=lambda c: c.exponents)
-
-
-def odd_characters(K: CyclicQuarticField) -> list[DirichletCharacter]:
-    """[chi], the associated quartic character, which stands for chi and conj chi."""
-    return [associated_quartic_character(K)]
-
-
-def class_number(K: CyclicQuarticField) -> int:
-    """h(K) = h^- * h(K+), with h^- from chi and conj chi; exact.
-
-    On the supported domain t is odd, so the quadratic subfield radicand
-    is even: the field contains no 5th, 8th or 12th roots of unity and
-    w = 2 is forced.
-    """
-    (h_minus,) = relative_class_number([(chi,) for chi in odd_characters(K)], (K.hasse_q,), 2)
-    return h_minus * K.kplus.class_number
-
-
-def field_invariants(K: CyclicQuarticField, precision_bits: int = 128,
-                     with_class_number: bool = False) -> FieldInvariants:
-    h = class_number(K) if with_class_number else None
-    return FieldInvariants(
-        disc=K.disc,
-        regulator=regulator(K, precision_bits),
-        hasse_q=K.hasse_q,
-        roots_of_unity=2,
-        class_number=h,
-    )

@@ -64,9 +64,6 @@ class GaussianRational:
     re: Fraction
     im: Fraction
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
 
 def _primitive_root(p: int) -> int:
     """Smallest primitive root modulo an odd prime p."""

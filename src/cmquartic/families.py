@@ -15,7 +15,6 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, replace
-from types import ModuleType
 from typing import Callable, Iterator, NamedTuple
 
 import mpmath
@@ -25,7 +24,7 @@ from .arith import (_TRIAL_LIMIT, Factorization, _cofactor_exponents, _sqrt_mod_
 from . import biquadratic as bq
 from . import cyclic_quartic as cq
 from . import quadratic
-from .cmfield import FieldInvariants, pair_class_numbers
+from .cmfield import FieldInvariants, field_invariants, pair_class_numbers
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal, check_precision_bits, hp_from_value, workprec
 
@@ -184,14 +183,13 @@ class _Kind(NamedTuple):
     modulus: int  # p runs over the primes > t^2+1 with p = 1 (mod modulus)
     member: Callable  # (a, t) -> the field at a = -p or -2p
     same: Callable  # (Ka, Kb) -> True when both members are one field
-    fields: ModuleType  # the field module: field_invariants and odd_characters
 
 
 _KINDS = {
     "biquadratic": _Kind(4, lambda a, t: bq.biquadratic(a, t * t + 1),
-                         lambda Ka, Kb: Ka == Kb, bq),
+                         lambda Ka, Kb: Ka == Kb),
     "cyclic": _Kind(2, lambda a, t: cq.CyclicQuarticField(a, t),
-                    lambda Ka, Kb: cq.same_field(Ka.s, Kb.s, Ka.t), cq),
+                    lambda Ka, Kb: cq.same_field(Ka.s, Kb.s, Ka.t)),
 }
 
 
@@ -203,26 +201,25 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
     once per t, and 2 reg(K+) / Q is reg(K+) doubled exactly or itself.
     Both class numbers come from `cmfield.pair_class_numbers`, one B1
     kernel pass per couple of odd characters: each member's
-    `odd_characters`, the ones its single-field `class_number` reads,
-    zipped in order.  These are the two Kronecker couples on 8p and 8pm' of
-    a biquadratic pair, or the cyclic members' characters, each built and
-    checked on its own, with the check's square roots of t^2+1 kept per
-    radicand by `cyclic_quartic`.  Both members of either kind have w = 2.
+    `odd_characters()`, the ones `cmfield.class_number` reads for a single
+    field, zipped in order.  These are the two Kronecker couples on 8p and
+    8pm' of a biquadratic pair, or the cyclic members' characters, each
+    built and checked on its own, with the check's square roots of t^2+1
+    kept per radicand by `cyclic_quartic`.
     """
     _require_admissible_t(t)
     m = t * t + 1
-    modulus, member, same, fields = _KINDS[kind]
+    modulus, member, same = _KINDS[kind]
     if not is_prime(p) or p <= m or p % modulus != 1:
         need = (f"an odd prime > {m}" if modulus == 2
                 else f"a prime > {m} with p = 1 (mod {modulus})")
         raise DomainError(f"p = {p} is inadmissible for t = {t}: need {need}",
                           code="E_PRIME_INADMISSIBLE")
     Ka, Kb = member(-p, t), member(-2 * p, t)
-    inv_a, inv_b = (fields.field_invariants(K, precision_bits) for K in (Ka, Kb))
+    inv_a, inv_b = (field_invariants(K, precision_bits) for K in (Ka, Kb))
     residue_a = residue_b = None
     if with_class_number:
-        couples = zip(fields.odd_characters(Ka), fields.odd_characters(Kb), strict=True)
-        class_a, class_b = pair_class_numbers(Ka, Kb, couples, inv_a.roots_of_unity)
+        class_a, class_b = pair_class_numbers(Ka, Kb)
         inv_a = replace(inv_a, class_number=class_a)
         inv_b = replace(inv_b, class_number=class_b)
         residue_a = dedekind_residue(inv_a, precision_bits)

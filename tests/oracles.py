@@ -1,10 +1,10 @@
 """Independent routes that only the tests use: an analytic class number, a
 tolerance check on high-precision reals and their rational rescale, a
 parity-first enumeration of the characters that square to a quadratic
-character, arithmetic in Q(i) and h^- as a product of Gaussian
-rationals, the B1 split chosen by a search over every side, and two
-readers of results: a prime's exponent in a factorization and whether a
-pair report's flags all hold.
+character, arithmetic in Q(i) (sums, products and conjugates) and h^- as
+a product of Gaussian rationals, the B1 split chosen by a search over
+every side, and two readers of results: a prime's exponent in a
+factorization and whether a pair report's flags all hold.
 
 Nothing in `cmquartic` calls these, so they live beside the tests that
 cross-check the shipped routes with them.
@@ -129,6 +129,10 @@ I_POWERS = tuple(GaussianRational(Fraction(re), Fraction(im))
 
 def gaussian_sum(*values: GaussianRational) -> GaussianRational:
     return GaussianRational(sum(z.re for z in values), sum(z.im for z in values))
+
+
+def conjugate(z: GaussianRational) -> GaussianRational:
+    return GaussianRational(z.re, -z.im)
 
 
 def gaussian_product(*values: GaussianRational) -> GaussianRational:

@@ -16,7 +16,6 @@ from cmquartic.biquadratic import (
     maximal_real_subfield,
     paper_pair,
     regulator,
-    roots_of_unity_order,
 )
 from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import class_number_real, fundamental_unit, quadratic_field
@@ -134,7 +133,7 @@ def test_hasse_Q_sweep_resolves_every_small_field():
             q2 += q == 2
         chars = [(kronecker_character(D, abs(D)),)
                  for D in (quadratic_field(r).fund_disc for r in K.radicands if r < 0)]
-        (h_minus,) = relative_class_number(chars, (q,), roots_of_unity_order(K))
+        (h_minus,) = relative_class_number(chars, (q,), K.roots_of_unity)
         assert h_minus > 0
     assert (len(fields), unsettled, q2) == (1194, 78, 41)
 
@@ -153,7 +152,7 @@ def test_hasse_Q_matches_the_sympy_square_test():
         F = sympy.QQ.algebraic_field(*(sympy.sqrt(r) for r in K.radicands[:2]))
         unit = fundamental_unit(K.kplus)
         eps = F.from_sympy((unit.x + unit.y * sympy.sqrt(unit.radicand)) / unit.denom)
-        w = roots_of_unity_order(K)
+        w = K.roots_of_unity
         cyclotomic = sympy.Poly(sympy.cyclotomic_poly(w, x), x).all_coeffs()
         roots = linear_factors(cyclotomic, F)
         assert len(roots) == sympy.totient(w), label  # K holds every primitive w-th root
@@ -184,13 +183,13 @@ def test_regulator_requires_resolved_Q():
 
 
 def test_roots_of_unity():
-    assert roots_of_unity_order(biquadratic(-21, 10)) == 2
-    assert roots_of_unity_order(biquadratic(-1, 2)) == 8
-    assert roots_of_unity_order(biquadratic(-1, 3)) == 12
-    assert roots_of_unity_order(biquadratic(-1, 5)) == 4
-    assert roots_of_unity_order(biquadratic(-3, 5)) == 6
+    assert biquadratic(-21, 10).roots_of_unity == 2
+    assert biquadratic(-1, 2).roots_of_unity == 8
+    assert biquadratic(-1, 3).roots_of_unity == 12
+    assert biquadratic(-1, 5).roots_of_unity == 4
+    assert biquadratic(-3, 5).roots_of_unity == 6
     with pytest.raises(DomainError):
-        roots_of_unity_order(biquadratic(2, 3))
+        biquadratic(2, 3).roots_of_unity
 
 
 def test_class_number_example_pair():

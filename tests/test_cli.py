@@ -176,14 +176,16 @@ def test_verify_examples_lower_precision_still_passes(capsys):
 
 
 def test_verify_examples_detects_injected_fault(capsys, monkeypatch):
+    # both kinds share `cmfield.class_number`; the fault hits biquadratic fields only
     from cmquartic import biquadratic as bq
+    from cmquartic import cmfield
 
-    real = bq.class_number
+    real = cmfield.class_number
 
     def corrupted(K):
-        return real(K) + 1
+        return real(K) + isinstance(K, bq.BiquadraticField)
 
-    monkeypatch.setattr(bq, "class_number", corrupted)
+    monkeypatch.setattr(cmfield, "class_number", corrupted)
     code, out = run_cli(capsys, "verify-examples")
     assert code == 1
     assert "MISMATCH" in out

@@ -31,8 +31,8 @@ from cmquartic.dirichlet import (DirichletCharacter, GaussianRational,
 from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import FIELD_MEMO_SIZE, class_number_real, quadratic_field
 
-from oracles import (characters_squaring_to, exponent, relative_class_number_by_fractions,
-                     square_parities)
+from oracles import (characters_squaring_to, conjugate, exponent,
+                     relative_class_number_by_fractions, square_parities)
 
 
 def test_defining_polynomial():
@@ -264,6 +264,12 @@ def test_maximal_real_subfield():
     assert maximal_real_subfield(CyclicQuarticField(-21, 3)).radicand == 10
     with pytest.raises(DomainError):
         maximal_real_subfield(CyclicQuarticField(4, 3))
+
+
+def test_a_cyclic_field_supplies_the_radicand_of_kplus_and_w():
+    # K+ is its only quadratic subfield, and on the supported domain w = 2
+    K = CyclicQuarticField(-3, 35)
+    assert K.radicands == (1226,) and K.roots_of_unity == 2
 
 
 def test_hasse_Q():
@@ -604,7 +610,7 @@ def test_relative_class_number_matches_the_gaussian_rational_product(monkeypatch
         chi = DirichletCharacter(f, (1 if order == 4 else 2,))
         drawn[chi] = (a, b)
         b1 = GaussianRational(Fraction(a, f), Fraction(b, f))
-        values = [b1, b1.conjugate()] if order == 4 else [b1]
+        values = [b1, conjugate(b1)] if order == 4 else [b1]
         expected = _outcome(lambda: (relative_class_number_by_fractions(values, Q, w),))
         assert _outcome(relative_class_number, [(chi,)], (Q,), w) == expected, (a, b, f, order)
         if len(expected) == 1:

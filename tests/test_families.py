@@ -404,17 +404,16 @@ def test_biquadratic_pair_class_numbers_equal_the_single_field_route(t):
 
 @pytest.mark.parametrize("kind", ["biquadratic", "cyclic"])
 def test_single_field_and_pair_read_the_same_odd_characters(monkeypatch, kind):
-    # one source of characters per kind: `odd_characters(K)` feeds the
+    # one source of characters per kind: `K.odd_characters()` feeds the
     # single-field `class_number` and the pair's couples alike
-    from cmquartic import families
+    from cmquartic import cmfield, families
 
     family = families._KINDS[kind]
-    calls = _count_calls(monkeypatch, family.fields, "odd_characters")
     Ka, Kb = family.member(-29, 5), family.member(-58, 5)
+    calls = _count_calls(monkeypatch, type(Ka), "odd_characters")
     rep = families._pair_report(kind, 5, 29, 128, True)
     assert calls == [(Ka,), (Kb,)]
-    assert (family.fields.class_number(Ka), family.fields.class_number(Kb)) == (
-        rep.class_a, rep.class_b)
+    assert (cmfield.class_number(Ka), cmfield.class_number(Kb)) == (rep.class_a, rep.class_b)
     assert calls == [(Ka,), (Kb,)] * 2
 
 
@@ -425,8 +424,8 @@ def test_biquadratic_pair_whose_characters_are_no_twist_is_an_internal_error(
     from cmquartic import biquadratic as bq
     from cmquartic import cli
 
-    real, Ka = bq.odd_characters, bq.biquadratic(-29, 26)
-    monkeypatch.setattr(bq, "odd_characters", lambda K: real(Ka))
+    real, Ka = bq.BiquadraticField.odd_characters, bq.biquadratic(-29, 26)
+    monkeypatch.setattr(bq.BiquadraticField, "odd_characters", lambda K: real(Ka))
     code = cli.main(["pair", "biquad", "--t", "5", "--p", "29", "--with-class-number"])
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 3

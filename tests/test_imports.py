@@ -93,6 +93,21 @@ def test_unit_group_memo_has_the_cache_info_the_tracer_reads():
     assert info.hits >= 0 and info.misses >= 0
 
 
+def test_both_kinds_bind_the_one_cmfield_pipeline():
+    # a kind supplies its subfields, w and odd characters; Q, reg, h and the
+    # invariant record come from the same cmfield functions for both kinds
+    from cmquartic import biquadratic, cmfield, cyclic_quartic
+
+    shared = {"hasse_Q": cmfield.hasse_index, "regulator": cmfield.cm_regulator,
+              "class_number": cmfield.class_number,
+              "field_invariants": cmfield.field_invariants}
+    for module in (biquadratic, cyclic_quartic):
+        tree = ast.parse(Path(module.__file__).read_text())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert defined.isdisjoint(shared), module.__name__
+        assert {name: getattr(module, name) for name in shared} == shared, module.__name__
+
+
 def _references(tree: ast.AST) -> Counter:
     """How often each identifier is read, as a Name or as an attribute."""
     return Counter(node.id if isinstance(node, ast.Name) else node.attr

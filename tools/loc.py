@@ -3,12 +3,17 @@
 For each module in src/cmquartic, prints its total lines and its code-only
 lines: those that hold a token other than a comment, and that lie outside
 every docstring (the leading string of a module, class or function).
+With --rev, each module's counts at the git revision REV (read with
+`git show`) stand beside those in the working tree, with the difference;
+a module missing on one side counts 0 lines there.
 
-    python3 tools/loc.py [PACKAGE_DIR]
+    python3 tools/loc.py [--rev REV] [PACKAGE_DIR]
 """
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -38,9 +43,21 @@ def counts(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> None:
-    package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "cmquartic"
-    rows = [(path.stem, *counts(path.read_text())) for path in sorted(package.glob("*.py"))]
+def at_rev(package: Path, rev: str) -> dict[str, str]:
+    """The source of each module of `package` at git revision `rev`, by module name."""
+    def git(*args: str) -> str:
+        proc = subprocess.run(["git", "-C", str(package), *args], capture_output=True,
+                              text=True, check=False)
+        if proc.returncode:
+            sys.exit(f"git {' '.join(args)}: {proc.stderr.strip()}")
+        return proc.stdout
+
+    names = git("ls-tree", "--name-only", rev, ".").split()
+    return {Path(name).stem: git("show", f"{rev}:./{name}")
+            for name in names if name.endswith(".py")}
+
+
+def print_table(rows: list[tuple[str, int, int]]) -> None:
     width = max(len(name) for name, _, _ in rows)
     print(f"{'module':<{width}}  {'total':>6}  {'code':>6}")
     for name, total, code in rows:
@@ -48,5 +65,32 @@ def main(argv: list[str]) -> None:
     print(f"{'all':<{width}}  {sum(r[1] for r in rows):>6,}  {sum(r[2] for r in rows):>6,}")
 
 
+def print_comparison(rev: str, before: dict[str, tuple[int, int]],
+                     after: dict[str, tuple[int, int]]) -> None:
+    names = sorted(before.keys() | after.keys())
+    rows = [(name, *before.get(name, (0, 0)), *after.get(name, (0, 0))) for name in names]
+    rows.append(("all", *(sum(r[k] for r in rows) for k in range(1, 5))))
+    width = max(len(name) for name, *_ in rows)
+    print(f"{'':<{width}}  {'at ' + rev:>14}  {'working tree':>14}  {'difference':>14}")
+    print(f"{'module':<{width}}" + f"  {'total':>6}  {'code':>6}" * 3)
+    for name, t0, c0, t1, c1 in rows:
+        print(f"{name:<{width}}  {t0:>6,}  {c0:>6,}  {t1:>6,}  {c1:>6,}"
+              f"  {t1 - t0:>+6,}  {c1 - c0:>+6,}")
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description="Line counts of the cmquartic package.")
+    parser.add_argument("package", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src" / "cmquartic")
+    parser.add_argument("--rev", help="also count the modules at this git revision")
+    args = parser.parse_args(argv)
+    now = {path.stem: counts(path.read_text()) for path in sorted(args.package.glob("*.py"))}
+    if args.rev is None:
+        print_table([(name, *c) for name, c in now.items()])
+        return
+    then = {name: counts(source) for name, source in at_rev(args.package, args.rev).items()}
+    print_comparison(args.rev, then, now)
+
+
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
