@@ -4,90 +4,44 @@ Constructs families of pairs of distinct quartic fields sharing a
 discriminant and a regulator (and, for the bundled examples, a class
 number), with every invariant computed by exact arithmetic and
 cross-checked by an independent route.
+
+`import cmquartic` loads no submodule.  Each exported name, and each
+submodule as an attribute (`cmquartic.biquadratic`), loads its module on
+first access (PEP 562), so a CLI command loads only the code it runs.
 """
 
-from .arith import (
-    Factorization,
-    SquarefreePart,
-    count_roots_mod_p,
-    factor,
-    is_prime,
-    is_squarefree,
-    kronecker,
-    primes_in_progression,
-    squarefree_part,
-)
-from .biquadratic import BiquadraticField, paper_pair
-from .cmfield import FieldInvariants
-from .cyclic_quartic import CyclicQuarticField, defining_polynomial, same_field
-from .dirichlet import DirichletCharacter, GaussianRational, bernoulli_B1
-from .errors import (
-    CMQuarticError,
-    ConsistencyError,
-    DomainError,
-)
-from .families import (
-    FamilyReport,
-    PairReport,
-    SieveReport,
-    biquadratic_family,
-    cyclic_family,
-    dedekind_residue,
-    regulator_target,
-    same_regulator_family,
-    sieve_t,
-)
-from .precision import HighPrecReal
-from .quadratic import (
-    QuadraticField,
-    QuadraticUnit,
-    class_number_imaginary,
-    class_number_real,
-    fundamental_unit,
-    narrow_class_number_real,
-    quadratic_field,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiquadraticField",
-    "CMQuarticError",
-    "ConsistencyError",
-    "CyclicQuarticField",
-    "DirichletCharacter",
-    "DomainError",
-    "Factorization",
-    "FamilyReport",
-    "FieldInvariants",
-    "GaussianRational",
-    "HighPrecReal",
-    "PairReport",
-    "QuadraticField",
-    "QuadraticUnit",
-    "SieveReport",
-    "SquarefreePart",
-    "bernoulli_B1",
-    "biquadratic_family",
-    "class_number_imaginary",
-    "class_number_real",
-    "count_roots_mod_p",
-    "cyclic_family",
-    "dedekind_residue",
-    "defining_polynomial",
-    "factor",
-    "fundamental_unit",
-    "is_prime",
-    "is_squarefree",
-    "kronecker",
-    "narrow_class_number_real",
-    "paper_pair",
-    "primes_in_progression",
-    "quadratic_field",
-    "regulator_target",
-    "same_field",
-    "same_regulator_family",
-    "sieve_t",
-    "squarefree_part",
-    "__version__",
-]
+#: submodule -> the names the package exports from it
+_EXPORTS = {
+    "arith": ("Factorization", "SquarefreePart", "count_roots_mod_p", "factor", "is_prime",
+              "is_squarefree", "kronecker", "primes_in_progression", "squarefree_part"),
+    "biquadratic": ("BiquadraticField", "paper_pair"),
+    "cli": (),
+    "cmfield": ("FieldInvariants",),
+    "cyclic_quartic": ("CyclicQuarticField", "defining_polynomial", "same_field"),
+    "dirichlet": ("DirichletCharacter", "GaussianRational", "bernoulli_B1"),
+    "errors": ("CMQuarticError", "ConsistencyError", "DomainError"),
+    "families": ("FamilyReport", "PairReport", "SieveReport", "biquadratic_family",
+                 "cyclic_family", "dedekind_residue", "regulator_target",
+                 "same_regulator_family", "sieve_t"),
+    "precision": ("HighPrecReal",),
+    "quadratic": ("QuadraticField", "QuadraticUnit", "class_number_imaginary",
+                  "class_number_real", "fundamental_unit", "narrow_class_number_real",
+                  "quadratic_field"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str):
+    """A submodule, or an exported name read from its submodule, loaded on first access."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # read through on every access, so it is always what the submodule holds now
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

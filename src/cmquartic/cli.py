@@ -10,7 +10,13 @@ across runs with the same flags; stage timings are only attached when
 explicitly requested, since they would break that determinism.
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error,
-3 internal consistency error.
+3 internal consistency error, or stdout closed before the output was
+written (then nothing more is written and no traceback is printed).
+
+At module level only what every command needs is imported.  The handlers
+that build fields import `biquadratic`, `cyclic_quartic` and `cmfield`
+themselves, and mpmath is imported only where a real is formatted or
+compared, so `sieve-t` loads neither mpmath nor a field module.
 """
 
 from __future__ import annotations
@@ -19,16 +25,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 import time
 
-import mpmath
-
-from . import biquadratic as bq
-from . import cyclic_quartic as cq
 from . import families
 from .arith import Factorization
-from .cmfield import field_invariants
 from .errors import ConsistencyError, DomainError
 from .precision import MIN_PRECISION_BITS, HighPrecReal
 
@@ -52,6 +54,8 @@ def _data(x):
         return {"sign": str(x.sign), "factors": _data(x.factors),
                 "value": str(x.value()), "pretty": str(x)}
     if isinstance(x, HighPrecReal):
+        import mpmath
+
         return {"value": x.to_decimal(), "error_bound": mpmath.nstr(x.error_bound, 3),
                 "precision_bits": x.precision_bits}
     if dataclasses.is_dataclass(x):
@@ -69,6 +73,10 @@ def _data(x):
 
 def _field(kind: str, x: int, y: int, precision_bits: int, with_class_number: bool):
     """B(x, y) or K(x, y), with its FieldInvariants."""
+    from . import biquadratic as bq
+    from . import cyclic_quartic as cq
+    from .cmfield import field_invariants
+
     K = bq.biquadratic(x, y) if kind == "biquad" else cq.CyclicQuarticField(x, y)
     return K, field_invariants(K, precision_bits, with_class_number)
 
@@ -76,8 +84,10 @@ def _field(kind: str, x: int, y: int, precision_bits: int, with_class_number: bo
 def cmd_invariants(args):
     K, inv = _field(args.kind, args.x, args.y, args.precision_bits, args.with_class_number)
     if args.kind == "cyclic":
+        from .cyclic_quartic import defining_polynomial
+
         record = {"kind": args.kind, "s": K.s, "t": K.t,
-                  "defining_polynomial": cq.defining_polynomial(K.s, K.t)}
+                  "defining_polynomial": defining_polynomial(K.s, K.t)}
     else:
         record = {"kind": args.kind, "radicands": K.radicands}
     record = _data({**record, "label": K.label(), "maximal_real_subfield": K.kplus.radicand,
@@ -125,6 +135,8 @@ def cmd_target_regulator(args):
 
 def cmd_verify_examples(args) -> int:
     """Prints the diff table itself; returns the exit code, 1 on any mismatch."""
+    import mpmath
+
     rows: list[tuple] = []
     for exp in _EXPECTED:
         reg_ref = mpmath.mpf(exp["regulator"])
@@ -248,8 +260,8 @@ def _run(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _exit_code(args) -> int:
+    """Run the command; an error becomes one record and its exit code."""
     if (getattr(args, "precision_bits", MIN_PRECISION_BITS) < MIN_PRECISION_BITS
             or getattr(args, "jobs", 1) < 1):
         _emit_error("E_CONFIG", f"precision_bits >= {MIN_PRECISION_BITS} and jobs >= 1 required",
@@ -257,6 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _run(args)
+    except BrokenPipeError:  # no record can reach a closed stdout: see `main`
+        raise
     except DomainError as exc:
         _emit_error(exc.code, str(exc), exc.precondition)
         return 2
@@ -266,6 +280,20 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # an uncaught fault is internal, never exit 1 (mismatch)
         _emit_error("E_INTERNAL", f"{type(exc).__name__}: {exc}", None)
         return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        code = _exit_code(args)
+        sys.stdout.flush()  # output that fit the buffer meets a closed pipe only here
+    except BrokenPipeError:
+        # stdout was closed before the output was written: exit 3, silently.
+        # stdout goes to devnull, so the flush at interpreter exit cannot fail
+        # again (the recipe of the Python `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+    return code
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 Exit-code contract of the CLI: DomainError family -> 2,
 ConsistencyError and any unexpected exception -> 3, verification
-mismatch -> 1.  No search takes a budget: a search that fails to settle
-its answer (such as the character selection of a cyclic quartic field)
-is a ConsistencyError.
+mismatch -> 1.  A stdout closed before the output is written also exits
+3, with nothing more written.  No search takes a budget: a search that
+fails to settle its answer (such as the character selection of a cyclic
+quartic field) is a ConsistencyError.
 """
 
 from __future__ import annotations

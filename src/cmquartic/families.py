@@ -7,26 +7,38 @@ each prime p = 1 (mod 4) up to a cube-root bound along the window, so a
 window costs t_max^(2/3) plus its length rather than one factorization
 per t.  Pair generation is embarrassingly parallel over primes; output
 order is always ascending in p regardless of worker count.
+
+At module level only the standard library, `arith`, `errors` and
+`precision` (which loads mpmath only when it computes) are imported, so the
+sieve loads no field module and no mpmath.  The functions that build fields
+or compute reals reach `quadratic`, `cmfield` and the field modules through
+`_module`, and import mpmath themselves, when first called.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 from array import array
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NamedTuple
-
-import mpmath
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .arith import (_TRIAL_LIMIT, Factorization, _cofactor_exponents, _sqrt_mod_p, is_prime,
                     primes_in_progression)
-from . import biquadratic as bq
-from . import cyclic_quartic as cq
-from . import quadratic
-from .cmfield import FieldInvariants, field_invariants, pair_class_numbers
 from .errors import ConsistencyError, DomainError
 from .precision import HighPrecReal, check_precision_bits, hp_from_value, workprec
+
+if TYPE_CHECKING:
+    from .cmfield import FieldInvariants
+
+
+@cache
+def _module(name: str):
+    """The sibling module `name`, imported on first use, so the sieve loads no field
+    module.  Cached: an import statement per call cost `cyclic-pairs` about 5%."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 @dataclass(frozen=True)
@@ -149,6 +161,9 @@ def regulator_target(M: float, residue: int, precision_bits: int = 128) -> tuple
                           precondition=f"M <= {MAX_TARGET_M}")
     if residue not in (3, 5):
         raise DomainError(f"residue {residue} must be 3 or 5", code="E_T_INADMISSIBLE")
+    import mpmath
+
+    quadratic = _module("quadratic")
     check_precision_bits(precision_bits)
     with workprec(precision_bits):
         bound = mpmath.e**mpmath.mpf(M)
@@ -171,7 +186,7 @@ def _require_admissible_t(t: int) -> None:
         raise DomainError(
             f"t = {t} is not 3 or 5 (mod 8)", code="E_T_INADMISSIBLE",
             precondition="t = 3 or 5 (mod 8)")
-    if quadratic.quadratic_field(t * t + 1).radicand != t * t + 1:
+    if _module("quadratic").quadratic_field(t * t + 1).radicand != t * t + 1:
         raise DomainError(
             f"t = {t} has t^2+1 = {t * t + 1} not square-free", code="E_T_INADMISSIBLE",
             precondition="t^2+1 square-free")
@@ -186,10 +201,10 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "biquadratic": _Kind(4, lambda a, t: bq.biquadratic(a, t * t + 1),
+    "biquadratic": _Kind(4, lambda a, t: _module("biquadratic").biquadratic(a, t * t + 1),
                          lambda Ka, Kb: Ka == Kb),
-    "cyclic": _Kind(2, lambda a, t: cq.CyclicQuarticField(a, t),
-                    lambda Ka, Kb: cq.same_field(Ka.s, Kb.s, Ka.t)),
+    "cyclic": _Kind(2, lambda a, t: _module("cyclic_quartic").CyclicQuarticField(a, t),
+                    lambda Ka, Kb: _module("cyclic_quartic").same_field(Ka.s, Kb.s, Ka.t)),
 }
 
 
@@ -207,6 +222,9 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
     built and checked on its own, with the check's square roots of t^2+1
     kept per radicand by `cyclic_quartic`.
     """
+    import mpmath
+
+    cmfield = _module("cmfield")
     _require_admissible_t(t)
     m = t * t + 1
     modulus, member, same = _KINDS[kind]
@@ -216,10 +234,10 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
         raise DomainError(f"p = {p} is inadmissible for t = {t}: need {need}",
                           code="E_PRIME_INADMISSIBLE")
     Ka, Kb = member(-p, t), member(-2 * p, t)
-    inv_a, inv_b = (field_invariants(K, precision_bits) for K in (Ka, Kb))
+    inv_a, inv_b = (cmfield.field_invariants(K, precision_bits) for K in (Ka, Kb))
     residue_a = residue_b = None
     if with_class_number:
-        class_a, class_b = pair_class_numbers(Ka, Kb)
+        class_a, class_b = cmfield.pair_class_numbers(Ka, Kb)
         inv_a = replace(inv_a, class_number=class_a)
         inv_b = replace(inv_b, class_number=class_b)
         residue_a = dedekind_residue(inv_a, precision_bits)
@@ -290,6 +308,7 @@ def cyclic_family(t: int, count: int, precision_bits: int = 128,
 def same_regulator_family(kind: str, t: int, count: int,
                           precision_bits: int = 128) -> FamilyReport:
     """`count` pairwise-distinct fields sharing the single regulator 2*log(|t| + sqrt(t^2+1))."""
+    quadratic = _module("quadratic")
     _require_admissible_t(t)
     if kind not in _KINDS:
         raise DomainError(f"unknown family kind {kind!r}")
@@ -311,6 +330,8 @@ def same_regulator_family(kind: str, t: int, count: int,
 
 def dedekind_residue(inv: FieldInvariants, precision_bits: int = 128) -> HighPrecReal:
     """Residue of the zeta function at 1: 2^r1 (2 pi)^r2 h reg / (w sqrt|disc|)."""
+    import mpmath
+
     check_precision_bits(precision_bits)
     if inv.class_number is None:
         raise DomainError("class number unresolved: residue not computable",

@@ -3,16 +3,21 @@
 All regulator-flavoured quantities are mpmath floats computed with guard
 bits and reported together with a conservative error bound, so downstream
 equality checks can be tolerance-aware.
+
+mpmath is imported by the functions that compute with it, on first use, so
+`HighPrecReal` and `MIN_PRECISION_BITS` cost no mpmath to import: `sieve-t`
+never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import mpmath
-from mpmath import mpf
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 #: extra working bits beyond the requested precision
 GUARD_BITS = 16
@@ -27,11 +32,15 @@ class HighPrecReal:
     precision_bits: int
 
     def to_decimal(self) -> str:
+        import mpmath
+
         dps = int(self.precision_bits * 0.30103) + 2
         return mpmath.nstr(self.value, dps, strip_zeros=False)
 
     def doubled(self) -> "HighPrecReal":
         """2 * self, exactly: ldexp moves the binary exponent, and the bound doubles along."""
+        import mpmath
+
         return HighPrecReal(mpmath.ldexp(self.value, 1), mpmath.ldexp(self.error_bound, 1),
                             self.precision_bits)
 
@@ -46,10 +55,15 @@ def check_precision_bits(precision_bits: int) -> None:
 
 def workprec(precision_bits: int):
     """mpmath context manager at the requested precision plus guard bits."""
+    import mpmath
+
     return mpmath.workprec(precision_bits + GUARD_BITS)
 
 
 def hp_from_value(value: mpf, precision_bits: int) -> HighPrecReal:
     """Wrap a freshly computed mpf; the bound covers the final few ulps."""
-    err = abs(value) * mpf(2) ** (2 - precision_bits) + mpf(2) ** (-precision_bits)
+    import mpmath
+
+    err = (abs(value) * mpmath.mpf(2) ** (2 - precision_bits)
+           + mpmath.mpf(2) ** (-precision_bits))
     return HighPrecReal(value, err, precision_bits)

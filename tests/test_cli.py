@@ -2,8 +2,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -205,6 +208,27 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     error = json.loads(out)["error"]
     assert error["code"] == "E_INTERNAL"
     assert error["message"].startswith("ZeroDivisionError")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sieve-t", "--min", "1", "--max", "100", "--mod8", "3"),
+    ("sieve-t", "--min", "1", "--max", "100", "--mod8", "3", "--format", "csv"),
+    ("sieve-t", "--min", "0", "--max", "100", "--mod8", "3"),
+], ids=["json", "csv", "domain-error"])
+def test_a_closed_stdout_exits_3_without_a_traceback(argv):
+    # the reader is gone before the command writes: neither the output nor an
+    # error record can be written, and exit 1 would claim a verification mismatch
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cmquartic.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (3, "")
 
 
 RECORD_FLAGS = {"--precision-bits", "--format", "--with-class-number", "--timings"}

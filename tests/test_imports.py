@@ -1,11 +1,13 @@
 """Every name a package module imports is used and every module-level
 function or class is used or exported (standard library `ast` only), the CLI
-never loads numpy, sympy or, at start-up, concurrent.futures, and every hook
-of the benchmark's tracer exists."""
+never loads numpy, sympy or, at start-up, concurrent.futures, each command
+loads only the modules it runs, and every hook of the benchmark's tracer
+exists."""
 
 import ast
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -45,14 +47,33 @@ def test_every_import_is_used(path):
 
 
 #: run in a fresh interpreter: the CLI import, the pool-only modules it must
-#: not load yet, then one cyclic class number and the heavy packages
+#: not load yet, then one cyclic class number and the heavy packages.  Last,
+#: as JSON: the cmquartic modules and mpmath loaded by `import cmquartic` and
+#: after each of two commands, then a field built through the package's
+#: submodule attribute, and the exports that are not their module's object
 _HEAVY_IMPORT_PROBE = """
-import sys
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "mpmath" or m.split(".")[0] == "cmquartic")
+
+import cmquartic as cmq
+footprint = {"import cmquartic": loaded()}
 import cmquartic.cli
 print(sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules))
+for argv in (["sieve-t", "--min", "1", "--max", "100", "--mod8", "3"],
+             ["target-regulator", "--M", "6"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cmquartic.cli.main(argv) == 0
+    footprint[argv[0]] = loaded()
+footprint["B(-21, 10)"] = cmq.biquadratic.biquadratic(-21, 10).label()
+exports = {name: getattr(cmq, name) for name in cmq.__all__ if name != "__version__"}
+footprint["moved"] = [name for name, obj in exports.items()
+                      if getattr(sys.modules[obj.__module__], name) is not obj]
 from cmquartic.cyclic_quartic import CyclicQuarticField, class_number
 assert class_number(CyclicQuarticField(-29, 5)) > 0
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "sympy")))
+print(json.dumps(footprint))
 """
 
 
@@ -64,6 +85,30 @@ def test_cli_and_class_number_load_neither_numpy_nor_sympy():
     out = subprocess.run([sys.executable, "-c", _HEAVY_IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # the package exports load on first access (PEP 562); sieve-t builds no
+    # field and formats no real, and target-regulator builds only K+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _HEAVY_IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    footprint = json.loads(out.split("\n")[2])
+    sieve = [f"cmquartic{name}" for name in ("", ".arith", ".cli", ".errors", ".families",
+                                              ".precision")]
+    assert footprint == {
+        "import cmquartic": ["cmquartic"],
+        "sieve-t": sieve,
+        "target-regulator": sorted(sieve + ["cmquartic.quadratic", "mpmath"]),
+        "B(-21, 10)": "B(-210,-21,10)",
+        "moved": [],
+    }
+
+
+def test_an_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cmquartic.no_such_name
 
 
 def _load_tracer():
@@ -114,16 +159,22 @@ def _references(tree: ast.AST) -> Counter:
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
     """(name, node) of each module-level def and class, and, as Class.name, of each
-    method and property of a module-level class, dunder methods left out."""
+    method and property of a module-level class, dunders left out: the interpreter
+    calls a dunder method, and a module-level `__getattr__` (PEP 562)."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not _is_dunder(node.name)):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        and not _is_dunder(item.name)):
                     yield f"{node.name}.{item.name}", item
 
 
@@ -160,6 +211,12 @@ def test_checker_reports_an_unreferenced_method_or_property():
                "b": "from .a import C\nC()\n"}
     assert unreferenced_definitions(sources, set()) == ["a.C.n", "a.C.p"]
     assert unreferenced_definitions(sources, {"a.C.n", "a.C.p"}) == []
+
+
+def test_checker_skips_a_module_getattr_but_not_an_unused_function():
+    sources = {"a": "def __getattr__(name):\n    raise AttributeError(name)\n\n"
+                    "def f():\n    pass\n"}
+    assert unreferenced_definitions(sources, set()) == ["a.f"]
 
 
 def test_every_definition_is_used_exported_or_traced():
