@@ -13,10 +13,10 @@ Exit codes: 0 success, 1 verification mismatch, 2 domain error,
 3 internal consistency error, or stdout closed before the output was
 written (then nothing more is written and no traceback is printed).
 
-At module level only what every command needs is imported.  The handlers
-that build fields import `biquadratic`, `cyclic_quartic` and `cmfield`
-themselves, and mpmath is imported only where a real is formatted or
-compared, so `sieve-t` loads neither mpmath nor a field module.
+At module level only what every command needs is imported.  The field
+modules are read as attributes of the package, which loads each on first
+access, and mpmath is imported only where a real is formatted or compared,
+so `sieve-t` loads neither mpmath nor a field module.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from . import families
 from .arith import Factorization
 from .errors import ConsistencyError, DomainError
 from .precision import MIN_PRECISION_BITS, HighPrecReal
+
+_package = sys.modules[__package__]
 
 SCHEMA_VERSION = "cmq/1"
 
@@ -73,21 +75,16 @@ def _data(x):
 
 def _field(kind: str, x: int, y: int, precision_bits: int, with_class_number: bool):
     """B(x, y) or K(x, y), with its FieldInvariants."""
-    from . import biquadratic as bq
-    from . import cyclic_quartic as cq
-    from .cmfield import field_invariants
-
-    K = bq.biquadratic(x, y) if kind == "biquad" else cq.CyclicQuarticField(x, y)
-    return K, field_invariants(K, precision_bits, with_class_number)
+    K = (_package.biquadratic.biquadratic(x, y) if kind == "biquad"
+         else _package.cyclic_quartic.CyclicQuarticField(x, y))
+    return K, _package.cmfield.field_invariants(K, precision_bits, with_class_number)
 
 
 def cmd_invariants(args):
     K, inv = _field(args.kind, args.x, args.y, args.precision_bits, args.with_class_number)
     if args.kind == "cyclic":
-        from .cyclic_quartic import defining_polynomial
-
         record = {"kind": args.kind, "s": K.s, "t": K.t,
-                  "defining_polynomial": defining_polynomial(K.s, K.t)}
+                  "defining_polynomial": _package.cyclic_quartic.defining_polynomial(K.s, K.t)}
     else:
         record = {"kind": args.kind, "radicands": K.radicands}
     record = _data({**record, "label": K.label(), "maximal_real_subfield": K.kplus.radicand,

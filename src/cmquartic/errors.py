@@ -3,9 +3,9 @@
 Exit-code contract of the CLI: DomainError family -> 2,
 ConsistencyError and any unexpected exception -> 3, verification
 mismatch -> 1.  A stdout closed before the output is written also exits
-3, with nothing more written.  No search takes a budget: a search that
-fails to settle its answer (such as the character selection of a cyclic
-quartic field) is a ConsistencyError.
+3, with nothing more written.  Nothing is searched under a budget: the
+character of a cyclic quartic field is written down and then checked, and
+a failed check, like any failed internal identity, is a ConsistencyError.
 """
 
 from __future__ import annotations

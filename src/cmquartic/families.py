@@ -9,20 +9,18 @@ per t.  Pair generation is embarrassingly parallel over primes; output
 order is always ascending in p regardless of worker count.
 
 At module level only the standard library, `arith`, `errors` and
-`precision` (which loads mpmath only when it computes) are imported, so the
-sieve loads no field module and no mpmath.  The functions that build fields
-or compute reals reach `quadratic`, `cmfield` and the field modules through
-`_module`, and import mpmath themselves, when first called.
+`precision` are imported, so the sieve loads no field module and no mpmath.
+Other sibling modules are read as attributes of the package, which loads
+each on first access, and mpmath is imported where a real is computed.
 """
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import math
+import sys
 from array import array
 from dataclasses import dataclass, replace
-from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .arith import (_TRIAL_LIMIT, Factorization, _cofactor_exponents, _sqrt_mod_p, is_prime,
@@ -33,12 +31,7 @@ from .precision import HighPrecReal, check_precision_bits, hp_from_value, workpr
 if TYPE_CHECKING:
     from .cmfield import FieldInvariants
 
-
-@cache
-def _module(name: str):
-    """The sibling module `name`, imported on first use, so the sieve loads no field
-    module.  Cached: an import statement per call cost `cyclic-pairs` about 5%."""
-    return importlib.import_module(f"{__package__}.{name}")
+_package = sys.modules[__package__]
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ def regulator_target(M: float, residue: int, precision_bits: int = 128) -> tuple
         raise DomainError(f"residue {residue} must be 3 or 5", code="E_T_INADMISSIBLE")
     import mpmath
 
-    quadratic = _module("quadratic")
+    quadratic = _package.quadratic
     check_precision_bits(precision_bits)
     with workprec(precision_bits):
         bound = mpmath.e**mpmath.mpf(M)
@@ -186,7 +179,7 @@ def _require_admissible_t(t: int) -> None:
         raise DomainError(
             f"t = {t} is not 3 or 5 (mod 8)", code="E_T_INADMISSIBLE",
             precondition="t = 3 or 5 (mod 8)")
-    if _module("quadratic").quadratic_field(t * t + 1).radicand != t * t + 1:
+    if _package.quadratic.quadratic_field(t * t + 1).radicand != t * t + 1:
         raise DomainError(
             f"t = {t} has t^2+1 = {t * t + 1} not square-free", code="E_T_INADMISSIBLE",
             precondition="t^2+1 square-free")
@@ -201,10 +194,10 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "biquadratic": _Kind(4, lambda a, t: _module("biquadratic").biquadratic(a, t * t + 1),
+    "biquadratic": _Kind(4, lambda a, t: _package.biquadratic.biquadratic(a, t * t + 1),
                          lambda Ka, Kb: Ka == Kb),
-    "cyclic": _Kind(2, lambda a, t: _module("cyclic_quartic").CyclicQuarticField(a, t),
-                    lambda Ka, Kb: _module("cyclic_quartic").same_field(Ka.s, Kb.s, Ka.t)),
+    "cyclic": _Kind(2, lambda a, t: _package.cyclic_quartic.CyclicQuarticField(a, t),
+                    lambda Ka, Kb: _package.cyclic_quartic.same_field(Ka.s, Kb.s, Ka.t)),
 }
 
 
@@ -224,7 +217,7 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
     """
     import mpmath
 
-    cmfield = _module("cmfield")
+    cmfield = _package.cmfield
     _require_admissible_t(t)
     m = t * t + 1
     modulus, member, same = _KINDS[kind]
@@ -307,25 +300,23 @@ def cyclic_family(t: int, count: int, precision_bits: int = 128,
 
 def same_regulator_family(kind: str, t: int, count: int,
                           precision_bits: int = 128) -> FamilyReport:
-    """`count` pairwise-distinct fields sharing the single regulator 2*log(|t| + sqrt(t^2+1))."""
-    quadratic = _module("quadratic")
-    _require_admissible_t(t)
+    """`count` pairwise-distinct fields sharing the single regulator 2*log(|t| + sqrt(t^2+1)).
+
+    The members at -p of the first `count` verified pairs of `kind`; a pair
+    without `reg_equal`, a regulator other than reg(K+) doubled or a repeated
+    discriminant is a ConsistencyError.
+    """
     if kind not in _KINDS:
         raise DomainError(f"unknown family kind {kind!r}")
-    m = t * t + 1
-    family = _KINDS[kind]
-    primes = primes_in_progression(m + 1, family.modulus, 1, count)
-    reg = quadratic.regulator(quadratic.quadratic_field(m), precision_bits).doubled()
-    labels: list[str] = []
-    seen_discs = set()
-    for p in primes:
-        K = family.member(-p, t)
-        if K.disc in seen_discs:
-            raise ConsistencyError(f"duplicate discriminant in family at p = {p}")
-        seen_discs.add(K.disc)
-        labels.append(K.label())
-    return FamilyReport(kind=kind, t=t, fields=tuple(labels),
-                        primes=tuple(primes), regulator=reg)
+    reports = _family_reports(kind, t, count, precision_bits, False, 1)
+    quadratic = _package.quadratic
+    reg = quadratic.regulator(quadratic.quadratic_field(t * t + 1), precision_bits).doubled()
+    if not all(rep.reg_equal and rep.regulator == reg for rep in reports):
+        raise ConsistencyError(f"a member of the family at t = {t} has another regulator")
+    if len({rep.disc for rep in reports}) < len(reports):
+        raise ConsistencyError(f"duplicate discriminant in the family at t = {t}")
+    return FamilyReport(kind=kind, t=t, fields=tuple(rep.field_a for rep in reports),
+                        primes=tuple(rep.p for rep in reports), regulator=reg)
 
 
 def dedekind_residue(inv: FieldInvariants, precision_bits: int = 128) -> HighPrecReal:

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-import cmquartic  # noqa: F401  (loads every module that keeps a memo)
+import cmquartic  # noqa: F401  (no submodule: `_clear_memos` reads those loaded)
 
 
 def _clear_memos():

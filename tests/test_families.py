@@ -300,6 +300,18 @@ def test_same_regulator_family():
         same_regulator_family("cubic", 3, 1)
 
 
+def test_same_regulator_family_checks_each_members_regulator(monkeypatch):
+    # Q = 2 at the member at -13 makes its regulator reg(K+), not 2 reg(K+),
+    # and its Q differs from its twin's at -26: the family must not report it
+    from cmquartic import cyclic_quartic as cq
+    from cmquartic.errors import ConsistencyError
+
+    real = cq.hasse_Q
+    monkeypatch.setattr(cq, "hasse_Q", lambda K: 2 if K.s == -13 else real(K))
+    with pytest.raises(ConsistencyError, match="regulator"):
+        same_regulator_family("cyclic", 3, 3)
+
+
 def test_cyclic_family_discriminants_grow():
     rep = same_regulator_family("cyclic", 3, 6)
     from cmquartic.cyclic_quartic import CyclicQuarticField, discriminant

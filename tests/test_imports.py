@@ -106,6 +106,32 @@ def test_each_command_loads_only_the_modules_it_runs():
     }
 
 
+#: run in a fresh interpreter: one `invariants` command, then, as JSON, the
+#: cmquartic modules and mpmath it loaded
+_INVARIANTS_PROBE = """
+import contextlib, io, json, sys
+import cmquartic.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cmquartic.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "mpmath" or m.split(".")[0] == "cmquartic")))
+"""
+
+
+@pytest.mark.parametrize("argv, kind_module", [
+    (["invariants", "cyclic", "-s", "-3", "-t", "35"], "cyclic_quartic"),
+    (["invariants", "biquad", "-a", "-21", "-b", "10"], "biquadratic"),
+], ids=["cyclic", "biquad"])
+def test_invariants_loads_only_the_field_module_of_its_kind(argv, kind_module):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _INVARIANTS_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    modules = ("", ".arith", ".cli", ".cmfield", ".dirichlet", ".errors", ".families",
+               ".precision", ".quadratic", f".{kind_module}")
+    assert json.loads(out) == sorted([f"cmquartic{name}" for name in modules] + ["mpmath"])
+
+
 def test_an_unknown_package_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cmquartic.no_such_name
