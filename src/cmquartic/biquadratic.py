@@ -14,14 +14,22 @@ the class number and the invariant record are the shared stages of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .arith import Factorization, is_squarefree
 from . import cmfield
-from .dirichlet import DirichletCharacter, kronecker_character
 from .errors import ConsistencyError, DomainError
 from .quadratic import QuadraticField, product_field, quadratic_field
+
+if TYPE_CHECKING:
+    from .dirichlet import DirichletCharacter
+
+# `dirichlet` is read as an attribute of the package, which loads it on the
+# first character built: a field without a class number never loads it
+_package = sys.modules[__package__]
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,7 @@ class BiquadraticField:
         For an odd D the lift to 8|D| would add the prime 2 and change B1, so
         an odd D is read on |D|.
         """
+        kronecker_character = _package.dirichlet.kronecker_character
         return [kronecker_character(D, abs(D) if D % 2 else math.lcm(D, 8))
                 for D in (F.fund_disc for F in self.subfields if F.radicand < 0)]
 

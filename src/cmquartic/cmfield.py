@@ -17,19 +17,24 @@ that knows the form of B1.  A field gets h = h^- * h(K+) from
 `class_number`, and the members of a pair from `pair_class_numbers`, which
 couples their characters, checks the twist between them and passes them on
 as one group per couple; both form h in `_class_numbers`, from the Q and w
-of the fields.
+of the fields.  `field_invariants` and, for the two members of a pair,
+`pair_invariants` build each `FieldInvariants` record once, h included.
+`dirichlet` is read as an attribute of the package, which loads it on the
+first class number, so a field without one never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .arith import Factorization
-from .dirichlet import _bernoulli_B1s, kronecker_character
 from .errors import ConsistencyError
 from .precision import HighPrecReal
 from . import quadratic
+
+_package = sys.modules[__package__]
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,8 @@ def relative_class_number(groups, Q: tuple[int, ...], w: int) -> tuple[int, ...]
     nums, dens = [q * w for q in Q], [1] * len(Q)
     for chars in groups:
         f = chars[0].modulus
-        for j, (chi, (a, b)) in enumerate(zip(chars, _bernoulli_B1s(chars), strict=True)):
+        b1s = _package.dirichlet._bernoulli_B1s(chars)
+        for j, (chi, (a, b)) in enumerate(zip(chars, b1s, strict=True)):
             if chi.order != 4 and b:
                 raise ConsistencyError("the product of the B1 values is not real")
             nums[j] *= a * a + b * b if chi.order == 4 else -a
@@ -157,6 +163,7 @@ def pair_class_numbers(Ka, Kb) -> tuple[int, int]:
     chi_a * eps: conj(chi_a * eps) gives the same h, since a quartic
     character stands for its conjugate too.
     """
+    kronecker_character = _package.dirichlet.kronecker_character
     groups = []
     for chi_a, chi_b in zip(Ka.odd_characters(), Kb.odd_characters(), strict=True):
         twin = chi_a * kronecker_character(8, chi_a.modulus)
@@ -170,7 +177,18 @@ def pair_class_numbers(Ka, Kb) -> tuple[int, int]:
 def field_invariants(K, precision_bits: int = 128,
                      with_class_number: bool = False) -> FieldInvariants:
     """disc, reg, Q, w and, when asked for, h of K."""
-    h = class_number(K) if with_class_number else None
+    return _invariants(K, precision_bits, class_number(K) if with_class_number else None)
+
+
+def pair_invariants(Ka, Kb, precision_bits: int,
+                    with_class_number: bool) -> tuple[FieldInvariants, FieldInvariants]:
+    """`field_invariants` of the members at -p and -2p of a pair, each record built once,
+    with h, when asked for, from `pair_class_numbers`."""
+    h_a, h_b = pair_class_numbers(Ka, Kb) if with_class_number else (None, None)
+    return _invariants(Ka, precision_bits, h_a), _invariants(Kb, precision_bits, h_b)
+
+
+def _invariants(K, precision_bits: int, h: int | None) -> FieldInvariants:
     return FieldInvariants(
         disc=K.disc,
         regulator=cm_regulator(K, precision_bits),

@@ -16,15 +16,23 @@ shared h^- step as `relative_class_number`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 from .arith import (Factorization, _root_count, _sqrt_or_none, factor, is_prime, is_squarefree,
                     squarefree_part)
 from . import cmfield
-from .dirichlet import DirichletCharacter, components
 from .errors import ConsistencyError, DomainError
 from .quadratic import FIELD_MEMO_SIZE, QuadraticField, quadratic_field
+
+if TYPE_CHECKING:
+    from .dirichlet import DirichletCharacter
+
+# `dirichlet` is read as an attribute of the package, which loads it on the
+# first character built: a field without a class number never loads it
+_package = sys.modules[__package__]
 
 
 @dataclass(frozen=True)
@@ -209,10 +217,11 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     conductor.  chi and its conjugate yield identical downstream values;
     the one with the smaller exponent vector is returned.
     """
+    dirichlet = _package.dirichlet
     s, t = K.s, K.t
     m = t * t + 1
     f = _conductor_of_quartic_character(K)
-    comps = components(f)
+    comps = dirichlet.components(f)
     exps = [0] * len(comps)
     minus_one = 2  # the exponent of chi(-1) left to the -1 component
     for j, c in enumerate(comps):
@@ -232,7 +241,7 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
         if c.modulus % 2 == 0:
             exps[j] = (minus_one % 4 if c.generator == c.modulus - 1
                        else 1 if (t % 4 == 1) != (s % 2 == 0) else 3)
-    chi = DirichletCharacter(f, tuple(exps))
+    chi = dirichlet.DirichletCharacter(f, tuple(exps))
     excluded = 2 * s * t * m * f
     x = math.isqrt(m // K.kplus.radicand)  # m = x^2 * radicand
     for p, r in _root_table(K.kplus.radicand, CHECK_BOUND):

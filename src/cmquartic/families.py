@@ -8,6 +8,15 @@ window costs t_max^(2/3) plus its length rather than one factorization
 per t.  Pair generation is embarrassingly parallel over primes; output
 order is always ascending in p regardless of worker count.
 
+A pair works its reals out in one pass.  Each member's `FieldInvariants`
+is built once, with its class number when asked for.  The members share
+the discriminant, the regulator and w, so both zeta residues come from one
+working-precision block (`_residues`, which `dedekind_residue` also uses)
+that takes sqrt|disc| once per pair and 2^r1 (2 pi)^r2 once per precision,
+from a memo.  The closed form log(|t| + sqrt(t^2+1)) that `reg_equal` checks
+against is kept per |t| and precision, for as many t as the K+ memo keeps,
+so the pairs of a family take that log once.
+
 At module level only the standard library, `arith`, `errors` and
 `precision` are imported, so the sieve loads no field module and no mpmath.
 Other sibling modules are read as attributes of the package, which loads
@@ -20,15 +29,19 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .arith import (_TRIAL_LIMIT, Factorization, _cofactor_exponents, _sqrt_mod_p, is_prime,
                     primes_in_progression)
 from .errors import ConsistencyError, DomainError
-from .precision import HighPrecReal, check_precision_bits, hp_from_value, workprec
+from .precision import (FIELD_MEMO_SIZE, HighPrecReal, check_precision_bits, hp_from_value,
+                        workprec)
 
 if TYPE_CHECKING:
+    from mpmath import mpf
+
     from .cmfield import FieldInvariants
 
 _package = sys.modules[__package__]
@@ -213,10 +226,10 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
     field, zipped in order.  These are the two Kronecker couples on 8p and
     8pm' of a biquadratic pair, or the cyclic members' characters, each
     built and checked on its own, with the check's square roots of t^2+1
-    kept per radicand by `cyclic_quartic`.
+    kept per radicand by `cyclic_quartic`.  `cmfield.pair_invariants`
+    builds each member's record once, with its class number; both residues
+    then come from `_residues`.
     """
-    import mpmath
-
     cmfield = _package.cmfield
     _require_admissible_t(t)
     m = t * t + 1
@@ -227,19 +240,14 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
         raise DomainError(f"p = {p} is inadmissible for t = {t}: need {need}",
                           code="E_PRIME_INADMISSIBLE")
     Ka, Kb = member(-p, t), member(-2 * p, t)
-    inv_a, inv_b = (cmfield.field_invariants(K, precision_bits) for K in (Ka, Kb))
-    residue_a = residue_b = None
-    if with_class_number:
-        class_a, class_b = cmfield.pair_class_numbers(Ka, Kb)
-        inv_a = replace(inv_a, class_number=class_a)
-        inv_b = replace(inv_b, class_number=class_b)
-        residue_a = dedekind_residue(inv_a, precision_bits)
-        residue_b = dedekind_residue(inv_b, precision_bits)
+    inv_a, inv_b = cmfield.pair_invariants(Ka, Kb, precision_bits, with_class_number)
+    residue_a, residue_b = (_residues((inv_a, inv_b), precision_bits) if with_class_number
+                            else (None, None))
     # independent of the PQa route: t^2+1 = 2 (mod 8) is square-free, so
     # |t| + sqrt(t^2+1) is the fundamental unit of K+, for either sign of t,
     # and reg(K) = 2 log of it / Q
+    unit_log = _unit_log(abs(t), precision_bits)
     with workprec(precision_bits):
-        unit_log = mpmath.log(abs(t) + mpmath.sqrt(m))
         reg_equal = inv_a.hasse_q == inv_b.hasse_q and all(
             abs(inv.regulator.value - 2 * unit_log / inv.hasse_q) <= inv.regulator.error_bound
             for inv in (inv_a, inv_b))
@@ -254,6 +262,15 @@ def _pair_report(kind: str, t: int, p: int, precision_bits: int,
         class_a=inv_a.class_number, class_b=inv_b.class_number,
         residue_a=residue_a, residue_b=residue_b,
     )
+
+
+@lru_cache(maxsize=FIELD_MEMO_SIZE)
+def _unit_log(abs_t: int, precision_bits: int) -> mpf:
+    """log(|t| + sqrt(t^2+1)) at the working precision of `precision_bits`, from t itself."""
+    import mpmath
+
+    with workprec(precision_bits):
+        return mpmath.log(abs_t + mpmath.sqrt(abs_t * abs_t + 1))
 
 
 def biquadratic_pair_report(t: int, p: int, precision_bits: int = 128,
@@ -320,15 +337,46 @@ def same_regulator_family(kind: str, t: int, count: int,
 
 
 def dedekind_residue(inv: FieldInvariants, precision_bits: int = 128) -> HighPrecReal:
-    """Residue of the zeta function at 1: 2^r1 (2 pi)^r2 h reg / (w sqrt|disc|)."""
+    """Residue of the zeta function at 1: 2^r1 (2 pi)^r2 h reg / (w sqrt|disc|).
+
+    Analytic class number formula (Washington, Introduction to Cyclotomic
+    Fields, Thm 4.17).  The residue is derived from h, reg, disc and w of
+    `inv` and checks nothing: a wrong h gives a wrong residue, not an error.
+    """
+    (residue,) = _residues((inv,), precision_bits)
+    return residue
+
+
+@lru_cache(maxsize=FIELD_MEMO_SIZE)
+def _archimedean_factor(r1: int, r2: int, precision_bits: int) -> mpf:
+    """2^r1 (2 pi)^r2 at the working precision of `precision_bits`."""
+    import mpmath
+
+    with workprec(precision_bits):
+        return mpmath.mpf(2) ** r1 * (2 * mpmath.pi) ** r2
+
+
+def _residues(invs: tuple[FieldInvariants, ...], precision_bits: int) -> list[HighPrecReal]:
+    """`dedekind_residue` of each of `invs`, in one working-precision block.
+
+    w sqrt|disc| is taken once per (w, disc), so once for the two members of
+    a pair, and 2^r1 (2 pi)^r2 once per precision; each value is
+    ((2^r1 (2 pi)^r2 * h) * reg) / (w sqrt|disc|), rounded in that order.
+    """
     import mpmath
 
     check_precision_bits(precision_bits)
-    if inv.class_number is None:
+    if any(inv.class_number is None for inv in invs):
         raise DomainError("class number unresolved: residue not computable",
                           code="E_UNRESOLVED")
+    denominators = {}
+    values = []
     with workprec(precision_bits):
-        num = (mpmath.mpf(2) ** inv.r1 * (2 * mpmath.pi) ** inv.r2
-               * inv.class_number * inv.regulator.value)
-        val = num / (inv.roots_of_unity * mpmath.sqrt(abs(inv.disc.value())))
-    return hp_from_value(val, precision_bits)
+        for inv in invs:
+            key = (inv.roots_of_unity, inv.disc)
+            if key not in denominators:
+                denominators[key] = inv.roots_of_unity * mpmath.sqrt(abs(inv.disc.value()))
+            num = (_archimedean_factor(inv.r1, inv.r2, precision_bits)
+                   * inv.class_number * inv.regulator.value)
+            values.append(num / denominators[key])
+    return [hp_from_value(val, precision_bits) for val in values]

@@ -24,6 +24,12 @@ GUARD_BITS = 16
 
 MIN_PRECISION_BITS = 64
 
+#: entries of each bounded memo: the real fields of `quadratic.quadratic_field`,
+#: the cyclic character check's square roots per radicand, and the closed-form
+#: unit logs and the factors 2^r1 (2 pi)^r2 of `families`.  It lives here
+#: because `families` loads this module at start-up and `quadratic` only on use
+FIELD_MEMO_SIZE = 16
+
 
 @dataclass(frozen=True)
 class HighPrecReal:
@@ -64,6 +70,6 @@ def hp_from_value(value: mpf, precision_bits: int) -> HighPrecReal:
     """Wrap a freshly computed mpf; the bound covers the final few ulps."""
     import mpmath
 
-    err = (abs(value) * mpmath.mpf(2) ** (2 - precision_bits)
-           + mpmath.mpf(2) ** (-precision_bits))
+    # |v| * 2^(2-b) + 2^(-b), the powers of two as exact binary shifts
+    err = mpmath.ldexp(abs(value), 2 - precision_bits) + mpmath.ldexp(1, -precision_bits)
     return HighPrecReal(value, err, precision_bits)

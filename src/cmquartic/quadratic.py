@@ -29,7 +29,8 @@ import mpmath
 
 from .arith import Factorization, factor
 from .errors import ConsistencyError, DomainError
-from .precision import HighPrecReal, check_precision_bits, hp_from_value, workprec
+from .precision import (FIELD_MEMO_SIZE, HighPrecReal, check_precision_bits, hp_from_value,
+                        workprec)
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,6 @@ class QuadraticUnit:
     denom: int
     radicand: int
     norm: int
-
-
-#: real fields kept by `quadratic_field`: every pair or family step at one t
-#: reads K+, and a bound keeps a long run from growing
-FIELD_MEMO_SIZE = 16
 
 
 def quadratic_field(m: int) -> QuadraticField:

@@ -599,7 +599,7 @@ def test_relative_class_number_matches_the_gaussian_rational_product(monkeypatch
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     drawn = {}  # the kernel's f * B1 of each character
-    monkeypatch.setattr(cmfield, "_bernoulli_B1s", lambda chars: [drawn[chi] for chi in chars])
+    monkeypatch.setattr(dirichlet, "_bernoulli_B1s", lambda chars: [drawn[chi] for chi in chars])
     seen = set()
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -367,6 +367,88 @@ def test_residues_agree_for_example_pairs():
         assert agrees_with(rep.residue_a, rep.residue_b, 120)
 
 
+def _residue_by_formula(inv, bits):
+    """2^r1 (2 pi)^r2 h reg / (w sqrt|disc|), one field at a time, its bound by mpf powers."""
+    with mpmath.workprec(bits + 16):
+        num = (mpmath.mpf(2) ** inv.r1 * (2 * mpmath.pi) ** inv.r2
+               * inv.class_number * inv.regulator.value)
+        val = num / (inv.roots_of_unity * mpmath.sqrt(abs(inv.disc.value())))
+    err = abs(val) * mpmath.mpf(2) ** (2 - bits) + mpmath.mpf(2) ** (-bits)
+    return val, err, bits
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("t", [5, -5])
+def test_pair_residues_equal_each_members_dedekind_residue(t, bits):
+    # the pair takes w sqrt|disc| once for both members and 2^r1 (2 pi)^r2
+    # from a memo, in the order of operations of the one-field formula: the
+    # same value, error bound and precision, to the last bit
+    from cmquartic import biquadratic as bq
+    from cmquartic import cmfield
+    from cmquartic import cyclic_quartic as cq
+
+    p, m = 29, t * t + 1
+    kinds = ((cyclic_pair_report, [cq.CyclicQuarticField(a, t) for a in (-p, -2 * p)]),
+             (biquadratic_pair_report, [bq.biquadratic(a, m) for a in (-p, -2 * p)]))
+    for pair_report, members in kinds:
+        rep = pair_report(t, p, bits, with_class_number=True)
+        for residue, K in zip((rep.residue_a, rep.residue_b), members, strict=True):
+            inv = cmfield.field_invariants(K, bits, True)
+            single = dedekind_residue(inv, bits)
+            got = (residue.value, residue.error_bound, residue.precision_bits)
+            assert got == (single.value, single.error_bound, single.precision_bits), K.label()
+            assert got == _residue_by_formula(inv, bits), K.label()
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 300])
+def test_hp_from_value_bound_is_exact_powers_of_two(bits):
+    # |v| 2^(2-b) + 2^(-b) by binary shifts gives the bound the mpf powers
+    # gave, rounded at the caller's precision
+    values = [mpmath.mpf(0), mpmath.mpf(1), -mpmath.pi, mpmath.mpf(10) ** 40,
+              mpmath.mpf(2) ** -200, mpmath.mpf("0.1")]
+    for prec in (53, bits + 16):
+        with mpmath.workprec(prec):
+            for v in values:
+                got = hp_from_value(v, bits)
+                assert got.error_bound == (abs(v) * mpmath.mpf(2) ** (2 - bits)
+                                           + mpmath.mpf(2) ** (-bits)), (prec, v)
+                assert got.value is v and got.precision_bits == bits
+
+
+def test_reg_equal_closed_form_is_kept_per_t_and_precision():
+    # a closed form kept for t alone would hold the 64-bit log and fail the
+    # 256-bit regulator's bound
+    from cmquartic import families, quadratic
+
+    for pair_report in (cyclic_pair_report, biquadratic_pair_report):
+        for bits in (64, 256, 64):
+            assert pair_report(5, 29, bits).reg_equal, (pair_report.__name__, bits)
+        assert pair_report(-5, 29, 256).reg_equal, pair_report.__name__
+    # one value per |t| and precision, and no more than the K+ memo keeps
+    info = families._unit_log.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+    for t in _ADMISSIBLE_T:
+        cyclic_pair_report(t, primes_in_progression(t * t + 2, 2, 1, 1)[0], 64)
+    info = families._unit_log.cache_info()
+    assert info.maxsize == info.currsize == quadratic.FIELD_MEMO_SIZE < info.misses
+
+
+def test_family_takes_the_closed_form_log_once(monkeypatch):
+    # reg(K+) takes one log of its unit, and the closed form of reg_equal one
+    # log for the whole family, not one per pair
+    logs = []
+    real = mpmath.log
+
+    def counted(x):
+        logs.append(x)
+        return real(x)
+
+    monkeypatch.setattr(mpmath, "log", counted)
+    reports = cyclic_family(5, 5)
+    assert len(reports) == 5 and all(rep.reg_equal for rep in reports)
+    assert len(logs) == 2
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
@@ -381,9 +463,9 @@ def _count_calls(monkeypatch, module, name):
 
 def test_cyclic_pair_computes_each_class_number_once(monkeypatch):
     # the pair step in cmfield sums chi_a and chi_a * (8|.) in one kernel pass
-    from cmquartic import cmfield
+    from cmquartic import dirichlet
 
-    calls = _count_calls(monkeypatch, cmfield, "_bernoulli_B1s")
+    calls = _count_calls(monkeypatch, dirichlet, "_bernoulli_B1s")
     rep = cyclic_pair_report(5, 29, with_class_number=True)
     assert len(calls) == 1
     assert (rep.class_a, rep.class_b) == (360, 1352)
@@ -392,9 +474,9 @@ def test_cyclic_pair_computes_each_class_number_once(monkeypatch):
 def test_biquadratic_pair_computes_each_class_number_once(monkeypatch):
     # one kernel pass per couple: (-4p|.) with (-8p|.) on 8p, and (-8pm'|.)
     # with (-4pm'|.) on 8pm'
-    from cmquartic import cmfield
+    from cmquartic import dirichlet
 
-    calls = _count_calls(monkeypatch, cmfield, "_bernoulli_B1s")
+    calls = _count_calls(monkeypatch, dirichlet, "_bernoulli_B1s")
     rep = biquadratic_pair_report(5, 29, with_class_number=True)
     assert len(calls) == 2
     assert [chars[0].modulus for (chars,) in calls] == [8 * 29 * 13, 8 * 29]

@@ -106,16 +106,29 @@ def test_each_command_loads_only_the_modules_it_runs():
     }
 
 
-#: run in a fresh interpreter: one `invariants` command, then, as JSON, the
-#: cmquartic modules and mpmath it loaded
-_INVARIANTS_PROBE = """
+#: run in a fresh interpreter: one command, then, as JSON, the cmquartic
+#: modules, mpmath and fractions it loaded
+_COMMAND_PROBE = """
 import contextlib, io, json, sys
 import cmquartic.cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cmquartic.cli.main(sys.argv[1:]) == 0
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "mpmath" or m.split(".")[0] == "cmquartic")))
+                        if m in ("mpmath", "fractions") or m.split(".")[0] == "cmquartic")))
 """
+
+
+def _loaded_by(argv: list[str]) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _COMMAND_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+#: what a command that computes a field without its class number loads
+_FIELD_MODULES = ("", ".arith", ".cli", ".cmfield", ".errors", ".families", ".precision",
+                  ".quadratic")
 
 
 @pytest.mark.parametrize("argv, kind_module", [
@@ -123,13 +136,24 @@ print(json.dumps(sorted(m for m in sys.modules
     (["invariants", "biquad", "-a", "-21", "-b", "10"], "biquadratic"),
 ], ids=["cyclic", "biquad"])
 def test_invariants_loads_only_the_field_module_of_its_kind(argv, kind_module):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _INVARIANTS_PROBE, *argv], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    modules = ("", ".arith", ".cli", ".cmfield", ".dirichlet", ".errors", ".families",
-               ".precision", ".quadratic", f".{kind_module}")
-    assert json.loads(out) == sorted([f"cmquartic{name}" for name in modules] + ["mpmath"])
+    # without a class number no character is built, so neither `dirichlet`
+    # nor, through it, `fractions` is loaded
+    modules = (*_FIELD_MODULES, f".{kind_module}")
+    assert _loaded_by(argv) == sorted([f"cmquartic{name}" for name in modules] + ["mpmath"])
+
+
+@pytest.mark.parametrize("argv, kind_module", [
+    (["pair", "cyclic", "--t", "5", "--p", "29"], "cyclic_quartic"),
+    (["pair", "biquad", "--t", "5", "--p", "29"], "biquadratic"),
+    (["family", "cyclic", "--t", "5", "--count", "3"], "cyclic_quartic"),
+    (["family", "biquad", "--t", "5", "--count", "3"], "biquadratic"),
+], ids=["pair-cyclic", "pair-biquad", "family-cyclic", "family-biquad"])
+def test_dirichlet_is_loaded_only_for_a_class_number(argv, kind_module):
+    modules = sorted([f"cmquartic{name}" for name in (*_FIELD_MODULES, f".{kind_module}")]
+                     + ["mpmath"])
+    assert _loaded_by(argv) == modules
+    assert _loaded_by(argv + ["--with-class-number"]) == sorted(
+        modules + ["cmquartic.dirichlet", "fractions"])
 
 
 def test_an_unknown_package_attribute_is_an_attribute_error():
