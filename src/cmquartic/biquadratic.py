@@ -2,13 +2,13 @@
 
 A biquadratic field is determined by its three quadratic subfields, so
 the canonical representation is the set of them, sorted by radicand.  The
-module computes discriminants by the conductor-discriminant product and
-finds the maximal real subfield; a field supplies its three radicands, its
-roots of unity and, as its odd characters, the Kronecker characters of its
-two imaginary quadratic subfields.  The Hasse unit index, the regulator,
-the class number and the invariant record are the shared stages of
-`cmfield`, bound here as `hasse_Q`, `regulator`, `class_number` and
-`field_invariants`.
+module finds the maximal real subfield; a field supplies the conductors
+|d(F)| of its three quadratic subfields F, its three radicands, its roots
+of unity and, as its odd characters, the Kronecker characters of its two
+imaginary quadratic subfields.  The discriminant, the Hasse unit index,
+the regulator, the class number and the invariant record are the shared
+stages of `cmfield`, bound here as `discriminant`, `hasse_Q`, `regulator`,
+`class_number` and `field_invariants`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .arith import Factorization, is_squarefree
 from . import cmfield
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .quadratic import QuadraticField, product_field, quadratic_field
 
 if TYPE_CHECKING:
@@ -40,6 +40,11 @@ class BiquadraticField:
     """
 
     subfields: tuple[QuadraticField, QuadraticField, QuadraticField]
+
+    @property
+    def conductors(self) -> tuple[Factorization, Factorization, Factorization]:
+        """|d(F)| of each quadratic subfield F: the conductor of its character (d(F)|.)."""
+        return tuple(Factorization(1, F.disc_factors.factors) for F in self.subfields)
 
     @property
     def radicands(self) -> tuple[int, int, int]:
@@ -106,14 +111,6 @@ def biquadratic(a: int, b: int) -> BiquadraticField:
     return BiquadraticField(tuple(subfields))
 
 
-def discriminant(K: BiquadraticField) -> Factorization:
-    """Product of the three quadratic subfield fundamental discriminants."""
-    result = math.prod((F.disc_factors for F in K.subfields), start=Factorization(1, ()))
-    if result.sign <= 0:
-        raise ConsistencyError(f"non-positive quartic discriminant for {K.label()}")
-    return result
-
-
 def maximal_real_subfield(K: BiquadraticField) -> QuadraticField:
     pos = [F for F in K.subfields if F.radicand > 0]
     if len(pos) != 1:
@@ -122,6 +119,7 @@ def maximal_real_subfield(K: BiquadraticField) -> QuadraticField:
     return pos[0]
 
 
+discriminant = cmfield.discriminant
 hasse_Q, regulator = cmfield.hasse_index, cmfield.cm_regulator
 class_number, field_invariants = cmfield.class_number, cmfield.field_invariants
 

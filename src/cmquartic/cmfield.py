@@ -1,11 +1,14 @@
 """The invariants of a quartic CM-field, derived once for both kinds.
 
 A field of either kind supplies `disc`, `kplus`, `hasse_q` and `label()`,
-the radicands of its quadratic subfields (`radicands`), its number of roots
-of unity (`roots_of_unity`) and its odd characters (`odd_characters()`);
-this module derives the rest from them, for a biquadratic and a cyclic
-quartic field alike, and the kind modules bind its functions under their
-own names (`hasse_Q`, `regulator`, `class_number`, `field_invariants`).
+the factored conductors of its nontrivial characters (`conductors`), the
+radicands of its quadratic subfields (`radicands`), its number of roots of
+unity (`roots_of_unity`) and its odd characters (`odd_characters()`); this
+module derives the rest from them, for a biquadratic and a cyclic quartic
+field alike, and the kind modules bind its functions under their own names
+(`discriminant`, `hasse_Q`, `regulator`, `class_number`, `field_invariants`).
+`discriminant` is the product of the conductors (Washington, Introduction
+to Cyclotomic Fields, Thm 3.11).
 `hasse_index` works the Hasse unit index Q = [E_K : W_K E_K+] out from the
 fundamental unit eps of K+ (Washington, Introduction to Cyclotomic Fields,
 Thm 4.12; Lemmermeyer, Kuroda's class number formula, Acta Arith. 66, 1994):
@@ -48,6 +51,20 @@ class FieldInvariants:
     class_number: int | None
     r1: int = 0
     r2: int = 2
+
+
+def discriminant(K) -> Factorization:
+    """disc(K) = prod f(chi) over the nontrivial characters chi of K, formed by one
+    exponent merge.
+
+    The sign is +: a Galois quartic field is totally real or totally
+    imaginary, so r2 is 0 or 2.
+    """
+    exps: dict[int, int] = {}
+    for f in K.conductors:
+        for p, e in f.factors:
+            exps[p] = exps.get(p, 0) + e
+    return Factorization.from_exponents(1, exps)
 
 
 def _has_sqrt(c: int, radicands: tuple[int, ...]) -> bool:

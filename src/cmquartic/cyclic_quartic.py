@@ -2,15 +2,17 @@
 
 For nonzero integers s, t this polynomial is irreducible with cyclic
 Galois group; the field is totally real for s > 0 and CM for s < 0.
-The module provides the square-free-part field-equality test, the exact
-discriminant under explicit congruence conditions, the real quadratic
-subfield and the order-4 character of the field, checked against the
-defining polynomial and the discriminant.  A field supplies the radicand
-of K+, its only quadratic subfield, w = 2 and that character as its odd
-characters; the Hasse unit index, the regulator, the class number and the
-invariant record are the shared stages of `cmfield`, bound here as
-`hasse_Q`, `regulator`, `class_number` and `field_invariants`, with the
-shared h^- step as `relative_class_number`.
+The module provides the square-free-part field-equality test, the
+conductor f of the order-4 character of the field, written down from
+(s, t) under explicit conditions, the real quadratic subfield and that
+character, checked against the defining polynomial and f.  A field
+supplies the conductors (d(K+), f, f) of its nontrivial characters, the
+radicand of K+, its only quadratic subfield, w = 2 and that character as
+its odd characters; the discriminant, the Hasse unit index, the
+regulator, the class number and the invariant record are the shared
+stages of `cmfield`, bound here as `discriminant`, `hasse_Q`, `regulator`,
+`class_number` and `field_invariants`, with the shared h^- step as
+`relative_class_number`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
-from .arith import (Factorization, _root_count, _sqrt_or_none, factor, is_prime, is_squarefree,
-                    squarefree_part)
+from .arith import Factorization, _root_count, _sqrt_or_none, factor, is_prime, squarefree_part
 from . import cmfield
 from .errors import ConsistencyError, DomainError
 from .quadratic import FIELD_MEMO_SIZE, QuadraticField, quadratic_field
@@ -39,7 +40,7 @@ _package = sys.modules[__package__]
 class CyclicQuarticField:
     """Parameter pair (s, t); the field is generated by sqrt(s(t^2+1) + s*sqrt(t^2+1)).
 
-    `disc`, `kplus` and `hasse_q` are computed once, on first use.
+    `conductor`, `disc`, `kplus` and `hasse_q` are computed once, on first use.
     """
 
     s: int
@@ -52,6 +53,13 @@ class CyclicQuarticField:
 
     def label(self) -> str:
         return f"K({self.s},{self.t})"
+
+    @property
+    def conductors(self) -> tuple[Factorization, Factorization, Factorization]:
+        """(d(K+), f, f): the conductors of the character of Q(sqrt(t^2+1)) and of chi,
+        conj chi."""
+        f = self.conductor
+        return quadratic_field(self.t * self.t + 1).disc_factors, f, f
 
     @property
     def radicands(self) -> tuple[int]:
@@ -71,6 +79,7 @@ class CyclicQuarticField:
         """[chi], the associated quartic character, which stands for chi and conj chi."""
         return [associated_quartic_character(self)]
 
+    conductor = cached_property(lambda self: quartic_conductor(self))
     disc = cached_property(lambda self: discriminant(self))
     kplus = cached_property(lambda self: maximal_real_subfield(self))
     hasse_q = cached_property(lambda self: hasse_Q(self))
@@ -98,40 +107,16 @@ def same_field(s: int, s2: int, t: int) -> bool:
     return core == 1 or core == quadratic_field(t * t + 1).radicand
 
 
-def hsw_discriminant(a: int, b: int, c: int) -> Factorization:
-    """Discriminant 2^8 gcd(a,b)^2 c^3 / gcd(a,b,c)^2 of Q(sqrt(a + b sqrt(c))).
+def quartic_conductor(K: CyclicQuarticField) -> Factorization:
+    """f = 2^4 * (odd primes of s) * (odd primes q with v_q(t^2+1) != 0 mod 4).
 
-    Valid when c and gcd(a,b) are square-free and the inputs satisfy one
-    of the two congruence patterns below; anything else is rejected.
-    """
-    cond_a = a % 8 == 4 and b % 4 == 2 and c % 8 == 2
-    cond_b = a % 4 == 2 and b % 2 == 1 and c % 8 == 2
-    if not (cond_a or cond_b):
-        raise DomainError(
-            f"(a, b, c) = ({a}, {b}, {c}) satisfies neither congruence condition "
-            "(a): a=4 mod 8, b=2 mod 4, c=2 mod 8, nor (b): a=2 mod 4, b odd, c=2 mod 8",
-            precondition="condition (a) or (b)",
-        )
-    field_c = quadratic_field(c)
-    if field_c.radicand != c:
-        raise DomainError(f"c = {c} is not square-free", precondition="c square-free")
-    g1 = math.gcd(a, b)
-    f1 = factor(g1)
-    if any(e > 1 for _, e in f1.factors):
-        raise DomainError(f"gcd(a, b) = {g1} is not square-free",
-                          precondition="gcd(a, b) square-free")
-    # with g1 and c square-free, a prime of both has 2 + 3 - 2 = 3 in the exponent
-    exps = dict.fromkeys((p for p, _ in f1.factors), 2)
-    exps.update(dict.fromkeys(field_c.radicand_primes(), 3))
-    exps[2] += 8  # c = 2 (mod 8), so 2 is a prime of c
-    return Factorization.from_exponents(field_c.disc_factors.sign, exps)
-
-
-def discriminant(K: CyclicQuarticField) -> Factorization:
-    """Field discriminant 2^8 s0^2 n^2 m^3 / gcd(m, n)^2, via the radical form.
-
-    Accepts s square-free or 2 * (odd square-free): doubling s does not
-    change the discriminant, so all four of K(+-s, t), K(+-2s, t) agree.
+    The conductor of the order-4 character chi of K(s,t), read off the
+    A(D + B sqrt(D)) form of Hardy, Hudson, Richman, Williams and Holtz
+    (1986), with A = s, B = 1, C = t and D = t^2+1; t odd makes
+    D = 2 (mod 8), which puts 2^4 in f.  Accepts t odd and s square-free
+    (odd, or twice an odd number) with no odd prime in common with t^2+1:
+    doubling s does not change f, so all four of K(+-s, t), K(+-2s, t)
+    share it, and their discriminant d(K+) f^2.
     """
     s, t = K.s, K.t
     if t % 2 == 0:
@@ -139,19 +124,21 @@ def discriminant(K: CyclicQuarticField) -> Factorization:
             f"t = {t} is even: the radical form violates congruence condition (a)/(b) "
             "(c = 2 mod 8 requires t odd)", code="E_T_INADMISSIBLE",
             precondition="t odd")
-    if not is_squarefree(s):
+    s_primes = factor(s).factors
+    if any(e > 1 for _, e in s_primes):
         raise DomainError(f"s = {s} is not square-free (nor twice a square-free odd number)",
                           precondition="s square-free")
-    m_full = t * t + 1
+    m = t * t + 1
     s_odd = s // (s & -s)
-    if math.gcd(s_odd, m_full) != 1:
-        raise DomainError(f"gcd({s_odd}, t^2+1 = {m_full}) > 1",
+    if math.gcd(s_odd, m) != 1:
+        raise DomainError(f"gcd({s_odd}, t^2+1 = {m}) > 1",
                           precondition="gcd(s, t^2+1) = 1")
-    # t^2+1 = x^4 n^2 m with m, n square-free; m is the radicand of K+
-    m = quadratic_field(m_full).radicand
-    n, x = squarefree_part(math.isqrt(m_full // m))
-    # radical form sqrt(a + b sqrt(c)) with a = s x^2 n^2 m, b = s n, c = m
-    return hsw_discriminant(s * x * x * n * n * m, s * n, m)
+    # m = x^2 * r, r the radicand of K+: v_q(m) = 1 + 2 v_q(x) at a prime of r,
+    # and elsewhere v_q(m) = 2 v_q(x), which is not 0 mod 4 when v_q(x) is odd
+    kplus = quadratic_field(m)
+    x_odd = {q for q, e in factor(math.isqrt(m // kplus.radicand)).factors if e % 2}
+    primes = kplus.radicand_primes() | x_odd | {p for p, _ in s_primes}
+    return Factorization.from_exponents(1, {**dict.fromkeys(primes, 1), 2: 4})
 
 
 def maximal_real_subfield(K: CyclicQuarticField) -> QuadraticField:
@@ -161,19 +148,10 @@ def maximal_real_subfield(K: CyclicQuarticField) -> QuadraticField:
     return quadratic_field(K.t * K.t + 1)
 
 
+discriminant = cmfield.discriminant
 hasse_Q, regulator = cmfield.hasse_index, cmfield.cm_regulator
 class_number, field_invariants = cmfield.class_number, cmfield.field_invariants
 relative_class_number = cmfield.relative_class_number
-
-
-def _conductor_of_quartic_character(K: CyclicQuarticField) -> int:
-    ratio, rem = divmod(K.disc.value(), K.kplus.fund_disc)
-    if rem:
-        raise ConsistencyError(f"disc(K+) does not divide disc(K) for {K.label()}")
-    f = math.isqrt(ratio)
-    if f * f != ratio:
-        raise ConsistencyError(f"disc(K)/disc(K+) is not a square for {K.label()}")
-    return f
 
 
 #: every odd prime up to this bound is a check on the constructed character
@@ -197,7 +175,7 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     K(s,t) = Q(sqrt(s(m + sqrt(m)))) with m = t^2+1 is the A(D + B sqrt(D))
     form, A = s, B = 1, C = t, of Hardy, Hudson, Richman, Williams and Holtz
     (1986), so chi is written down on the components of (Z/f)^*, with
-    f = sqrt(disc(K)/disc(K+)) = 16 * (odd square-free):
+    f = 16 * (odd square-free) from `quartic_conductor`:
 
     - at an odd prime q of m, where -t is a square root of -1, the quartic
       residue symbol to the power v = v_q(m): exponent v*k, where
@@ -209,8 +187,8 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
 
     chi is then checked: chi(p) = 1 exactly when the defining polynomial
     has 4 roots mod p, at every odd prime p <= CHECK_BOUND prime to
-    2st*m*f, and chi has conductor f, which checks disc(K) = disc(K+) f^2
-    apart from hsw_discriminant.  Only the square roots of m mod p are
+    2st*m*f, and chi has conductor f, which checks the f that disc(K) =
+    d(K+) f^2 is formed from.  Only the square roots of m mod p are
     shared, read from the table of the radicand of K+ (`_root_table`,
     scaled by x for m = x^2 * radicand); each field counts the roots of
     its own polynomial, one Legendre power per prime, and checks its own
@@ -220,7 +198,7 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     dirichlet = _package.dirichlet
     s, t = K.s, K.t
     m = t * t + 1
-    f = _conductor_of_quartic_character(K)
+    f = K.conductor.value()
     comps = dirichlet.components(f)
     exps = [0] * len(comps)
     minus_one = 2  # the exponent of chi(-1) left to the -1 component

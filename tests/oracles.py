@@ -3,8 +3,9 @@ tolerance check on high-precision reals and their rational rescale, a
 parity-first enumeration of the characters that square to a quadratic
 character, arithmetic in Q(i) (sums, products and conjugates) and h^- as
 a product of Gaussian rationals, the B1 split chosen by a search over
-every side, and two readers of results: a prime's exponent in a
-factorization and whether a pair report's flags all hold.
+every side, the discriminant of a cyclic quartic field by its radical
+form, and two readers of results: a prime's exponent in a factorization
+and whether a pair report's flags all hold.
 
 Nothing in `cmquartic` calls these, so they live beside the tests that
 cross-check the shipped routes with them.
@@ -19,12 +20,13 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from cmquartic.arith import Factorization, kronecker
+from cmquartic.arith import Factorization, factor, kronecker, squarefree_part
 from cmquartic.dirichlet import DirichletCharacter, GaussianRational, components, unit_group
 from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.families import PairReport
 from cmquartic.precision import GUARD_BITS, HighPrecReal, workprec
-from cmquartic.quadratic import QuadraticField, is_fundamental_discriminant, regulator
+from cmquartic.quadratic import (QuadraticField, is_fundamental_discriminant, quadratic_field,
+                                  regulator)
 
 
 def analytic_class_number_oracle(D: int, precision_bits: int = 64) -> int:
@@ -164,6 +166,48 @@ def relative_class_number_by_fractions(b1_values, Q: int, w: int) -> int:
             f"relative class number {h} is not a positive integer "
             f"(wrong characters, Q or w)")
     return int(h)
+
+
+def hsw_discriminant(a: int, b: int, c: int) -> Factorization:
+    """Discriminant 2^8 gcd(a,b)^2 c^3 / gcd(a,b,c)^2 of Q(sqrt(a + b sqrt(c))).
+
+    Valid when c and gcd(a,b) are square-free and the inputs satisfy one
+    of the two congruence patterns below; anything else is rejected.  The
+    reference for the conductor-discriminant product of a cyclic field.
+    """
+    cond_a = a % 8 == 4 and b % 4 == 2 and c % 8 == 2
+    cond_b = a % 4 == 2 and b % 2 == 1 and c % 8 == 2
+    if not (cond_a or cond_b):
+        raise DomainError(
+            f"(a, b, c) = ({a}, {b}, {c}) satisfies neither congruence condition "
+            "(a): a=4 mod 8, b=2 mod 4, c=2 mod 8, nor (b): a=2 mod 4, b odd, c=2 mod 8",
+            precondition="condition (a) or (b)",
+        )
+    field_c = quadratic_field(c)
+    if field_c.radicand != c:
+        raise DomainError(f"c = {c} is not square-free", precondition="c square-free")
+    g1 = math.gcd(a, b)
+    f1 = factor(g1)
+    if any(e > 1 for _, e in f1.factors):
+        raise DomainError(f"gcd(a, b) = {g1} is not square-free",
+                          precondition="gcd(a, b) square-free")
+    # with g1 and c square-free, a prime of both has 2 + 3 - 2 = 3 in the exponent
+    exps = dict.fromkeys((p for p, _ in f1.factors), 2)
+    exps.update(dict.fromkeys(field_c.radicand_primes(), 3))
+    exps[2] += 8  # c = 2 (mod 8), so 2 is a prime of c
+    return Factorization.from_exponents(field_c.disc_factors.sign, exps)
+
+
+def radical_form(s: int, t: int) -> tuple[int, int, int]:
+    """(a, b, c) with K(s,t) = Q(sqrt(a + b sqrt(c))), c and n square-free.
+
+    t^2+1 = x^4 n^2 c, and s(t^2+1 + sqrt(t^2+1)) is x^2 times
+    a + b sqrt(c) with a = s x^2 n^2 c, b = s n.
+    """
+    m = t * t + 1
+    c = quadratic_field(m).radicand
+    n, x = squarefree_part(math.isqrt(m // c))
+    return s * x * x * n * n * c, s * n, c
 
 
 def exponent(n: Factorization, p: int) -> int:

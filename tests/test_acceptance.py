@@ -19,7 +19,6 @@ from cmquartic import cli
 from cmquartic.arith import is_squarefree
 from cmquartic.cyclic_quartic import (
     discriminant as cyclic_discriminant,
-    hsw_discriminant,
     relative_class_number,
     same_field,
 )
@@ -43,7 +42,7 @@ from cmquartic.quadratic import (
     quadratic_field,
 )
 
-from oracles import agrees_with, analytic_class_number_oracle, exponent
+from oracles import agrees_with, analytic_class_number_oracle, exponent, hsw_discriminant
 from test_cyclic_quartic import two_adic_distinctness
 
 
@@ -179,6 +178,12 @@ def test_criterion_10_negative_controls():
             hsw_discriminant(1, 1, 1)
         with pytest.raises(DomainError):
             hsw_discriminant(3, 5, 7)
+        with pytest.raises(DomainError) as even_t:
+            cyclic_discriminant(cq.CyclicQuarticField(-3, 4))
+        assert (even_t.value.code, even_t.value.precondition) == ("E_T_INADMISSIBLE", "t odd")
+        with pytest.raises(DomainError) as square_s:
+            cyclic_discriminant(cq.CyclicQuarticField(-12, 3))
+        assert square_s.value.precondition == "s square-free"
 
 
 def test_criterion_11_large_cyclic_pair_class_numbers(capsys):

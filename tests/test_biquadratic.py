@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from cmquartic.arith import is_squarefree
+from cmquartic.arith import is_squarefree, squarefree_part
 from cmquartic.cmfield import relative_class_number
 from cmquartic.dirichlet import kronecker_character
 from cmquartic.biquadratic import (
@@ -47,8 +47,6 @@ def test_square_radicand_is_a_domain_error():
 
 
 def test_radicand_closure():
-    from cmquartic.arith import squarefree_part
-
     for a in (-21, -42, -1, 2, 7, 15):
         for b in (10, -2, 3, 26):
             if squarefree_part(a).value == squarefree_part(b).value:
@@ -64,6 +62,27 @@ def test_discriminant_examples():
     assert str(discriminant(biquadratic(-21, 10))) == "2^8*3^2*5^2*7^2"
     assert discriminant(biquadratic(-42, 10)).value() == 2822400
     assert discriminant(biquadratic(-1, 2)).value() == 256  # eighth roots of unity
+
+
+def test_discriminant_is_the_product_of_the_signed_fundamental_discriminants():
+    # the product of the conductors |d(F)| against d(F1) d(F2) d(F3), with
+    # each d(F) read off the square-free part of a, b and ab; imaginary and
+    # totally real fields alike
+    def fund_disc(n):
+        r = squarefree_part(n).value
+        return r if r % 4 == 1 else 4 * r
+
+    fields = 0
+    for a in range(-60, 61):
+        for b in range(a + 1, 61):
+            try:
+                K = biquadratic(a, b)
+            except DomainError:
+                continue
+            expected = fund_disc(a) * fund_disc(b) * fund_disc(a * b)
+            assert discriminant(K).value() == expected > 0, K.label()
+            fields += 1
+    assert fields == 6251
 
 
 def test_discriminant_divisible_by_subfield_discriminants():

@@ -20,7 +20,6 @@ from cmquartic.cyclic_quartic import (
     discriminant,
     field_invariants,
     hasse_Q,
-    hsw_discriminant,
     maximal_real_subfield,
     regulator,
     relative_class_number,
@@ -31,8 +30,8 @@ from cmquartic.dirichlet import (DirichletCharacter, GaussianRational,
 from cmquartic.errors import ConsistencyError, DomainError
 from cmquartic.quadratic import FIELD_MEMO_SIZE, class_number_real, quadratic_field
 
-from oracles import (characters_squaring_to, conjugate, exponent,
-                     relative_class_number_by_fractions, square_parities)
+from oracles import (characters_squaring_to, conjugate, exponent, hsw_discriminant,
+                     radical_form, relative_class_number_by_fractions, square_parities)
 
 
 def test_defining_polynomial():
@@ -199,6 +198,46 @@ def test_discriminant_pairing_sweep():
                     assert exponent(d, q) == 0, (s, t, q)
 
 
+def _accepted_fields(ts, s_bound):
+    """K(s, t) for s in +-1..+-s_bound and each t in ts, the fields whose conductor is
+    written down; the others are refused."""
+    for t in ts:
+        for s in (*range(-s_bound, 0), *range(1, s_bound + 1)):
+            K = CyclicQuarticField(s, t)
+            try:
+                K.conductor
+            except DomainError:
+                continue
+            yield K
+
+
+#: odd t < 120, and 443, where t^2+1 = 2 * 5^4 * 157; 5^2 divides t^2+1 at 7, 43 and 57
+SWEEP_T = (*range(1, 120, 2), 443)
+
+
+def test_discriminant_matches_the_radical_form_oracle():
+    # d(K+) f^2 from the written-down f against 2^8 gcd(a,b)^2 c^3 / gcd(a,b,c)^2
+    # of the radical form; both signs and every doubling of s are in the sweep
+    fields = 0
+    for K in _accepted_fields(SWEEP_T, 120):
+        assert discriminant(K) == hsw_discriminant(*radical_form(K.s, K.t)), K.label()
+        fields += 1
+    assert fields == 8230
+
+
+def test_polynomial_discriminant_over_field_discriminant_is_a_square():
+    # disc(X^4 - 2sm X^2 + s^2 t^2 m) = 256 s^6 t^2 m^3 (m = t^2+1) is the
+    # field discriminant times the square of the index of Z[theta]
+    fields = 0
+    for K in _accepted_fields(SWEEP_T, 120):
+        s, t = K.s, K.t
+        m = t * t + 1
+        index_squared, rem = divmod(256 * s**6 * t * t * m**3, discriminant(K).value())
+        assert rem == 0 and math.isqrt(index_squared) ** 2 == index_squared, K.label()
+        fields += 1
+    assert fields == 8230
+
+
 def test_discriminant_shared_across_sign_and_doubling_at_primes():
     # real pair (p, 2p), imaginary pair (-p, -2p) and the mixed pair (p, -p)
     # all share one discriminant, over the first 20 admissible primes
@@ -348,9 +387,10 @@ def test_wrong_split_after_the_pair_is_settled_is_an_internal_error(monkeypatch,
 
 @pytest.mark.parametrize("stray", [3, 11])
 def test_wrong_discriminant_is_an_internal_error(monkeypatch, capsys, stray):
-    # a stray q^2 in disc(K) puts q into f, where the constructed chi is trivial
-    true_discriminant = cq.discriminant
-    monkeypatch.setattr(cq, "discriminant", lambda K: true_discriminant(K) * factor(stray**2))
+    # a stray q in the written-down f, and so q^2 in disc(K), where the
+    # constructed chi is trivial
+    true_conductor = cq.quartic_conductor
+    monkeypatch.setattr(cq, "quartic_conductor", lambda K: true_conductor(K) * factor(stray))
     code = cli.main(["invariants", "cyclic", "-s", "-7", "-t", "3", "--with-class-number"])
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 3
@@ -461,7 +501,7 @@ def test_character_splitting_above_the_check_bound(s, t, checked):
 def full_filter_candidates(K):
     """Every order-4 character mod f whose square is the quadratic character of K+,
     kept when odd and primitive."""
-    fchi = cq._conductor_of_quartic_character(K)
+    fchi = K.conductor.value()
     return [chi for chi in characters_squaring_to(fchi, K.kplus.fund_disc)
             if chi.is_odd() and chi.conductor() == fchi]
 
@@ -472,7 +512,7 @@ def searched_character(K):
     conjugate pair, and its smaller exponent vector is taken."""
     cands = full_filter_candidates(K)
     s, t = K.s, K.t
-    excluded = 2 * s * t * (t * t + 1) * cq._conductor_of_quartic_character(K)
+    excluded = 2 * s * t * (t * t + 1) * K.conductor.value()
     p = 3
     while len(cands) > 2:
         if excluded % p and is_prime(p):
@@ -496,7 +536,7 @@ def test_parity_first_candidates_match_the_full_filter_on_the_benchmark_pool():
     # exponent parities square to the quadratic character of K+
     fields = 0
     for K in benchmark_pool():
-        fchi = cq._conductor_of_quartic_character(K)
+        fchi = K.conductor.value()
         D = K.kplus.fund_disc
         parities = square_parities(fchi, D)
         full = [chi for chi in characters_of_order_dividing_4(fchi)

@@ -189,11 +189,13 @@ def test_unit_group_memo_has_the_cache_info_the_tracer_reads():
 
 
 def test_both_kinds_bind_the_one_cmfield_pipeline():
-    # a kind supplies its subfields, w and odd characters; Q, reg, h and the
-    # invariant record come from the same cmfield functions for both kinds
+    # a kind supplies its conductors, subfields, w and odd characters; disc,
+    # Q, reg, h and the invariant record come from the same cmfield
+    # functions for both kinds
     from cmquartic import biquadratic, cmfield, cyclic_quartic
 
-    shared = {"hasse_Q": cmfield.hasse_index, "regulator": cmfield.cm_regulator,
+    shared = {"discriminant": cmfield.discriminant,
+              "hasse_Q": cmfield.hasse_index, "regulator": cmfield.cm_regulator,
               "class_number": cmfield.class_number,
               "field_invariants": cmfield.field_invariants}
     for module in (biquadratic, cyclic_quartic):
