@@ -18,11 +18,15 @@ from .errors import ConsistencyError, DomainError
 # cofactors above it go to the rho fallback.
 _TRIAL_LIMIT = 1 << 20
 
-# Witness schedule proven sufficient for n < 3.3 * 10^24 (covers 64-bit).
+# The first twelve prime bases are a proof of primality for n < psi_12, the
+# least strong pseudoprime to all of them (about 3.2 * 10^23; Sorenson and
+# Webster, Math. Comp. 86, 2017), which covers 64-bit.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
 
-# Fixed extended schedule for arbitrary-precision inputs: deterministic,
-# reproducible, and far beyond the needs of desk-scale discriminants.
+# Fixed extended schedule for n >= psi_12: deterministic and reproducible.
+# Its bases up to 41 are a proof below psi_13 = 3317044064679887385961981
+# (about 3.3 * 10^24); above that it is a strong probable-prime test, not a proof.
 _MR_WITNESSES_BIG = _MR_WITNESSES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
@@ -76,7 +80,12 @@ class SquarefreePart(NamedTuple):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with a fixed witness schedule."""
+    """Deterministic Miller-Rabin with a fixed witness schedule.
+
+    A proof of primality for n < psi_13 (about 3.3 * 10^24): the twelve
+    bases up to 37 below psi_12, the 25 bases up to 97 from there on.
+    Above psi_13 a True is a strong probable prime to those 25 bases.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -87,7 +96,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    witnesses = _MR_WITNESSES if n.bit_length() <= 82 else _MR_WITNESSES_BIG
+    witnesses = _MR_WITNESSES if n < _PSI_12 else _MR_WITNESSES_BIG
     for a in witnesses:
         x = pow(a, d, n)
         if x in (1, n - 1):

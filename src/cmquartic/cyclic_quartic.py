@@ -174,16 +174,18 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
 
     K(s,t) = Q(sqrt(s(m + sqrt(m)))) with m = t^2+1 is the A(D + B sqrt(D))
     form, A = s, B = 1, C = t, of Hardy, Hudson, Richman, Williams and Holtz
-    (1986), so chi is written down on the components of (Z/f)^*, with
-    f = 16 * (odd square-free) from `quartic_conductor`:
+    (1986), so chi is written down in one pass over the local groups of
+    (Z/f)^*, with f = 16 * (odd square-free) from `quartic_conductor`:
 
-    - at an odd prime q of m, where -t is a square root of -1, the quartic
-      residue symbol to the power v = v_q(m): exponent v*k, where
-      g^((q-1)/4) = (-t)^k (mod q) for the component generator g;
-    - at an odd prime of s, the Legendre symbol: exponent 2;
-    - on 5 (mod 16), exponent 1 when (t = 1 mod 4) differs from (s even),
-      else 3;
-    - on -1 (mod 16), the exponent that makes chi odd.
+    - on 5 in (Z/16)^* = <-1> x <5>, exponent 1 when (t = 1 mod 4)
+      differs from (s even), else 3;
+    - at an odd prime q of f, exponent v*k mod 4, where
+      g^((q-1)/4) = (-t)^k (mod q) for the generator g of (Z/q)^*: v = 2
+      at a prime of s (the Legendre symbol), and otherwise q divides m,
+      -t is a square root of -1 mod q, and v = v_q(m) (the quartic
+      residue symbol to that power);
+    - on -1 in (Z/16)^*, exponent 0, made 2 when the character built so
+      far is even, so that chi(-1) = -1.
 
     chi is then checked: chi(p) = 1 exactly when the defining polynomial
     has 4 roots mod p, at every odd prime p <= CHECK_BOUND prime to
@@ -199,27 +201,20 @@ def associated_quartic_character(K: CyclicQuarticField) -> DirichletCharacter:
     s, t = K.s, K.t
     m = t * t + 1
     f = K.conductor.value()
-    comps = dirichlet.components(f)
-    exps = [0] * len(comps)
-    minus_one = 2  # the exponent of chi(-1) left to the -1 component
-    for j, c in enumerate(comps):
-        q = c.modulus
-        if q % 2 == 0:
+    exps = []
+    for g in dirichlet.unit_group(f):  # (Z/16)^* = <-1> x <5>, then one cyclic group per odd q
+        if g.p == 2:
+            exps += [0, 1 if (t % 4 == 1) != (s % 2 == 0) else 3]
             continue
-        if m % q == 0:
-            v, rest = 0, m
-            while rest % q == 0:
-                v, rest = v + 1, rest // q
-            k = 1 if pow(c.generator, c.order // 4, q) == -t % q else 3
-            exps[j] = v * k % 4
-        elif s % q == 0:
-            exps[j] = 2
-        minus_one -= exps[j] * (c.order // 2)
-    for j, c in enumerate(comps):
-        if c.modulus % 2 == 0:
-            exps[j] = (minus_one % 4 if c.generator == c.modulus - 1
-                       else 1 if (t % 4 == 1) != (s % 2 == 0) else 3)
+        q, (c,) = g.p, g.components
+        v, rest = 0, m
+        while rest % q == 0:  # v = v_q(m)
+            v, rest = v + 1, rest // q
+        k = 1 if pow(c.generator, c.order // 4, q) == -t % q else 3
+        exps.append((2 if s % q == 0 else v) * k % 4)
     chi = dirichlet.DirichletCharacter(f, tuple(exps))
+    if not chi.is_odd():
+        chi = dirichlet.DirichletCharacter(f, (2, *exps[1:]))
     excluded = 2 * s * t * m * f
     x = math.isqrt(m // K.kplus.radicand)  # m = x^2 * radicand
     for p, r in _root_table(K.kplus.radicand, CHECK_BOUND):

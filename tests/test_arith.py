@@ -38,6 +38,18 @@ def test_is_prime_large():
     assert is_prime(1229)
 
 
+def test_is_prime_refuses_the_strong_pseudoprimes_to_the_first_primes():
+    # psi_12 and psi_13 (Sorenson and Webster, Math. Comp. 86, 2017) are the
+    # least strong pseudoprimes to every prime base up to 37 and up to 41,
+    # so the twelve bases must stop below psi_12, by value: both have at most 82 bits
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441
+    assert psi13 == 1287836182261 * 2575672364521
+    assert not is_prime(psi12)
+    assert not is_prime(psi13)
+    assert factor(psi12) == Factorization(1, ((399165290221, 1), (798330580441, 1)))
+
+
 def test_factor_examples():
     assert factor(1) == Factorization(1, ())
     assert factor(-84) == Factorization(-1, ((2, 2), (3, 1), (7, 1)))
