@@ -9,7 +9,6 @@ arguments and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
@@ -30,8 +29,7 @@ _PSI_12 = 318665857834031151167461
 _MR_WITNESSES_BIG = _MR_WITNESSES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Signed integer as sign * product(p_i ** e_i) with strictly increasing primes."""
 
     sign: int

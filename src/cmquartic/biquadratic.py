@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import Factorization, is_squarefree
 from . import cmfield
@@ -32,14 +31,12 @@ if TYPE_CHECKING:
 _package = sys.modules[__package__]
 
 
-@dataclass(frozen=True)
-class BiquadraticField:
+class BiquadraticField(NamedTuple("BiquadraticField", [
+        ("subfields", tuple[QuadraticField, QuadraticField, QuadraticField])])):
     """Canonical set of the three quadratic subfields, sorted by radicand.
 
     `disc`, `kplus` and `hasse_q` are computed once, on first use.
     """
-
-    subfields: tuple[QuadraticField, QuadraticField, QuadraticField]
 
     @property
     def conductors(self) -> tuple[Factorization, Factorization, Factorization]:

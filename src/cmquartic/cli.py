@@ -7,7 +7,8 @@ returns its records (the library's `PairReport`s, `SieveReport` and
 serializer, `_data`, turns every record into canonical JSON data (sorted
 keys, big integers as decimal strings), so output is byte-identical
 across runs with the same flags; stage timings are only attached when
-explicitly requested, since they would break that determinism.
+explicitly requested, since they would break that determinism.  The
+records are NamedTuples, which `_data` reads by `_asdict()`.
 
 Exit codes: 0 success, 1 verification mismatch, 2 domain error,
 3 internal consistency error, or stdout closed before the output was
@@ -15,15 +16,14 @@ written (then nothing more is written and no traceback is printed).
 
 At module level only what every command needs is imported.  The field
 modules are read as attributes of the package, which loads each on first
-access, and mpmath is imported only where a real is formatted or compared,
-so `sieve-t` loads neither mpmath nor a field module.
+access, mpmath is imported only where a real is formatted or compared, and
+csv only where a CSV is written, so `sieve-t` loads neither mpmath nor a
+field module, and no command loads `inspect`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import os
 import sys
@@ -60,8 +60,8 @@ def _data(x):
 
         return {"value": x.to_decimal(), "error_bound": mpmath.nstr(x.error_bound, 3),
                 "precision_bits": x.precision_bits}
-    if dataclasses.is_dataclass(x):
-        return {f.name: _data(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if hasattr(x, "_asdict"):  # a record: a NamedTuple, so ahead of the tuple branch
+        x = x._asdict()
     if isinstance(x, dict):
         return {key: _data(value) for key, value in x.items()}
     if isinstance(x, (bool, str)) or x is None:
@@ -244,6 +244,8 @@ def _run(args) -> int:
         return result
     records, rows, columns = result
     if getattr(args, "format", "json") == "csv":
+        import csv
+
         writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

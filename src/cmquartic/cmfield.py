@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import Factorization
 from .errors import ConsistencyError
@@ -40,8 +40,7 @@ from . import quadratic
 _package = sys.modules[__package__]
 
 
-@dataclass(frozen=True)
-class FieldInvariants:
+class FieldInvariants(NamedTuple):
     """Comparison payload of a quartic field: everything the residue formula needs."""
 
     disc: Factorization

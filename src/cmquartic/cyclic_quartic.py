@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import Factorization, _root_count, _sqrt_or_none, factor, is_prime, squarefree_part
 from . import cmfield
@@ -36,20 +35,17 @@ if TYPE_CHECKING:
 _package = sys.modules[__package__]
 
 
-@dataclass(frozen=True)
-class CyclicQuarticField:
+class CyclicQuarticField(NamedTuple("CyclicQuarticField", [("s", int), ("t", int)])):
     """Parameter pair (s, t); the field is generated by sqrt(s(t^2+1) + s*sqrt(t^2+1)).
 
     `conductor`, `disc`, `kplus` and `hasse_q` are computed once, on first use.
     """
 
-    s: int
-    t: int
-
-    def __post_init__(self):
-        if self.s == 0 or self.t == 0:
-            raise DomainError(f"parameters (s, t) = ({self.s}, {self.t}) must be nonzero",
+    def __new__(cls, s: int, t: int):
+        if s == 0 or t == 0:
+            raise DomainError(f"parameters (s, t) = ({s}, {t}) must be nonzero",
                               code="E_PARAM_ZERO")
+        return super().__new__(cls, s, t)
 
     def label(self) -> str:
         return f"K({self.s},{self.t})"
@@ -95,15 +91,16 @@ def defining_polynomial(s: int, t: int) -> tuple[int, int, int, int, int]:
 def same_field(s: int, s2: int, t: int) -> bool:
     """Equality of K(s,t) and K(s2,t): s*s2 is a square, or its core matches t^2+1.
 
-    The core of s*s2 is (a/g)(b/g) for the cores a, b of s, s2 and
-    g = gcd(a, b), so s*s2 itself is never factored; the core of t^2+1 is
-    the radicand of K+.
+    s*s2 = g^2 (s/g)(s2/g) with g = gcd(s, s2), and s/g, s2/g are coprime,
+    so the core of s*s2 is the product of their cores and s*s2 is never
+    factored.  For the members K(-p,t), K(-2p,t) of a pair s/g and s2/g are
+    -1 and -2, so each member's s is factored once, for its conductor.  The
+    core of t^2+1 is the radicand of K+.
     """
     if s == 0 or s2 == 0 or t == 0:
         raise DomainError("parameters must be nonzero", code="E_PARAM_ZERO")
-    a, b = squarefree_part(s).value, squarefree_part(s2).value
-    g = math.gcd(a, b)
-    core = (a // g) * (b // g)
+    g = math.gcd(s, s2)
+    core = squarefree_part(s // g).value * squarefree_part(s2 // g).value
     return core == 1 or core == quadratic_field(t * t + 1).radicand
 
 

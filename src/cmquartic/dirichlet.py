@@ -40,6 +40,12 @@ lambda table, and nothing else about them is assumed.  Its one caller
 outside this module is `cmfield.relative_class_number`, which reads h^-
 of a field, or of both members of a pair, from those integers;
 `bernoulli_B1` divides by f for a single character, as a GaussianRational.
+It is the only code here that builds a Fraction, and imports `fractions`
+when called, so a class number never loads it.
+
+The records are NamedTuples.  `DirichletCharacter` subclasses the
+NamedTuple of its modulus and exponents, so it has a `__dict__` for its
+cached decode maps.
 """
 
 from __future__ import annotations
@@ -48,17 +54,17 @@ import bisect
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factor, kronecker
 from .errors import ConsistencyError, DomainError
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class GaussianRational:
+
+class GaussianRational(NamedTuple):
     """An exact element re + i*im of Q(i), as `bernoulli_B1` returns it."""
 
     re: Fraction
@@ -75,8 +81,7 @@ def _primitive_root(p: int) -> int:
     raise ConsistencyError(f"no primitive root found mod {p}")
 
 
-@dataclass(frozen=True)
-class CyclicComponent:
+class CyclicComponent(NamedTuple):
     """One cyclic factor of (Z/f)^*: generator of the given order inside Z/p^e."""
 
     modulus: int  # p^e
@@ -192,16 +197,13 @@ def _code_values(qs: tuple[int, ...]) -> bytes:
     return values
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(NamedTuple("DirichletCharacter",
+                                    [("modulus", int), ("exponents", tuple[int, ...])])):
     """Character of order dividing 4 modulo `modulus`.
 
     `exponents[j]` is the quarter turn applied to the j-th cyclic
     component generator: chi(g_j) = i ** exponents[j].
     """
-
-    modulus: int
-    exponents: tuple[int, ...]
 
     @cached_property
     def _decode(self) -> list[tuple[LocalGroup, bytes]]:
@@ -335,6 +337,8 @@ def bernoulli_B1(chi: DirichletCharacter) -> GaussianRational:
     It divides by f the Gaussian integer f * B1 of the kernel
     `_bernoulli_B1s`, which says how the sum is taken.
     """
+    from fractions import Fraction  # imported here: a class number never loads it
+
     [(a, b)] = _bernoulli_B1s((chi,))
     return GaussianRational(Fraction(a, chi.modulus), Fraction(b, chi.modulus))
 

@@ -29,7 +29,6 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
@@ -47,16 +46,14 @@ if TYPE_CHECKING:
 _package = sys.modules[__package__]
 
 
-@dataclass(frozen=True)
-class SieveReport:
+class SieveReport(NamedTuple):
     t_values: tuple[int, ...]
     residue_class: int
     t_min: int
     t_max: int
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(NamedTuple):
     kind: str  # "biquadratic" | "cyclic"
     t: int
     p: int
@@ -73,8 +70,7 @@ class PairReport:
     residue_b: HighPrecReal | None = None
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     kind: str
     t: int
     fields: tuple[str, ...]

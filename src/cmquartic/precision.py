@@ -5,14 +5,13 @@ bits and reported together with a conservative error bound, so downstream
 equality checks can be tolerance-aware.
 
 mpmath is imported by the functions that compute with it, on first use, so
-`HighPrecReal` and `MIN_PRECISION_BITS` cost no mpmath to import: `sieve-t`
-never loads it.
+`HighPrecReal`, a NamedTuple, and `MIN_PRECISION_BITS` cost no mpmath to
+import: `sieve-t` never loads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 
@@ -31,8 +30,7 @@ MIN_PRECISION_BITS = 64
 FIELD_MEMO_SIZE = 16
 
 
-@dataclass(frozen=True)
-class HighPrecReal:
+class HighPrecReal(NamedTuple):
     value: mpf
     error_bound: mpf
     precision_bits: int

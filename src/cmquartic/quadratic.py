@@ -22,8 +22,8 @@ that the cyclic character check reads are `cyclic_quartic`'s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import mpmath
 
@@ -33,17 +33,14 @@ from .precision import (FIELD_MEMO_SIZE, HighPrecReal, check_precision_bits, hp_
                         workprec)
 
 
-@dataclass(frozen=True)
-class QuadraticField:
+class QuadraticField(NamedTuple("QuadraticField", [("radicand", int), ("fund_disc", int)])):
     """Square-free radicand plus the fundamental discriminant it induces.
 
     `disc_factors`, the factorization of `fund_disc`, and for a real field
     its fundamental `unit` and `class_number`, are computed once, on first use;
-    `regulators` holds what `regulator` computed, by precision.
+    `regulators` holds what `regulator` computed, by precision.  It subclasses
+    the NamedTuple of its fields, so it has a `__dict__` to hold them.
     """
-
-    radicand: int
-    fund_disc: int
 
     def radicand_primes(self) -> set[int]:
         """The primes of the radicand: those of odd exponent in the discriminant."""
@@ -55,8 +52,7 @@ class QuadraticField:
     regulators = cached_property(lambda self: {})
 
 
-@dataclass(frozen=True)
-class QuadraticUnit:
+class QuadraticUnit(NamedTuple):
     """Fundamental unit (x + y*sqrt(radicand))/denom > 1 of the maximal order."""
 
     x: int

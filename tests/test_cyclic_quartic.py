@@ -126,18 +126,23 @@ def test_same_field_agrees_with_the_core_of_the_product():
 
 
 def test_same_field_never_factors_the_product(monkeypatch):
+    # nor s: a pair factors -p and -2p once each, in the members' conductors
     from cmquartic import arith
 
-    real = arith.factor
+    real, handed = arith.factor, []
 
     def guarded(n):
         assert abs(n) != 2 * p * p, f"factor handed 2p^2 = {n}"
+        handed.append(n)
         return real(n)
 
-    monkeypatch.setattr(arith, "factor", guarded)
+    for module in (arith, cq):
+        monkeypatch.setattr(module, "factor", guarded)
     for p in (1229, 100003, 1000003):
         assert same_field(-p, -2 * p, 5) is False
+        handed.clear()
         assert families.cyclic_pair_report(5, p).distinct
+        assert (handed.count(-p), handed.count(-2 * p)) == (1, 1)
 
 
 def test_distinctness_sweep():

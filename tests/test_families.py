@@ -246,14 +246,39 @@ def test_pair_at_negative_t_is_the_pair_at_t():
     # both kinds depend on t^2 only, and the fundamental unit of K+ is
     # |t| + sqrt(t^2+1) for either sign: every flag holds at t = -5, and the
     # record is the one at t = 5 apart from t and the labels
-    from dataclasses import replace
-
     for pair_report in (cyclic_pair_report, biquadratic_pair_report):
         rep, mirror = (pair_report(t, 29, with_class_number=True) for t in (5, -5))
         assert all_flags_true(mirror), mirror.kind
-        assert replace(mirror, t=5, field_a=rep.field_a, field_b=rep.field_b) == rep
+        assert mirror._replace(t=5, field_a=rep.field_a, field_b=rep.field_b) == rep
     for family in (cyclic_family, biquadratic_family):
         assert all(all_flags_true(rep) for rep in family(-3, 2)), family.__name__
+
+
+def test_records_are_immutable_tuples_with_the_same_repr():
+    # the records are NamedTuples: a field cannot be assigned, a cyclic field
+    # still refuses a zero parameter, and the repr names each field
+    from cmquartic.cyclic_quartic import CyclicQuarticField
+    from cmquartic.dirichlet import DirichletCharacter
+
+    rep = cyclic_pair_report(5, 29, 64)
+    K = CyclicQuarticField(-29, 5)
+    records = [(rep, "t"), (FieldInvariants(factor(5), rep.regulator, 1, 2, None), "hasse_q"),
+               (K, "s"), (DirichletCharacter(5, (1,)), "exponents")]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert (K.s, K.t) == (-29, 5) and K == (-29, 5)
+    with pytest.raises(DomainError) as zero:
+        CyclicQuarticField(0, 3)
+    assert zero.value.code == "E_PARAM_ZERO"
+    with mpmath.workprec(53):
+        assert repr(rep) == (
+            "PairReport(kind='cyclic', t=5, p=29, field_a='K(-29,5)', field_b='K(-58,5)', "
+            "distinct=True, disc_equal=True, "
+            "disc=Factorization(sign=1, factors=((2, 11), (13, 3), (29, 2))), "
+            "regulator=HighPrecReal(value=mpf('4.6248766825455052'), "
+            "error_bound=mpf('1.1112804865872283e-18'), precision_bits=64), reg_equal=True, "
+            "class_a=None, class_b=None, residue_a=None, residue_b=None)")
 
 
 def test_pair_admissibility():

@@ -46,21 +46,28 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-#: run in a fresh interpreter: the CLI import, the pool-only modules it must
-#: not load yet, then one cyclic class number and the heavy packages.  Last,
-#: as JSON: the cmquartic modules and mpmath loaded by `import cmquartic` and
-#: after each of two commands, then a field built through the package's
-#: submodule attribute, and the exports that are not their module's object
+#: run in a fresh interpreter: the CLI import, the pool-only modules and the
+#: record machinery it must not load, then one cyclic class number and the
+#: heavy packages.  Last, as JSON: the cmquartic modules, mpmath and any record
+#: machinery loaded by `import cmquartic` and after each of two commands, then
+#: a field built through the package's submodule attribute, and the exports
+#: that are not their module's object.  What the interpreter loaded before the
+#: probe ran (a site .pth file may import modules) costs a command nothing and
+#: is left out
 _HEAVY_IMPORT_PROBE = """
 import contextlib, io, json, sys
+AT_START = set(sys.modules)
+RECORD_MACHINERY = ("dataclasses", "inspect")
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "mpmath" or m.split(".")[0] == "cmquartic")
+    return sorted(m for m in set(sys.modules) - AT_START
+                  if m in RECORD_MACHINERY + ("mpmath",) or m.split(".")[0] == "cmquartic")
 
 import cmquartic as cmq
 footprint = {"import cmquartic": loaded()}
 import cmquartic.cli
-print(sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules))
+print(sorted(m for m in ("concurrent.futures", "logging") + RECORD_MACHINERY
+             if m in set(sys.modules) - AT_START))
 for argv in (["sieve-t", "--min", "1", "--max", "100", "--mod8", "3"],
              ["target-regulator", "--M", "6"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -79,7 +86,8 @@ print(json.dumps(footprint))
 
 def test_cli_and_class_number_load_neither_numpy_nor_sympy():
     # each would add its import time and memory to every command; the
-    # process pool is loaded only by `family --jobs N` with N > 1
+    # process pool is loaded only by `family --jobs N` with N > 1, and the
+    # records are NamedTuples, which need neither dataclasses nor inspect
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", _HEAVY_IMPORT_PROBE], env=env,
@@ -107,14 +115,17 @@ def test_each_command_loads_only_the_modules_it_runs():
 
 
 #: run in a fresh interpreter: one command, then, as JSON, the cmquartic
-#: modules, mpmath and fractions it loaded
+#: modules, mpmath, fractions, csv and any record machinery it loaded,
+#: leaving out what the interpreter loaded before the probe ran
 _COMMAND_PROBE = """
 import contextlib, io, json, sys
+AT_START = set(sys.modules)
 import cmquartic.cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cmquartic.cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules
-                        if m in ("mpmath", "fractions") or m.split(".")[0] == "cmquartic")))
+print(json.dumps(sorted(m for m in set(sys.modules) - AT_START
+                        if m in ("mpmath", "fractions", "csv", "dataclasses", "inspect")
+                        or m.split(".")[0] == "cmquartic")))
 """
 
 
@@ -152,8 +163,8 @@ def test_dirichlet_is_loaded_only_for_a_class_number(argv, kind_module):
     modules = sorted([f"cmquartic{name}" for name in (*_FIELD_MODULES, f".{kind_module}")]
                      + ["mpmath"])
     assert _loaded_by(argv) == modules
-    assert _loaded_by(argv + ["--with-class-number"]) == sorted(
-        modules + ["cmquartic.dirichlet", "fractions"])
+    # no Fraction is built on the way to h, and `bernoulli_B1` imports it when called
+    assert _loaded_by(argv + ["--with-class-number"]) == sorted(modules + ["cmquartic.dirichlet"])
 
 
 def test_an_unknown_package_attribute_is_an_attribute_error():
@@ -305,23 +316,22 @@ def test_only_dirichlet_and_cmfield_call_the_B1_kernel():
 
 def test_no_fraction_is_built_on_the_way_to_a_class_number(monkeypatch):
     # h^- is one integer division of Gaussian-integer norms and real parts;
-    # a Fraction built by dirichlet or cmfield for a single field or a pair
-    # of either kind would be a second form of B1 on that path
+    # a Fraction built for a single field or a pair of either kind would be
+    # a second form of B1 on that path.  `bernoulli_B1` imports Fraction when
+    # called, so every Fraction built in the process is counted
     from fractions import Fraction
 
     from cmquartic import biquadratic as bq
-    from cmquartic import cmfield, dirichlet, families
+    from cmquartic import dirichlet, families
     from cmquartic import cyclic_quartic as cq
 
-    built = []
+    built, new = [], Fraction.__new__
 
-    class Counted(Fraction):
-        def __new__(cls, *args, **kwargs):
-            built.append(args)
-            return super().__new__(cls, *args, **kwargs)
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
-    for module in (dirichlet, cmfield):
-        monkeypatch.setattr(module, "Fraction", Counted, raising=False)
+    monkeypatch.setattr(Fraction, "__new__", counted)
     assert cq.class_number(cq.CyclicQuarticField(-29, 5)) > 0
     assert bq.class_number(bq.biquadratic(-47, 13)) == 25
     cyclic = families.cyclic_pair_report(5, 29, with_class_number=True)
